@@ -4,9 +4,9 @@ The `run` subcommand executes the whole recipe: collect a teacher corpus,
 train a base model on it, let that model play every training game against
 the noisy oracle under both length policies, build the configured mixed
 datasets, retrain a fresh model per dataset, and evaluate everything on the
-test scenes with the fixed-question protocol. Stages communicate only
-through files in the output directory, so any suffix of the pipeline can be
-reproduced by hand with the other subcommands.
+test scenes with the fixed-question protocol. Each step is one `stage_*`
+function that writes its files and returns what it wrote; `run` calls them
+in sequence, and each step subcommand reads its input files and calls one.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -40,23 +40,12 @@ class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
-def _mix_tag(pct: int, mode: str) -> str:
-    return f"{pct}" if pct == 100 else f"{pct}_{mode}"
-
-
 def _pair_with_scenes(dialogues, scenes):
     by_id = {s.scene_id: s for s in scenes}
     missing = [d.scene_id for d in dialogues if d.scene_id not in by_id]
     if missing:
         raise GameAlignmentError(f"no scene for scene ids {sorted(set(missing))[:10]}")
     return [(d, by_id[d.scene_id]) for d in dialogues]
-
-
-def _train_questioner(dialogues, scenes, model_cfg, vocab, init_seed, train_seed,
-                      val_pairs=None) -> model.TrainResult:
-    params = model.init_params(model_cfg, vocab, init_seed)
-    dataset = _pair_with_scenes(dialogues, scenes)
-    return model.train(params, vocab, dataset, model_cfg, train_seed, val_dataset=val_pairs)
 
 
 def _sha256(path: Path) -> str:
@@ -68,113 +57,187 @@ def _sha256(path: Path) -> str:
 
 
 # ---------------------------------------------------------------------------
+# pipeline stages, shared by `run` and the subcommands
+
+
+def stage_scenes(splits, seed: int, scene_cfg: SceneConfig):
+    """Generate one scene set and write consecutive slices of it.
+
+    `splits` lists (path, count) pairs; scene ids run on across the slices,
+    so they are disjoint. Returns the slices in order.
+    """
+    everything = generate_scene_set(sum(n for _, n in splits), seed, scene_cfg)
+    parts, start = [], 0
+    for path, n in splits:
+        parts.append(everything[start:start + n])
+        write_scenes(path, parts[-1])
+        start += n
+    return parts
+
+
+def stage_collect(scenes, noise: float, max_turns: int, seed: int, out):
+    """Play the scripted teacher on every scene; returns the kept dialogues."""
+    dialogues = teacher.collect_teacher_corpus(
+        scenes, OracleConfig(noise), max_turns=max_turns, seed=seed
+    )
+    write_dialogues(out, dialogues)
+    return dialogues
+
+
+def stage_train(dialogues, scenes, model_cfg: model.ModelConfig, min_count: int,
+                init_seed: int, train_seed: int, out, val_pairs=None,
+                vocab_out=None, best_val_out=None):
+    """Train a fresh Questioner on `dialogues` and save it to `out`.
+
+    Returns (questioner, best_val, train_log). `best_val` holds the
+    parameters of the epoch with the lowest validation NLL and is None
+    without `val_pairs`; it is saved only when `best_val_out` is given.
+    """
+    vocab = lang.build_vocabulary(dialogues, min_count)
+    if vocab_out:
+        lang.write_vocabulary(vocab_out, vocab)
+    params = model.init_params(model_cfg, vocab, init_seed)
+    result = model.train(params, vocab, _pair_with_scenes(dialogues, scenes), model_cfg,
+                         train_seed, val_dataset=val_pairs)
+    questioner = model.Questioner(result.params, vocab, model_cfg)
+    model.save_checkpoint(out, questioner)
+    best_val = None
+    if result.best_val_params is not None:
+        best_val = model.Questioner(result.best_val_params, vocab, model_cfg)
+        if best_val_out:
+            model.save_checkpoint(best_val_out, best_val)
+    return questioner, best_val, result.log
+
+
+def stage_selfplay(questioner, scenes, noise: float, length_mode: str, turns: int,
+                   human, seed: int, out):
+    """Let the questioner play every scene, for `turns` turns (fixed length)
+    or as many as the `human` dialogue of the same game (variable length)."""
+    if length_mode == LENGTH_FIXED:
+        policy: selfplay.LengthPolicy = selfplay.FixedLength(turns)
+    else:
+        policy = selfplay.MatchHuman({d.game_id: len(d.turns) for d in human})
+    dialogues = selfplay.generate_selfplay_corpus(
+        questioner, scenes, OracleConfig(noise), policy, seed=seed
+    )
+    write_dialogues(out, dialogues)
+    return dialogues
+
+
+def stage_mix(human, generated, spec: MixSpec, require_success: bool, out, manifest_out):
+    """Write the mixed corpus and a manifest naming the replaced game ids."""
+    mixed = corpus_mod.mix_corpora(
+        human, generated, spec, require_generated_success=require_success
+    )
+    write_dialogues(out, mixed)
+    manifest = {
+        "pct_human": spec.pct_human,
+        "length_mode": spec.length_mode,
+        "seed": spec.seed,
+        "replaced_game_ids": sorted(d.game_id for d in mixed if d.source != SOURCE_HUMAN),
+    }
+    Path(manifest_out).write_text(json.dumps(manifest, sort_keys=True) + "\n",
+                                  encoding="utf-8")
+    return mixed
+
+
+def stage_evaluate(training, length_mode: str, *, min_count: int | None = None,
+                   questioner=None, test_scenes=(), noise: float = 0.1, turns: int = 5,
+                   seed: int = 0, pct_human: float = 100.0):
+    """Score a training corpus and the model trained on it.
+
+    Returns (stats_row, report_row): the corpus statistics when `min_count`
+    is given and the test-protocol row when `questioner` is given, else None.
+    """
+    stats = None
+    if min_count is not None:
+        stats = corpus_mod.corpus_stats(training, min_count, length_mode)
+    row = None
+    if questioner is not None:
+        row = metrics.evaluate(
+            questioner, test_scenes, OracleConfig(noise), corpus_mod.question_set(training),
+            turns=turns, seed=seed, pct_human=pct_human, length_mode=length_mode,
+        )
+    return stats, row
+
+
+# ---------------------------------------------------------------------------
 # full experiment
 
+_ROW_KEYS = ("pct_human", "pct_generated", "length_mode")
 
-def _mean_report_rows(rows_by_seed: list[list[metrics.ReportRow]]) -> list[metrics.ReportRow]:
+
+def _mean_rows(rows_by_seed: list[list]) -> list:
+    """Mean of each row position over the replicates. The key columns come
+    from the first replicate and integer columns are rounded."""
     out = []
-    for i in range(len(rows_by_seed[0])):
-        group = [rows[i] for rows in rows_by_seed]
-        first = group[0]
-        out.append(metrics.ReportRow(
-            pct_human=first.pct_human,
-            pct_generated=first.pct_generated,
-            length_mode=first.length_mode,
-            acc=sum(r.acc for r in group) / len(group),
-            grq=sum(r.grq for r in group) / len(group),
-            mo=sum(r.mo for r in group) / len(group),
-            nq=sum(r.nq for r in group) / len(group),
-            gr=sum(r.gr for r in group) / len(group),
-        ))
+    for group in zip(*rows_by_seed):
+        means = {}
+        for f in fields(group[0]):
+            if f.name in _ROW_KEYS:
+                continue
+            mean = sum(getattr(r, f.name) for r in group) / len(group)
+            means[f.name] = round(mean) if f.type in (int, "int") else mean
+        out.append(replace(group[0], **means))
     return out
 
 
-def _mean_stats_rows(rows_by_seed: list[list[corpus_mod.StatsRow]]) -> list[corpus_mod.StatsRow]:
-    out = []
-    for i in range(len(rows_by_seed[0])):
-        group = [rows[i] for rows in rows_by_seed]
-        first = group[0]
-        out.append(corpus_mod.StatsRow(
-            pct_human=first.pct_human,
-            pct_generated=first.pct_generated,
-            length_mode=first.length_mode,
-            voc_size=round(sum(r.voc_size for r in group) / len(group)),
-            mo=sum(r.mo for r in group) / len(group),
-            grq=sum(r.grq for r in group) / len(group),
-        ))
-    return out
+def _write_tables(out: Path, suffix: str, stats_rows, report_rows, ablation_rows) -> None:
+    corpus_mod.write_stats_csv(out / f"stats{suffix}.csv", stats_rows)
+    metrics.write_report_csv(out / f"report{suffix}.csv", report_rows)
+    if ablation_rows:
+        metrics.write_report_csv(out / f"report_ablation{suffix}.csv", ablation_rows)
 
 
 def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
     """One full pipeline pass; returns (stats_rows, report_rows, ablation_rows)."""
+    log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
-    scene_cfg = cfg.scene_config()
     model_cfg = cfg.model_config()
     min_count = cfg["corpus.min_count"]
-    machine_oracle = OracleConfig(cfg["selfplay.noise"])
+    n_val = cfg["experiment.n_val_scenes"]
     stage = "scenes"
     try:
-        n_train = cfg["experiment.n_train_scenes"]
-        n_test = cfg["experiment.n_test_scenes"]
-        n_val = cfg["experiment.n_val_scenes"]
-        everything = generate_scene_set(n_train + n_test + n_val,
-                                        derive_seed(rep_seed, 1), scene_cfg)
-        write_scenes(seed_dir / "scenes_train.jsonl", everything[:n_train])
-        write_scenes(seed_dir / "scenes_test.jsonl", everything[n_train:n_train + n_test])
+        splits = [(seed_dir / "scenes_train.jsonl", cfg["experiment.n_train_scenes"]),
+                  (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
         if n_val:
-            write_scenes(seed_dir / "scenes_val.jsonl", everything[n_train + n_test:])
+            splits.append((seed_dir / "scenes_val.jsonl", n_val))
+        train_scenes, test_scenes, *val_split = stage_scenes(
+            splits, derive_seed(rep_seed, 1), cfg.scene_config()
+        )
 
         stage = "teacher"
-        train_scenes = read_scenes(seed_dir / "scenes_train.jsonl")
-        human = teacher.collect_teacher_corpus(
-            train_scenes, OracleConfig(cfg["teacher.noise"]),
-            max_turns=cfg["teacher.max_turns"], seed=derive_seed(rep_seed, 2),
-        )
-        write_dialogues(seed_dir / "human.jsonl", human)
+        teacher_noise, max_turns = cfg["teacher.noise"], cfg["teacher.max_turns"]
+        human = stage_collect(train_scenes, teacher_noise, max_turns,
+                              derive_seed(rep_seed, 2), seed_dir / "human.jsonl")
         val_pairs = None
         if n_val:
-            val_scenes = read_scenes(seed_dir / "scenes_val.jsonl")
-            val_corpus = teacher.collect_teacher_corpus(
-                val_scenes, OracleConfig(cfg["teacher.noise"]),
-                max_turns=cfg["teacher.max_turns"], seed=derive_seed(rep_seed, 3),
-            )
-            write_dialogues(seed_dir / "val.jsonl", val_corpus)
+            [val_scenes] = val_split
+            val = stage_collect(val_scenes, teacher_noise, max_turns,
+                                derive_seed(rep_seed, 3), seed_dir / "val.jsonl")
+            val_pairs = _pair_with_scenes(val, val_scenes)
 
         stage = "base-train"
-        human = read_dialogues(seed_dir / "human.jsonl")
-        vocab = lang.build_vocabulary(human, min_count)
-        lang.write_vocabulary(seed_dir / "vocab_100.jsonl", vocab)
-        if n_val:
-            val_pairs = _pair_with_scenes(read_dialogues(seed_dir / "val.jsonl"),
-                                          read_scenes(seed_dir / "scenes_val.jsonl"))
-        result = _train_questioner(
-            human, train_scenes, model_cfg, vocab,
-            init_seed=derive_seed(rep_seed, 4), train_seed=derive_seed(rep_seed, 5),
-            val_pairs=val_pairs,
+        base, best_val, _ = stage_train(
+            human, train_scenes, model_cfg, min_count,
+            derive_seed(rep_seed, 4), derive_seed(rep_seed, 5), seed_dir / "model_100.ckpt",
+            val_pairs=val_pairs, vocab_out=seed_dir / "vocab_100.jsonl",
         )
-        base = model.Questioner(result.params, vocab, model_cfg)
-        model.save_checkpoint(seed_dir / "model_100.ckpt", base)
-        if cfg["selfplay.checkpoint"] == "best_val" and result.best_val_params is not None:
-            player = model.Questioner(result.best_val_params, vocab, model_cfg)
-        else:
-            player = base
+        player = base
+        if cfg["selfplay.checkpoint"] == "best_val" and best_val is not None:
+            player = best_val
 
         stage = "selfplay"
         human_scene_ids = {d.scene_id for d in human}
         replayable = [s for s in train_scenes if s.scene_id in human_scene_ids]
-        generated = {}
-        generated[LENGTH_FIXED] = selfplay.generate_selfplay_corpus(
-            player, replayable, machine_oracle,
-            selfplay.FixedLength(cfg["selfplay.turns"]), seed=derive_seed(rep_seed, 6),
-        )
-        write_dialogues(seed_dir / "generated_fixed.jsonl", generated[LENGTH_FIXED])
-        generated[LENGTH_VARIABLE] = selfplay.generate_selfplay_corpus(
-            player, replayable, machine_oracle,
-            selfplay.MatchHuman({d.game_id: len(d.turns) for d in human}),
-            seed=derive_seed(rep_seed, 7),
-        )
-        write_dialogues(seed_dir / "generated_variable.jsonl", generated[LENGTH_VARIABLE])
+        noise = cfg["selfplay.noise"]
+        generated = {
+            mode: stage_selfplay(player, replayable, noise, mode, cfg["selfplay.turns"],
+                                 human, derive_seed(rep_seed, stream),
+                                 seed_dir / f"generated_{mode}.jsonl")
+            for stream, mode in ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
+        }
 
         specs = list(cfg.mix_specs())
         if cfg["experiment.include_generated_only"]:
@@ -182,61 +245,68 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
                 if (0, mode) not in specs:
                     specs.append((0, mode))
 
-        test_scenes = read_scenes(seed_dir / "scenes_test.jsonl")
         stats_rows, report_rows, ablation_rows = [], [], []
-        mix_seed = derive_seed(rep_seed, 8)
         for j, (pct, mode) in enumerate(specs):
-            tag = _mix_tag(pct, mode)
+            tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
             if pct == 100:
-                mixed = human
-                questioner = base
+                mixed, questioner = human, base
             else:
                 stage = f"mix-{tag}"
-                gen = read_dialogues(seed_dir / f"generated_{mode}.jsonl")
-                mixed = corpus_mod.mix_corpora(
-                    human, gen, MixSpec(pct, mode, seed=mix_seed),
-                    require_generated_success=cfg["corpus.require_generated_success"],
-                )
-                write_dialogues(seed_dir / f"mixed_{tag}.jsonl", mixed)
-                manifest = {
-                    "pct_human": pct,
-                    "length_mode": mode,
-                    "seed": mix_seed,
-                    "replaced_game_ids": sorted(
-                        d.game_id for d in mixed if d.source != SOURCE_HUMAN
-                    ),
-                }
-                (seed_dir / f"mixed_{tag}.manifest.json").write_text(
-                    json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
+                mixed = stage_mix(
+                    human, generated[mode], MixSpec(pct, mode, seed=derive_seed(rep_seed, 8)),
+                    cfg["corpus.require_generated_success"],
+                    seed_dir / f"mixed_{tag}.jsonl", seed_dir / f"mixed_{tag}.manifest.json",
                 )
                 stage = f"train-{tag}"
-                mixed = read_dialogues(seed_dir / f"mixed_{tag}.jsonl")
-                vocab_m = lang.build_vocabulary(mixed, min_count)
-                result_m = _train_questioner(
-                    mixed, train_scenes, model_cfg, vocab_m,
-                    init_seed=derive_seed(rep_seed, 30 + j),
-                    train_seed=derive_seed(rep_seed, 60 + j),
+                questioner, _, _ = stage_train(
+                    mixed, train_scenes, model_cfg, min_count, derive_seed(rep_seed, 30 + j),
+                    derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
                 )
-                questioner = model.Questioner(result_m.params, vocab_m, model_cfg)
-                model.save_checkpoint(seed_dir / f"model_{tag}.ckpt", questioner)
             stage = f"evaluate-{tag}"
-            stats_rows.append(corpus_mod.corpus_stats(mixed, min_count, mode))
-            row = metrics.evaluate(
-                questioner, test_scenes, machine_oracle,
-                corpus_mod.question_set(mixed),
-                turns=cfg["evaluate.turns"], seed=derive_seed(rep_seed, 90 + j),
-                pct_human=pct, length_mode=mode,
+            stats, row = stage_evaluate(
+                mixed, mode, min_count=min_count, questioner=questioner,
+                test_scenes=test_scenes, noise=noise,
+                turns=cfg["evaluate.turns"], seed=derive_seed(rep_seed, 90 + j), pct_human=pct,
             )
+            stats_rows.append(stats)
             (ablation_rows if pct == 0 else report_rows).append(row)
 
         stage = "report"
-        corpus_mod.write_stats_csv(seed_dir / "stats.csv", stats_rows)
-        metrics.write_report_csv(seed_dir / "report.csv", report_rows)
-        if ablation_rows:
-            metrics.write_report_csv(seed_dir / "report_ablation.csv", ablation_rows)
+        _write_tables(seed_dir, "", stats_rows, report_rows, ablation_rows)
         return stats_rows, report_rows, ablation_rows
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    """True when the lock holds the id of a process that no longer exists."""
+    try:
+        pid = int(lock.read_text(encoding="utf-8"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass
+    return False
+
+
+def _acquire_lock(lock: Path) -> None:
+    """Create the lock holding this process id; a stale lock is removed once."""
+    for retry in (False, True):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if retry or not _lock_is_stale(lock):
+                raise ConfigError(
+                    f"output directory {lock.parent} is locked by another run "
+                    f"(remove {lock} if stale)"
+                ) from None
+            log.warning("removing stale lock %s", lock)
+            lock.unlink(missing_ok=True)
+    with os.fdopen(fd, "w") as f:
+        f.write(str(os.getpid()))
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -246,37 +316,19 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {out} is locked by another run (remove {lock} if stale)"
-        ) from None
-    with os.fdopen(fd, "w") as f:
-        f.write(str(os.getpid()))
+    _acquire_lock(lock)
     try:
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
-        all_stats, all_reports, all_ablations = [], [], []
-        for replicate in range(n_rep):
-            log.info("=== replicate %d of %d ===", replicate + 1, n_rep)
-            stats_rows, report_rows, ablation_rows = _run_seed(
-                cfg, replicate, out / f"seed_{replicate}"
-            )
-            all_stats.append(stats_rows)
-            all_reports.append(report_rows)
-            all_ablations.append(ablation_rows)
-        corpus_mod.write_stats_csv(out / "stats_mean.csv", _mean_stats_rows(all_stats))
-        mean_rows = _mean_report_rows(all_reports)
-        metrics.write_report_csv(out / "report_mean.csv", mean_rows)
+        per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
+        stats, reports, ablations = (_mean_rows(rows) for rows in zip(*per_seed))
+        _write_tables(out, "_mean", stats, reports, ablations)
         md = metrics.report_markdown(
-            mean_rows, title=f"Test set, {cfg['evaluate.turns']}-question protocol"
+            reports, title=f"Test set, {cfg['evaluate.turns']}-question protocol"
         )
-        if any(all_ablations):
-            ablation_mean = _mean_report_rows(all_ablations)
-            metrics.write_report_csv(out / "report_ablation_mean.csv", ablation_mean)
+        if ablations:
             md += "\n" + metrics.report_markdown(
-                ablation_mean, title="Generated-only training (ablation)"
+                ablations, title="Generated-only training (ablation)"
             )
         (out / "report.md").write_text(md, encoding="utf-8")
         files = sorted(
@@ -301,131 +353,82 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 # subcommands
 
 
-def _cmd_gen_scenes(args) -> int:
+def _cmd_gen_scenes(args) -> None:
     cfg = SceneConfig(args.min_objects, args.max_objects, args.grid_size)
-    scenes = generate_scene_set(args.n, args.seed, cfg)
-    write_scenes(args.out, scenes)
+    [scenes] = stage_scenes([(args.out, args.n)], args.seed, cfg)
     print(f"wrote {len(scenes)} scenes to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_collect_human(args) -> int:
+def _cmd_collect_human(args) -> None:
     scenes = read_scenes(args.scenes)
-    dialogues = teacher.collect_teacher_corpus(
-        scenes, OracleConfig(args.noise), max_turns=args.max_turns, seed=args.seed
-    )
-    write_dialogues(args.out, dialogues)
+    dialogues = stage_collect(scenes, args.noise, args.max_turns, args.seed, args.out)
     print(f"wrote {len(dialogues)} teacher dialogues to {args.out}")
-    return EXIT_OK
 
 
-def _model_config_from_args(args) -> model.ModelConfig:
-    return model.ModelConfig(
-        embed_dim=args.embed_dim,
-        hidden_dim=args.hidden_dim,
-        learning_rate=args.learning_rate,
-        grad_clip=args.grad_clip,
-        modulo_n=args.modulo_n,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        decode_mode=args.decode,
-        max_question_len=args.max_question_len,
-        guesser_human_only=args.guesser_human_only,
-    )
-
-
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
+    cfg = ExperimentConfig({key: value for key, value in vars(args).items() if key in SCHEMA})
+    if args.val_dialogues and not args.val_scenes:
+        raise ConfigError("--val-dialogues needs --val-scenes")
     dialogues = read_dialogues(args.dialogues)
     scenes = read_scenes(args.scenes)
-    model_cfg = _model_config_from_args(args)
-    vocab = lang.build_vocabulary(dialogues, args.min_count)
     val_pairs = None
     if args.val_dialogues:
-        if not args.val_scenes:
-            raise ConfigError("--val-dialogues needs --val-scenes")
         val_pairs = _pair_with_scenes(read_dialogues(args.val_dialogues),
                                       read_scenes(args.val_scenes))
-    result = _train_questioner(
-        dialogues, scenes, model_cfg, vocab,
-        init_seed=derive_seed(args.seed, 0), train_seed=derive_seed(args.seed, 1),
-        val_pairs=val_pairs,
+    _, _, train_log = stage_train(
+        dialogues, scenes, cfg.model_config(), cfg["corpus.min_count"],
+        derive_seed(args.seed, 0), derive_seed(args.seed, 1), args.out,
+        val_pairs=val_pairs, best_val_out=args.best_val_out,
     )
-    model.save_checkpoint(args.out, model.Questioner(result.params, vocab, model_cfg))
-    final = result.log.epochs[-1] if result.log.epochs else None
-    if final:
-        print(f"trained {model_cfg.epochs} epochs, final question NLL {final.qgen_nll:.4f}")
-    if args.best_val_out and result.best_val_params is not None:
-        model.save_checkpoint(
-            args.best_val_out,
-            model.Questioner(result.best_val_params, vocab, model_cfg),
-        )
+    if train_log.epochs:
+        print(f"trained {cfg['model.epochs']} epochs, "
+              f"final question NLL {train_log.final_qgen_nll:.4f}")
     print(f"wrote checkpoint to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_selfplay(args) -> int:
+def _cmd_selfplay(args) -> None:
     questioner = model.load_checkpoint(args.model)
     scenes = read_scenes(args.scenes)
-    if args.length == LENGTH_FIXED:
-        policy: selfplay.LengthPolicy = selfplay.FixedLength(args.turns)
-    else:
+    human = None
+    if args.length == LENGTH_VARIABLE:
         if not args.match:
             raise ConfigError("--length variable needs --match HUMAN.jsonl")
         human = read_dialogues(args.match)
-        policy = selfplay.MatchHuman({d.game_id: len(d.turns) for d in human})
-    dialogues = selfplay.generate_selfplay_corpus(
-        questioner, scenes, OracleConfig(args.noise), policy, seed=args.seed
-    )
-    write_dialogues(args.out, dialogues)
+    dialogues = stage_selfplay(questioner, scenes, args.noise, args.length, args.turns, human,
+                               args.seed, args.out)
     print(f"wrote {len(dialogues)} generated dialogues to {args.out}")
-    return EXIT_OK
 
 
-def _cmd_mix(args) -> int:
+def _cmd_mix(args) -> None:
     human = read_dialogues(args.human)
     generated = read_dialogues(args.generated)
-    spec = MixSpec(args.pct_human, args.length, seed=args.seed)
-    mixed = corpus_mod.mix_corpora(
-        human, generated, spec, require_generated_success=args.require_success
-    )
-    write_dialogues(args.out, mixed)
-    manifest = {
-        "pct_human": args.pct_human,
-        "length_mode": args.length,
-        "seed": args.seed,
-        "replaced_game_ids": sorted(d.game_id for d in mixed if d.source != SOURCE_HUMAN),
-    }
     manifest_path = Path(str(args.out) + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    mixed = stage_mix(human, generated, MixSpec(args.pct_human, args.length, seed=args.seed),
+                      args.require_success, args.out, manifest_path)
     print(f"wrote {len(mixed)} dialogues to {args.out} (+ {manifest_path.name})")
-    return EXIT_OK
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> None:
     dialogues = read_dialogues(args.corpus)
-    row = corpus_mod.corpus_stats(dialogues, args.min_count, args.length_mode)
-    print(corpus_mod.format_stats_row(row))
-    return EXIT_OK
+    stats, _ = stage_evaluate(dialogues, args.length_mode, min_count=args.min_count)
+    print(corpus_mod.format_stats_row(stats))
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> None:
     questioner = model.load_checkpoint(args.model)
     scenes = read_scenes(args.scenes)
     training = read_dialogues(args.train_dialogues)
-    row = metrics.evaluate(
-        questioner, scenes, OracleConfig(args.noise),
-        corpus_mod.question_set(training),
-        turns=args.turns, seed=args.seed,
-        pct_human=args.pct_human, length_mode=args.length,
+    _, row = stage_evaluate(
+        training, args.length, questioner=questioner, test_scenes=scenes,
+        noise=args.noise, turns=args.turns, seed=args.seed, pct_human=args.pct_human,
     )
     print(metrics.format_report_row(row))
     if args.out:
         Path(args.out).write_text(json.dumps(asdict(row), sort_keys=True) + "\n",
                                   encoding="utf-8")
-    return EXIT_OK
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     rows = []
     for path in args.rows:
         rec = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -434,31 +437,25 @@ def _cmd_report(args) -> int:
     if args.out_md:
         Path(args.out_md).write_text(metrics.report_markdown(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out_csv}")
-    return EXIT_OK
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     overrides = {key: vars(args)[key] for key in SCHEMA if vars(args).get(key) is not None}
     cfg = load_config(args.config, overrides)
     out = run_experiment(cfg)
     print(f"experiment artifacts in {out}")
     print(f"report: {out / 'report_mean.csv'}")
-    return EXIT_OK
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    d = model.ModelConfig()
-    p.add_argument("--embed-dim", type=int, default=d.embed_dim)
-    p.add_argument("--hidden-dim", type=int, default=d.hidden_dim)
-    p.add_argument("--learning-rate", type=float, default=d.learning_rate)
-    p.add_argument("--grad-clip", type=float, default=d.grad_clip)
-    p.add_argument("--modulo-n", type=int, default=d.modulo_n)
-    p.add_argument("--epochs", type=int, default=d.epochs)
-    p.add_argument("--batch-size", type=int, default=d.batch_size)
-    p.add_argument("--decode", choices=(model.DECODE_GREEDY, model.DECODE_SAMPLE),
-                   default=d.decode_mode)
-    p.add_argument("--max-question-len", type=int, default=d.max_question_len)
-    p.add_argument("--guesser-human-only", action="store_true")
+def _schema_flags(p: argparse.ArgumentParser, *keys: str, flag: str | None = None,
+                  **kwargs) -> None:
+    """Flags that mirror config keys (`--max-turns` for teacher.max_turns)
+    and take their type, default and help from SCHEMA."""
+    for key in keys:
+        parse, default, help_text = SCHEMA[key]
+        kind = {"action": "store_true"} if isinstance(default, bool) else {"type": parse}
+        p.add_argument(flag or "--" + key.split(".")[1].replace("_", "-"),
+                       default=default, help=help_text, **kind, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,88 +465,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_flag = argparse.ArgumentParser(add_help=False)
+    seed_flag.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("gen-scenes", help="generate a scene file")
+    def command(name, func, help_text, seed=True):
+        p = sub.add_parser(name, help=help_text, parents=[seed_flag] if seed else [])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-scenes", _cmd_gen_scenes, "generate a scene file")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-objects", type=int, default=3)
-    p.add_argument("--max-objects", type=int, default=20)
-    p.add_argument("--grid-size", type=int, default=5)
+    _schema_flags(p, "scene.min_objects", "scene.max_objects", "scene.grid_size")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_scenes)
 
-    p = sub.add_parser("collect-human", help="play the scripted teacher on a scene file")
+    p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file")
     p.add_argument("--scenes", required=True)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--max-turns", type=int, default=teacher.DEFAULT_MAX_TURNS)
-    p.add_argument("--seed", type=int, default=0)
+    _schema_flags(p, "teacher.noise", "teacher.max_turns")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_collect_human)
 
-    p = sub.add_parser("train", help="train a questioner on a dialogue corpus")
+    p = command("train", _cmd_train, "train a questioner on a dialogue corpus")
     p.add_argument("--dialogues", required=True)
     p.add_argument("--scenes", required=True)
-    p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    _schema_flags(p, "corpus.min_count", dest="corpus.min_count")
     p.add_argument("--val-dialogues")
     p.add_argument("--val-scenes")
     p.add_argument("--best-val-out")
-    _add_model_flags(p)
+    for key in SCHEMA:
+        if key.startswith("model."):
+            extra = {"choices": (model.DECODE_GREEDY, model.DECODE_SAMPLE)} \
+                if key == "model.decode" else {}
+            _schema_flags(p, key, dest=key, **extra)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("selfplay", help="let a trained model play against the oracle")
+    p = command("selfplay", _cmd_selfplay, "let a trained model play against the oracle")
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--length", choices=(LENGTH_FIXED, LENGTH_VARIABLE), default=LENGTH_FIXED)
-    p.add_argument("--turns", type=int, default=5)
+    _schema_flags(p, "selfplay.turns", "selfplay.noise")
     p.add_argument("--match", help="human corpus whose turn counts to copy (variable length)")
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_selfplay)
 
-    p = sub.add_parser("mix", help="replace part of a human corpus with generated dialogues")
+    p = command("mix", _cmd_mix, "replace part of a human corpus with generated dialogues")
     p.add_argument("--human", required=True)
     p.add_argument("--generated", required=True)
     p.add_argument("--pct-human", type=int, required=True)
     p.add_argument("--length", choices=(LENGTH_FIXED, LENGTH_VARIABLE, LENGTH_NONE),
                    default=LENGTH_FIXED)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--require-success", action="store_true")
+    _schema_flags(p, "corpus.require_generated_success", flag="--require-success")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mix)
 
-    p = sub.add_parser("stats", help="print the statistics row of a corpus")
+    p = command("stats", _cmd_stats, "print the statistics row of a corpus", seed=False)
     p.add_argument("corpus")
-    p.add_argument("--min-count", type=int, default=3)
+    _schema_flags(p, "corpus.min_count")
     p.add_argument("--length-mode", default=LENGTH_NONE)
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("evaluate", help="play the test protocol and print a report row")
+    p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row")
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--train-dialogues", required=True,
                    help="corpus the model was trained on (defines NQ)")
-    p.add_argument("--turns", type=int, default=5)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _schema_flags(p, "evaluate.turns", "selfplay.noise")
     p.add_argument("--pct-human", type=float, default=100.0)
     p.add_argument("--length", default=LENGTH_NONE)
     p.add_argument("--out", help="also write the row as JSON")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("report", help="assemble evaluation rows into CSV/markdown")
+    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=False)
     p.add_argument("--rows", nargs="+", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-md")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("run", help="run the full two-step experiment from a config file")
+    p = command("run", _cmd_run, "run the full two-step experiment from a config file", seed=False)
     p.add_argument("--config", help="key-value config file; defaults apply when omitted")
     for key, (_, _, help_text) in SCHEMA.items():
         p.add_argument(f"--{key}", dest=key, metavar="V", help=help_text)
-    p.set_defaults(func=_cmd_run)
 
     return parser
 
@@ -561,7 +549,8 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -96,23 +96,16 @@ class ExperimentConfig:
             self.model_config().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (0.0 <= self["teacher.noise"] <= 1.0):
-            raise ConfigError("teacher.noise must be in [0, 1]")
-        if not (0.0 <= self["selfplay.noise"] <= 1.0):
-            raise ConfigError("selfplay.noise must be in [0, 1]")
-        for key in ("experiment.n_train_scenes", "experiment.n_test_scenes"):
+        for key in ("teacher.noise", "selfplay.noise"):
+            if not (0.0 <= self[key] <= 1.0):
+                raise ConfigError(f"{key} must be in [0, 1]")
+        for key in ("experiment.n_train_scenes", "experiment.n_test_scenes",
+                    "experiment.replicate_seeds", "teacher.max_turns", "selfplay.turns",
+                    "evaluate.turns", "corpus.min_count"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self["experiment.n_val_scenes"] < 0:
             raise ConfigError("experiment.n_val_scenes must be >= 0")
-        if self["experiment.replicate_seeds"] < 1:
-            raise ConfigError("experiment.replicate_seeds must be >= 1")
-        if self["teacher.max_turns"] < 1:
-            raise ConfigError("teacher.max_turns must be >= 1")
-        if self["selfplay.turns"] < 1 or self["evaluate.turns"] < 1:
-            raise ConfigError("turn budgets must be >= 1")
-        if self["corpus.min_count"] < 1:
-            raise ConfigError("corpus.min_count must be >= 1")
         if self["selfplay.checkpoint"] not in CHECKPOINT_CHOICES:
             raise ConfigError(f"selfplay.checkpoint must be one of {CHECKPOINT_CHOICES}")
         if self["selfplay.checkpoint"] == "best_val" and self["experiment.n_val_scenes"] < 1:

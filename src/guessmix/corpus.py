@@ -131,11 +131,7 @@ def _check_length_mode(spec, replaced, generated_by_game, human_by_game):
                 )
 
 
-def _dialogue_of(item) -> Dialogue:
-    return item[0] if isinstance(item, tuple) else item
-
-
-def make_batches(items: list, batch_size: int, seed: int, source=None) -> list[list]:
+def make_batches(items: list, batch_size: int, seed: int) -> list[list]:
     """Seeded shuffle then sequential slicing, with mixed-source repair.
 
     When the dataset contains both human and generated dialogues, every full
@@ -146,15 +142,13 @@ def make_batches(items: list, batch_size: int, seed: int, source=None) -> list[l
     guaranteed to succeed when each source has at least as many elements as
     there are full batches.
 
-    `items` may be Dialogue objects or (Dialogue, Scene) pairs; pass `source`
-    to override how the source tag is read.
+    `items` may be Dialogue objects or (Dialogue, Scene) pairs.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    source = source or (lambda item: _dialogue_of(item).source)
     rng = np.random.default_rng(seed)
     order = [items[i] for i in rng.permutation(len(items))]
-    sources = [source(it) for it in order]
+    sources = [(it[0] if isinstance(it, tuple) else it).source for it in order]
     distinct = set(sources)
     n_full = len(order) // batch_size
     if len(distinct) > 1 and batch_size >= 2 and n_full > 0:

@@ -1,4 +1,4 @@
-"""Question language: tokenization, a closed template grammar, and vocabulary.
+"""Question language: a closed template grammar and the vocabulary.
 
 Questions are realized from a small semantic space (category / color / size /
 grid region checks) through several surface templates per kind, which gives
@@ -10,7 +10,6 @@ match no template are malformed by definition.
 from __future__ import annotations
 
 import json
-import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -103,32 +102,6 @@ def all_semantics() -> list[QuestionSemantics]:
     return [QuestionSemantics(kind, v) for kind in KINDS for v in SLOT_VALUES[kind]]
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, peel off leading/trailing punctuation.
-
-    Stable under detokenize: tokenize(detokenize(tokenize(x))) == tokenize(x).
-    """
-    tokens: list[str] = []
-    for chunk in text.lower().split():
-        head: list[str] = []
-        tail: list[str] = []
-        while chunk and chunk[0] in string.punctuation:
-            head.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in string.punctuation:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(head)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(tail))
-    return tokens
-
-
-def detokenize(tokens: list[str] | tuple[str, ...]) -> str:
-    return " ".join(tokens)
-
-
 def realize(semantics: QuestionSemantics, template_id: int) -> list[str]:
     """Fill the template slot with the semantics argument."""
     templates = TEMPLATES[semantics.kind]
@@ -175,9 +148,6 @@ class Vocabulary:
             if sp not in self._ids:
                 raise ValueError(f"special token {sp!r} missing from vocabulary")
 
-    def __len__(self) -> int:
-        return len(self.words)
-
     @property
     def n_words(self) -> int:
         """Total word count including specials (the model's softmax size)."""
@@ -199,10 +169,6 @@ class Vocabulary:
     @property
     def eoq_id(self) -> int:
         return self._ids[EOQ]
-
-    @property
-    def unk_id(self) -> int:
-        return self._ids[UNK]
 
     def token_id(self, token: str) -> int:
         return self._ids.get(token, self._ids[UNK])
@@ -240,24 +206,3 @@ def write_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for i, w in enumerate(vocab.words):
             f.write(json.dumps({"word": w, "count": vocab.counts.get(w, 0), "id": i}) + "\n")
-
-
-def read_vocabulary(path: str | Path, min_count: int = 3) -> Vocabulary:
-    words: list[str] = []
-    counts: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                word, count, idx = rec["word"], rec["count"], rec["id"]
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed vocabulary record: {exc}") from exc
-            if idx != len(words):
-                raise ValueError(f"{path}:{lineno}: non-dense id {idx}")
-            words.append(word)
-            if word not in SPECIAL_TOKENS:
-                counts[word] = count
-    return Vocabulary(words=words, counts=counts, min_count=min_count)

@@ -224,10 +224,6 @@ def guesser_scores(params: ModelParams, state: np.ndarray, scene: Scene) -> np.n
     return (feats @ params.w_obj.T) @ np.asarray(state, dtype=float)
 
 
-def guesser_probabilities(params: ModelParams, state: np.ndarray, scene: Scene) -> np.ndarray:
-    return softmax(guesser_scores(params, state, scene))
-
-
 def guess_object(params: ModelParams, state: np.ndarray, scene: Scene) -> int:
     # np.argmax resolves ties toward the lowest index
     return int(np.argmax(guesser_scores(params, state, scene)))

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from guessmix import cli, config, dialogue, metrics, scene
 from guessmix.config import ConfigError, ExperimentConfig, load_config
+from guessmix.seeding import derive_seed
 
 TINY_CONFIG = """
 # tiny smoke experiment
@@ -183,6 +187,32 @@ class TestSubcommands:
         rc = cli.main(["run", "--config", str(path)])
         assert rc == cli.EXIT_VALIDATION
 
+    def test_bad_model_flag_rejected_before_writing(self, tmp_path, capsys):
+        scenes_path = tmp_path / "scenes.jsonl"
+        human_path = tmp_path / "human.jsonl"
+        assert cli.main(["gen-scenes", "--n", "10", "--out", str(scenes_path)]) == 0
+        assert cli.main(["collect-human", "--scenes", str(scenes_path),
+                         "--out", str(human_path)]) == 0
+        out = tmp_path / "model.ckpt"
+        rc = cli.main(["train", "--dialogues", str(human_path), "--scenes", str(scenes_path),
+                       "--batch-size", "0", "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_flag_defaults_follow_schema(self):
+        parser = cli.build_parser()
+        train = parser.parse_args(["train", "--dialogues", "d", "--scenes", "s", "--out", "o"])
+        assert ExperimentConfig(
+            {k: v for k, v in vars(train).items() if k in config.SCHEMA}
+        ).model_config() == ExperimentConfig().model_config()
+        mix = parser.parse_args(["mix", "--human", "h", "--generated", "g",
+                                 "--pct-human", "50", "--out", "o"])
+        assert mix.require_success is config.SCHEMA["corpus.require_generated_success"][1]
+        ev = parser.parse_args(["evaluate", "--model", "m", "--scenes", "s",
+                                "--train-dialogues", "t"])
+        assert (ev.turns, ev.noise) == (config.SCHEMA["evaluate.turns"][1],
+                                        config.SCHEMA["selfplay.noise"][1])
+
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
@@ -240,6 +270,112 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="lock"):
             cli.run_experiment(cfg)
         (tiny_run / ".lock").unlink()
+
+    def test_lock_of_dead_process_is_removed(self, tmp_path):
+        proc = subprocess.Popen([sys.executable, "-c", ""])
+        proc.wait()  # reaped: its pid no longer names a process
+        out = tmp_path / "stale"
+        out.mkdir()
+        (out / ".lock").write_text(str(proc.pid))
+        cfg = load_config(None, {
+            "experiment.output_dir": str(out),
+            "experiment.n_train_scenes": "20",
+            "experiment.n_test_scenes": "5",
+            "experiment.mix_specs": "100:-",
+            "model.embed_dim": "8",
+            "model.hidden_dim": "12",
+            "model.epochs": "1",
+            "model.batch_size": "8",
+        })
+        cli.run_experiment(cfg)
+        assert (out / "report_mean.csv").exists()
+        assert not (out / ".lock").exists()
+
+    def test_lock_of_live_process_blocks(self, tmp_path):
+        out = tmp_path / "live"
+        out.mkdir()
+        (out / ".lock").write_text(str(os.getpid()))
+        cfg = load_config(None, {"experiment.output_dir": str(out)})
+        with pytest.raises(ConfigError, match="lock"):
+            cli.run_experiment(cfg)
+        assert (out / ".lock").read_text() == str(os.getpid())
+        assert not (out / "config.txt").exists()
+
+    def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
+        seed_dir = tiny_run / "seed_0"
+        rep_seed = derive_seed(1, 0)  # experiment.seed = 1, replicate 0
+        run = lambda *args: cli.main([str(a) for a in args])
+        assert run("gen-scenes", "--n", 60, "--seed", derive_seed(rep_seed, 1),
+                   "--out", tmp_path / "scenes_train.jsonl") == 0
+        assert run("collect-human", "--scenes", seed_dir / "scenes_train.jsonl",
+                   "--seed", derive_seed(rep_seed, 2), "--out", tmp_path / "human.jsonl") == 0
+        assert run("mix", "--human", seed_dir / "human.jsonl",
+                   "--generated", seed_dir / "generated_fixed.jsonl",
+                   "--pct-human", 50, "--length", "fixed", "--seed", derive_seed(rep_seed, 8),
+                   "--out", tmp_path / "mixed.jsonl") == 0
+        # the run self-plays only the training scenes that kept a teacher dialogue
+        kept = {d.scene_id for d in dialogue.read_dialogues(seed_dir / "human.jsonl")}
+        scene.write_scenes(tmp_path / "kept.jsonl", [
+            s for s in scene.read_scenes(seed_dir / "scenes_train.jsonl") if s.scene_id in kept
+        ])
+        for mode, stream in (("fixed", 6), ("variable", 7)):
+            assert run("selfplay", "--model", seed_dir / "model_100.ckpt",
+                       "--scenes", tmp_path / "kept.jsonl", "--length", mode,
+                       "--match", seed_dir / "human.jsonl",
+                       "--seed", derive_seed(rep_seed, stream),
+                       "--out", tmp_path / f"generated_{mode}.jsonl") == 0
+        for name, ours in (("scenes_train.jsonl", "scenes_train.jsonl"),
+                           ("human.jsonl", "human.jsonl"),
+                           ("generated_fixed.jsonl", "generated_fixed.jsonl"),
+                           ("generated_variable.jsonl", "generated_variable.jsonl"),
+                           ("mixed_50_fixed.jsonl", "mixed.jsonl"),
+                           ("mixed_50_fixed.manifest.json", "mixed.jsonl.manifest.json")):
+            assert (tmp_path / ours).read_bytes() == (seed_dir / name).read_bytes(), name
+
+        stats_lines = (seed_dir / "stats.csv").read_text().splitlines()
+        report_lines = (seed_dir / "report.csv").read_text().splitlines()
+        # mix j of TINY_CONFIG: (corpus, checkpoint, pct_human, length mode)
+        mixes = [("human.jsonl", "model_100.ckpt", 100, "-"),
+                 ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt", 50, "fixed")]
+        for j, (corpus, ckpt, pct, mode) in enumerate(mixes):
+            capsys.readouterr()
+            assert run("stats", seed_dir / corpus, "--length-mode", mode) == 0
+            assert capsys.readouterr().out.strip() == stats_lines[1 + j]
+            assert run("evaluate", "--model", seed_dir / ckpt,
+                       "--scenes", seed_dir / "scenes_test.jsonl",
+                       "--train-dialogues", seed_dir / corpus,
+                       "--seed", derive_seed(rep_seed, 90 + j),
+                       "--pct-human", pct, "--length", mode) == 0
+            assert capsys.readouterr().out.strip() == report_lines[1 + j]
+
+    def test_replicate_means(self, tmp_path):
+        out = cli.run_experiment(load_config(None, {
+            "experiment.output_dir": str(tmp_path / "two"),
+            "experiment.replicate_seeds": "2",
+            "experiment.n_train_scenes": "40",
+            "experiment.n_test_scenes": "10",
+            "experiment.mix_specs": "100:-,50:fixed",
+            "model.embed_dim": "8",
+            "model.hidden_dim": "12",
+            "model.epochs": "2",
+            "model.batch_size": "8",
+        }))
+
+        def rows(path):
+            return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+        for name, decimals in (("stats", (None, 4, 2)), ("report", (2, 2, 4, 2, 2))):
+            seeds = [rows(out / f"seed_{r}" / f"{name}.csv") for r in range(2)]
+            mean = rows(out / f"{name}_mean.csv")
+            assert len(mean) == len(seeds[0]) == len(seeds[1]) == 2
+            for got, a, b in zip(mean, *seeds):
+                assert got[:3] == a[:3]  # key columns come from the first replicate
+                for col, d in enumerate(decimals, start=3):
+                    if d is None:  # voc_size: the rounded mean of two integers
+                        assert int(got[col]) == round((int(a[col]) + int(b[col])) / 2)
+                    else:  # each printed value is off by at most half a unit
+                        want = (float(a[col]) + float(b[col])) / 2
+                        assert abs(float(got[col]) - want) <= 10 ** -d + 1e-12
 
     def test_generated_only_rows_are_ablation(self, tmp_path):
         cfg = load_config(None, {

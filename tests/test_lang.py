@@ -1,30 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import make_dialogue
 from guessmix import lang
-
-
-class TestTokenize:
-    def test_basic_question(self):
-        assert lang.tokenize("Is it a cat?") == ["is", "it", "a", "cat", "?"]
-
-    def test_empty(self):
-        assert lang.tokenize("") == []
-
-    def test_lowercase_and_spaced_punctuation(self):
-        assert lang.tokenize("is it the RED car ?") == ["is", "it", "the", "red", "car", "?"]
-
-    def test_leading_and_trailing_punctuation(self):
-        assert lang.tokenize('"red," he said.') == ['"', "red", ",", '"', "he", "said", "."]
-
-    def test_stability(self):
-        rng = np.random.default_rng(0)
-        pieces = ["Is", "it", "RED?", "the,", '"car"', "...", "a", "cat!"]
-        for _ in range(200):
-            text = " ".join(rng.choice(pieces, size=rng.integers(0, 8)))
-            once = lang.tokenize(text)
-            assert lang.tokenize(lang.detokenize(once)) == once
 
 
 class TestGrammar:
@@ -118,9 +98,9 @@ class TestVocabulary:
 
     def test_ids_dense_and_specials_first(self, small_teacher_corpus):
         vocab = lang.build_vocabulary(small_teacher_corpus, min_count=3)
-        assert [vocab.token_id(w) for w in vocab.words] == list(range(len(vocab)))
+        assert [vocab.token_id(w) for w in vocab.words] == list(range(vocab.n_words))
         assert vocab.words[:5] == list(lang.SPECIAL_TOKENS)
-        assert vocab.token_id("never-seen-word") == vocab.unk_id
+        assert vocab.token_id("never-seen-word") == vocab.token_id(lang.UNK)
 
     def test_answers_do_not_count(self):
         corpus = [make_dialogue(["cat cat cat"], answers=["yes"])]
@@ -128,10 +108,17 @@ class TestVocabulary:
         assert vocab.learnable_words == ["cat"]
 
     def test_jsonl_round_trip(self, small_teacher_corpus, tmp_path):
+        # the file README documents: one {"word", "count", "id"} object per
+        # line, ids dense, specials first with count 0
         vocab = lang.build_vocabulary(small_teacher_corpus, min_count=3)
         path = tmp_path / "vocab.jsonl"
         lang.write_vocabulary(path, vocab)
-        assert lang.read_vocabulary(path, min_count=3) == vocab
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert all(set(r) == {"word", "count", "id"} for r in records)
+        assert [r["id"] for r in records] == list(range(vocab.n_words))
+        assert [r["word"] for r in records] == vocab.words
+        assert [r["count"] for r in records[:5]] == [0] * 5
+        assert {r["word"]: r["count"] for r in records[5:]} == vocab.counts
 
     def test_specials_are_mandatory(self):
         with pytest.raises(ValueError):

@@ -233,14 +233,6 @@ class TestGuesser:
         assert shifted_scores == pytest.approx(scores + state @ const, abs=1e-12)
         assert int(np.argmax(shifted_scores)) == int(np.argmax(scores))
 
-    def test_probabilities_sum_to_one(self, world):
-        scenes, corpus, vocab, dataset = world
-        cfg = model.ModelConfig(embed_dim=8, hidden_dim=12)
-        params = model.init_params(cfg, vocab, seed=0)
-        for sc in scenes:
-            p = model.guesser_probabilities(params, model.initial_state(params, sc), sc)
-            assert abs(p.sum() - 1.0) < 1e-12
-
 
 class TestSoftmax:
     def test_normalized_within_tolerance(self):

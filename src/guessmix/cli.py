@@ -16,9 +16,12 @@ import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import corpus as corpus_mod
 from . import lang, metrics, model, selfplay, teacher
@@ -46,6 +49,25 @@ def _pair_with_scenes(dialogues, scenes):
     if missing:
         raise GameAlignmentError(f"no scene for scene ids {sorted(set(missing))[:10]}")
     return [(d, by_id[d.scene_id]) for d in dialogues]
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _numeric_environment() -> dict:
+    """Python and numpy versions and what sets the BLAS thread count.
+
+    Checkpoint bits depend on how the BLAS library splits its sums over
+    threads, so these go into `manifest.json` to explain a checkpoint digest
+    that differs between hosts. With the variables unset, OpenBLAS runs one
+    thread per CPU.
+    """
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def _sha256(path: Path) -> str:
@@ -337,6 +359,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         )
         manifest = {
             "config": cfg.values,
+            "environment": _numeric_environment(),
             "replicate_seeds": [derive_seed(cfg["experiment.seed"], r) for r in range(n_rep)],
             "files": {str(p.relative_to(out)): _sha256(p) for p in files},
         }

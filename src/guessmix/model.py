@@ -16,8 +16,16 @@ as the dot product of the state with a linear embedding of its features.
 
 Training minimizes mean per-token negative log-likelihood of the questions
 under teacher forcing, plus (in joint phase) the guesser cross-entropy on
-the target index. Batches are processed as padded, masked tensors; the
-backward pass mirrors the forward exactly, which `gradient_check` verifies
+the target index. A batch runs as two recurrences. The encoder reads each
+dialogue as one token stream (every turn's question tokens, then its
+answer), suffix-padded to the longest stream; the guesser reads the state
+at the end of each stream. Then every turn of every dialogue is one decoder
+row, started from the encoder state at that turn's offset in the stream and
+padded to the longest question. Each step is a row gather from the input
+projection, computed once per batch for the whole vocabulary, plus one
+(rows, H) @ (H, H) matmul. The backward pass mirrors the forward exactly:
+its loops hold one matmul per step, and the weight gradients are formed
+after them from the stacked step gradients. `gradient_check` verifies it
 against central finite differences entry by entry.
 """
 
@@ -48,6 +56,8 @@ PARAM_FIELDS = ("embeddings", "w_scene", "w_in", "w_h", "b_h", "w_out", "w_obj")
 _CAT_INDEX = {c: i for i, c in enumerate(CATEGORIES)}
 _COLOR_INDEX = {c: i for i, c in enumerate(COLORS)}
 _SIZE_INDEX = {s: i for i, s in enumerate(SIZES)}
+_COLOR_OFFSET = len(CATEGORIES)
+_SIZE_OFFSET = len(CATEGORIES) + len(COLORS)
 _COORD_SCALE = float(GRID_SIZE - 1)
 
 
@@ -132,18 +142,20 @@ def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
     return ModelParams(**{name: rng.uniform(-s, s, shapes[name]) for name in PARAM_FIELDS})
 
 
-def object_features(obj: SceneObject) -> np.ndarray:
-    f = np.zeros(FEATURE_DIM)
-    f[_CAT_INDEX[obj.category]] = 1.0
-    f[len(CATEGORIES) + _COLOR_INDEX[obj.color]] = 1.0
-    f[len(CATEGORIES) + len(COLORS) + _SIZE_INDEX[obj.size]] = 1.0
-    f[FEATURE_DIM - 2] = obj.cell_x / _COORD_SCALE
-    f[FEATURE_DIM - 1] = obj.cell_y / _COORD_SCALE
+def object_feature_matrix(objects: tuple[SceneObject, ...] | list[SceneObject]) -> np.ndarray:
+    """One FEATURE_DIM row per object: category, color and size one-hots, then x, y."""
+    n = len(objects)
+    f = np.zeros((n, FEATURE_DIM))
+    hot = [(_CAT_INDEX[o.category], _COLOR_OFFSET + _COLOR_INDEX[o.color],
+            _SIZE_OFFSET + _SIZE_INDEX[o.size]) for o in objects]
+    f[np.arange(n)[:, None], hot] = 1.0
+    f[:, FEATURE_DIM - 2:] = np.array([(o.cell_x, o.cell_y) for o in objects],
+                                      dtype=float) / _COORD_SCALE
     return f
 
 
 def scene_features(scene: Scene) -> np.ndarray:
-    return np.mean([object_features(o) for o in scene.objects], axis=0)
+    return object_feature_matrix(scene.objects).mean(axis=0)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -220,7 +232,7 @@ def decode_question(
 
 def guesser_scores(params: ModelParams, state: np.ndarray, scene: Scene) -> np.ndarray:
     """Dot product of the dialogue state with each object's linear embedding."""
-    feats = np.stack([object_features(o) for o in scene.objects])
+    feats = object_feature_matrix(scene.objects)
     return (feats @ params.w_obj.T) @ np.asarray(state, dtype=float)
 
 
@@ -231,6 +243,144 @@ def guess_object(params: ModelParams, state: np.ndarray, scene: Scene) -> int:
 
 # ---------------------------------------------------------------------------
 # batched loss and exact gradients
+
+
+@dataclass
+class _Forward:
+    """What the backward pass reads from one forward pass.
+
+    State arrays are time-major: `enc[m]` holds the (B, H) encoder states
+    after m stream tokens, `enc[0]` the initial states; `dec[j]` holds the
+    (R, H) decoder states of all R turns after j inputs.
+    """
+
+    feats: np.ndarray          # (B, FEATURE_DIM) mean object features
+    stream: np.ndarray         # (Z, B) encoder token ids, suffix-padded
+    stream_len: np.ndarray     # (B,) unpadded stream lengths
+    enc: np.ndarray            # (Z + 1, B, H)
+    pre: np.ndarray            # (Z * B + L * R, H) step pre-activations, encoder first
+    owner: np.ndarray          # (R,) dialogue of each turn
+    start: np.ndarray          # (R,) stream offset at which each turn begins
+    dec_in: np.ndarray         # (L, R) decoder inputs [<soq> w1 .. wk], padded
+    dec: np.ndarray            # (L + 1, R, H)
+    valid: np.ndarray          # (L, R) True where a target token is predicted
+    hs: np.ndarray             # (n_tokens, H) decoder states at those positions
+    logp: np.ndarray           # (n_tokens, V) predicted log-probabilities
+    targets: np.ndarray        # (n_tokens,) target ids [w1 .. wk <eoq>]
+    guesser: tuple | None      # joint phase: (objf, g, gp, targets, gw, wsum)
+
+
+def _forward(
+    params: ModelParams,
+    vocab: Vocabulary,
+    batch: list[tuple[Dialogue, Scene]],
+    phase: str,
+    guesser_human_only: bool = False,
+) -> tuple[float, dict, _Forward]:
+    """The forward half of `loss_and_grads`: (loss, aux, cache)."""
+    if phase not in (PHASE_QGEN, PHASE_JOINT):
+        raise ValueError(f"unknown phase {phase!r}")
+    if not batch:
+        raise ValueError("empty batch")
+    B = len(batch)
+    H = params.w_h.shape[0]
+
+    # one token stream per dialogue: every turn's question tokens, then its answer
+    stream_ids: list[int] = []
+    stream_len: list[int] = []
+    owner: list[int] = []
+    start: list[int] = []
+    q_len: list[int] = []
+    q_ids: list[int] = []
+    for i, (d, _) in enumerate(batch):
+        begin = len(stream_ids)
+        for turn in d.turns:
+            q = [vocab.token_id(t) for t in turn.question]
+            owner.append(i)
+            start.append(len(stream_ids) - begin)
+            q_len.append(len(q))
+            q_ids.extend(q)
+            stream_ids.extend(q)
+            stream_ids.append(vocab.answer_id(turn.answer))
+        stream_len.append(len(stream_ids) - begin)
+    stream_len = np.array(stream_len, dtype=np.intp)
+    Z = int(stream_len.max())
+    stream = np.full((B, Z), vocab.soq_id, dtype=np.intp)
+    stream[np.arange(Z) < stream_len[:, None]] = stream_ids
+    stream = stream.T
+
+    # one decoder row per turn: inputs [soq w1..wk], targets [w1..wk eoq]
+    R = len(owner)
+    q_len = np.array(q_len, dtype=np.intp)
+    L = int(q_len.max()) + 1 if R else 1
+    in_question = np.arange(L) < q_len[:, None]
+    dec_in = np.full((R, L), vocab.soq_id, dtype=np.intp)
+    dec_in[:, 1:][in_question[:, :-1]] = q_ids
+    dec_tg = np.full((R, L), vocab.eoq_id, dtype=np.intp)
+    dec_tg[in_question] = q_ids
+    valid = (np.arange(L) <= q_len[:, None]).T
+    dec_in = dec_in.T
+
+    scenes = [s for _, s in batch]
+    n_obj = np.array([len(s.objects) for s in scenes], dtype=np.intp)
+    objects = object_feature_matrix([o for s in scenes for o in s.objects])
+    feats = np.add.reduceat(objects, np.cumsum(n_obj) - n_obj, axis=0) / n_obj[:, None]
+
+    # the input projection of every vocabulary word, once per call, so that
+    # a step's input term is a row gather
+    proj = params.embeddings @ params.w_in.T + params.b_h   # (V, H)
+    w_h_t = params.w_h.T
+    pre = np.empty((Z * B + L * R, H))
+    pre_enc = pre[:Z * B].reshape(Z, B, H)
+    pre_dec = pre[Z * B:].reshape(L, R, H)
+    enc = np.empty((Z + 1, B, H))
+    enc[0] = np.tanh(feats @ params.w_scene.T)
+    np.take(proj, stream, axis=0, out=pre_enc)
+    for m in range(Z):
+        pre_enc[m] += enc[m] @ w_h_t
+        np.tanh(pre_enc[m], out=enc[m + 1])
+
+    owner = np.array(owner, dtype=np.intp)
+    start = np.array(start, dtype=np.intp)
+    dec = np.empty((L + 1, R, H))
+    dec[0] = enc[start, owner]
+    np.take(proj, dec_in, axis=0, out=pre_dec)
+    for j in range(L):
+        pre_dec[j] += dec[j] @ w_h_t
+        np.tanh(pre_dec[j], out=dec[j + 1])
+
+    targets = dec_tg.T[valid]
+    n_tokens = len(targets)
+    hs = dec[1:][valid]
+    logp = _log_softmax(hs @ params.w_out.T)
+    qgen_loss = math.fsum(-logp[np.arange(n_tokens), targets]) / n_tokens if n_tokens else 0.0
+
+    guesser_loss = 0.0
+    guesser = None
+    if phase == PHASE_JOINT:
+        h = enc[stream_len, np.arange(B)]
+        omask = np.arange(n_obj.max()) < n_obj[:, None]
+        objf = np.zeros(omask.shape + (FEATURE_DIM,))
+        objf[omask] = objects
+        g_targets = np.array([s.target_index for s in scenes])
+        g = objf @ params.w_obj.T                   # (B, N, H)
+        scores = (g * h[:, None, :]).sum(axis=-1)   # (B, N)
+        glogp = _log_softmax(np.where(omask, scores, -1e30))
+        if guesser_human_only:
+            gw = np.array([1.0 if d.source == SOURCE_HUMAN else 0.0 for d, _ in batch])
+        else:
+            gw = np.ones(B)
+        wsum = gw.sum()
+        if wsum > 0:
+            guesser_loss = math.fsum(-glogp[np.arange(B), g_targets] * gw) / wsum
+        guesser = (objf, g, np.exp(glogp), g_targets, gw, wsum)
+
+    loss = qgen_loss + guesser_loss
+    aux = {"qgen_nll": qgen_loss, "guesser_ce": guesser_loss, "n_tokens": n_tokens}
+    cache = _Forward(feats=feats, stream=stream, stream_len=stream_len, enc=enc, pre=pre,
+                     owner=owner, start=start, dec_in=dec_in, dec=dec, valid=valid,
+                     hs=hs, logp=logp, targets=targets, guesser=guesser)
+    return loss, aux, cache
 
 
 def loss_and_grads(
@@ -249,175 +399,75 @@ def loss_and_grads(
     with math.fsum, so the loss is exactly invariant under batch order
     permutations.
 
-    Variable turn counts, question lengths and object counts are handled by
-    suffix padding plus masks; padded positions contribute nothing to the
-    loss or the gradients.
+    Each dialogue is one encoder stream and every turn of every dialogue one
+    decoder row, both suffix-padded. Padded stream positions come after the
+    state the guesser reads and padded decoder positions predict nothing,
+    so they contribute exactly zero to the loss and the gradients.
     """
-    if phase not in (PHASE_QGEN, PHASE_JOINT):
-        raise ValueError(f"unknown phase {phase!r}")
-    if not batch:
-        raise ValueError("empty batch")
-    B = len(batch)
-    H = params.w_h.shape[0]
+    loss, aux, f = _forward(params, vocab, batch, phase, guesser_human_only)
+    enc, dec = f.enc, f.dec
+    Z, B, H = enc.shape[0] - 1, enc.shape[1], enc.shape[2]
+    L, R = dec.shape[0] - 1, dec.shape[1]
+    w_h = params.w_h
 
-    # token ids per dialogue turn
-    encoded: list[list[tuple[list[int], int]]] = []
-    for d, _ in batch:
-        encoded.append(
-            [([vocab.token_id(t) for t in turn.question], vocab.answer_id(turn.answer))
-             for turn in d.turns]
-        )
-    t_max = max(len(turns) for turns in encoded)
-
-    feats = np.stack([scene_features(s) for _, s in batch])
-    h0 = np.tanh(feats @ params.w_scene.T)
-    h = h0
-
-    n_tokens = 0
-    nll_parts: list[np.ndarray] = []
-    caches = []
-    for t in range(t_max):
-        # ---- decoder, teacher forcing: inputs [soq w1..wk], targets [w1..wk eoq]
-        qs = [encoded[i][t][0] if t < len(encoded[i]) else None for i in range(B)]
-        L = max(len(q) for q in qs if q is not None) + 1
-        din = np.full((B, L), vocab.soq_id, dtype=np.intp)
-        dtg = np.full((B, L), vocab.eoq_id, dtype=np.intp)
-        dmask = np.zeros((B, L))
-        for i, q in enumerate(qs):
-            if q is None:
-                continue
-            din[i, 1:1 + len(q)] = q
-            dtg[i, :len(q)] = q
-            dmask[i, :len(q) + 1] = 1.0
-        e_dec = params.embeddings[din]  # (B, L, E)
-        dstates = [h]
-        for j in range(L):
-            a = e_dec[:, j] @ params.w_in.T + dstates[-1] @ params.w_h.T + params.b_h
-            dstates.append(np.tanh(a))
-        hs = np.stack(dstates[1:], axis=1)          # (B, L, H)
-        logits = hs @ params.w_out.T                # (B, L, V)
-        logp = _log_softmax(logits)
-        tok_logp = np.take_along_axis(logp, dtg[:, :, None], axis=-1)[:, :, 0]
-        nll = -(tok_logp * dmask)
-        nll_parts.append(nll[dmask > 0])
-        n_tokens += int(dmask.sum())
-        p = np.exp(logp)
-
-        # ---- encoder: question tokens then the answer token, row-masked
-        zs = [encoded[i][t][0] + [encoded[i][t][1]] if t < len(encoded[i]) else []
-              for i in range(B)]
-        M = max(len(z) for z in zs)
-        ein = np.full((B, M), vocab.soq_id, dtype=np.intp)
-        emask = np.zeros((B, M))
-        for i, z in enumerate(zs):
-            ein[i, :len(z)] = z
-            emask[i, :len(z)] = 1.0
-        e_enc = params.embeddings[ein]
-        estates = [h]
-        tanh_vals = []
-        cur = h
-        for m in range(M):
-            a = e_enc[:, m] @ params.w_in.T + cur @ params.w_h.T + params.b_h
-            tm = np.tanh(a)
-            msk = emask[:, m:m + 1]
-            cur = msk * tm + (1.0 - msk) * cur
-            tanh_vals.append(tm)
-            estates.append(cur)
-        h = cur
-        caches.append((din, dtg, dmask, e_dec, dstates, hs, p,
-                       ein, emask, e_enc, estates, tanh_vals))
-
-    qgen_loss = math.fsum(np.concatenate(nll_parts)) / n_tokens if n_tokens else 0.0
-
-    guesser_loss = 0.0
-    guesser_cache = None
-    if phase == PHASE_JOINT:
-        n_max = max(len(s.objects) for _, s in batch)
-        objf = np.zeros((B, n_max, FEATURE_DIM))
-        omask = np.zeros((B, n_max))
-        targets = np.array([s.target_index for _, s in batch])
-        for i, (_, s) in enumerate(batch):
-            for k, o in enumerate(s.objects):
-                objf[i, k] = object_features(o)
-            omask[i, :len(s.objects)] = 1.0
-        g = objf @ params.w_obj.T                   # (B, N, H)
-        scores = (g * h[:, None, :]).sum(axis=-1)   # (B, N)
-        masked = np.where(omask > 0, scores, -1e30)
-        glogp = _log_softmax(masked)
-        gp = np.exp(glogp)
-        if guesser_human_only:
-            gw = np.array([1.0 if d.source == SOURCE_HUMAN else 0.0 for d, _ in batch])
-        else:
-            gw = np.ones(B)
-        wsum = gw.sum()
-        ce_rows = -glogp[np.arange(B), targets]
-        if wsum > 0:
-            guesser_loss = math.fsum(ce_rows * gw) / wsum
-        guesser_cache = (objf, g, gp, targets, gw, wsum)
-
-    loss = qgen_loss + guesser_loss
-    aux = {"qgen_nll": qgen_loss, "guesser_ce": guesser_loss, "n_tokens": n_tokens}
-
-    # ------------------------------------------------------------------ backward
-    grads = ModelParams.zeros_like(params)
-    emb_ids: list[np.ndarray] = []
-    emb_rows: list[np.ndarray] = []
-    dh = np.zeros((B, H))
-
-    if phase == PHASE_JOINT and guesser_cache is not None:
-        objf, g, gp, targets, gw, wsum = guesser_cache
+    # gradient reaching each encoder state from outside the recurrence
+    d_enc = np.zeros_like(enc)
+    w_obj = np.zeros_like(params.w_obj)
+    if f.guesser is not None:
+        objf, g, gp, targets, gw, wsum = f.guesser
         if wsum > 0:
             dscores = gp.copy()
             dscores[np.arange(B), targets] -= 1.0
             dscores *= (gw / wsum)[:, None]
-            dh += (dscores[:, :, None] * g).sum(axis=1)
-            grads.w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
+            d_enc[f.stream_len, np.arange(B)] = (dscores[:, :, None] * g).sum(axis=1)
+            h = enc[f.stream_len, np.arange(B)]
+            w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
 
-    tt = max(n_tokens, 1)
-    for t in reversed(range(t_max)):
-        (din, dtg, dmask, e_dec, dstates, hs, p,
-         ein, emask, e_enc, estates, tanh_vals) = caches[t]
+    n_tokens = len(f.targets)
+    dlog = np.exp(f.logp)
+    dlog[np.arange(n_tokens), f.targets] -= 1.0
+    dlog *= 1.0 / max(n_tokens, 1)
+    d_dec = np.zeros((L, R, H))
+    d_dec[f.valid] = dlog @ params.w_out
 
-        # encoder backward
-        dcur = dh
-        M = ein.shape[1]
-        for m in reversed(range(M)):
-            msk = emask[:, m:m + 1]
-            tm = tanh_vals[m]
-            da = (dcur * msk) * (1.0 - tm * tm)
-            grads.w_in += da.T @ e_enc[:, m]
-            emb_ids.append(ein[:, m])
-            emb_rows.append(da @ params.w_in)
-            grads.w_h += da.T @ estates[m]
-            grads.b_h += da.sum(axis=0)
-            dcur = da @ params.w_h + dcur * (1.0 - msk)
-        dh_prev = dcur
+    # the pre-activation gradient of every step overwrites its pre-activation;
+    # each slot starts out as the tanh derivative 1 - h^2 of its step
+    da = f.pre
+    da_enc = da[:Z * B].reshape(Z, B, H)
+    da_dec = da[Z * B:].reshape(L, R, H)
+    for d, h in ((da_enc, enc[1:]), (da_dec, dec[1:])):
+        np.square(h, out=d)
+        np.subtract(1.0, d, out=d)
 
-        # decoder backward
-        B_, L, V = p.shape
-        dlog = p.copy()
-        dlog[np.arange(B_)[:, None], np.arange(L)[None, :], dtg] -= 1.0
-        dlog *= (dmask / tt)[:, :, None]
-        grads.w_out += dlog.reshape(B_ * L, V).T @ hs.reshape(B_ * L, H)
-        dh_steps = (dlog.reshape(B_ * L, V) @ params.w_out).reshape(B_, L, H)
-        dhd = np.zeros((B_, H))
-        for j in reversed(range(L)):
-            dhd = dhd + dh_steps[:, j]
-            s_after = dstates[j + 1]
-            da = dhd * (1.0 - s_after * s_after)
-            grads.w_in += da.T @ e_dec[:, j]
-            emb_ids.append(din[:, j])
-            emb_rows.append(da @ params.w_in)
-            grads.w_h += da.T @ dstates[j]
-            grads.b_h += da.sum(axis=0)
-            dhd = da @ params.w_h
-        dh = dh_prev + dhd
+    # all decoder rows back to their start states, then the encoder streams
+    dh = np.zeros((R, H))
+    for j in reversed(range(L)):
+        dh += d_dec[j]
+        da_dec[j] *= dh
+        dh = da_dec[j] @ w_h
+    d_enc[f.start, f.owner] += dh
+    dh = d_enc[Z]
+    for m in reversed(range(Z)):
+        da_enc[m] *= dh
+        dh = da_enc[m] @ w_h
+        dh += d_enc[m]
 
-    da0 = dh * (1.0 - h0 * h0)
-    grads.w_scene += da0.T @ feats
-    if emb_ids:
-        np.add.at(grads.embeddings, np.concatenate(emb_ids), np.vstack(emb_rows))
-
+    # proj = embeddings @ w_in.T + b_h: sum the step gradients per input word
+    ids = np.concatenate([f.stream.ravel(), f.dec_in.ravel()])
+    one_hot = np.zeros((params.embeddings.shape[0], len(ids)))
+    one_hot[ids, np.arange(len(ids))] = 1.0
+    d_proj = one_hot @ da
+    h0 = enc[0]
+    grads = ModelParams(
+        embeddings=d_proj @ params.w_in,
+        w_scene=(dh * (1.0 - h0 * h0)).T @ f.feats,
+        w_in=d_proj.T @ params.embeddings,
+        w_h=(da_enc.reshape(Z * B, H).T @ enc[:-1].reshape(Z * B, H)
+             + da_dec.reshape(L * R, H).T @ dec[:-1].reshape(L * R, H)),
+        b_h=d_proj.sum(axis=0),
+        w_out=dlog.T @ f.hs,
+        w_obj=w_obj,
+    )
     return loss, grads, aux
 
 
@@ -479,7 +529,7 @@ def validation_nll(
     tokens = 0
     for start in range(0, len(dataset), batch_size):
         chunk = dataset[start:start + batch_size]
-        _, _, aux = loss_and_grads(params, vocab, chunk, PHASE_QGEN)
+        _, aux, _ = _forward(params, vocab, chunk, PHASE_QGEN)
         total += aux["qgen_nll"] * aux["n_tokens"]
         tokens += aux["n_tokens"]
     return total / tokens if tokens else 0.0
@@ -548,7 +598,8 @@ def gradient_check(
 ) -> float:
     """Compare analytic gradients with central finite differences.
 
-    Builds a tiny model and a small random joint-phase batch, perturbs every
+    Builds a tiny model and a small random joint-phase batch of 1-, 2- and
+    3-turn dialogues with 1- to 4-token questions, perturbs every
     parameter entry by +-delta and returns the maximum relative error
     |analytic - numeric| / max(|analytic| + |numeric|, 1e-8).
     """
@@ -566,10 +617,14 @@ def gradient_check(
     )
     scenes = generate_scene_set(3, seed, SceneConfig(3, 6))
     batch = []
+    n_turns = 0
     for i, sc in enumerate(scenes):
+        # 1, 2 and 3 turns with question lengths cycling 1..4, so that stream
+        # padding, decoder padding and turn-start offsets all differ per row
         turns = []
-        for _ in range(2):
-            qlen = int(rng.integers(2, 5))
+        for _ in range(i + 1):
+            qlen = 1 + n_turns % 4
+            n_turns += 1
             q = tuple(words[int(rng.integers(len(words)))] for _ in range(qlen))
             turns.append(Turn(question=q, answer=YES if rng.random() < 0.5 else NO))
         source = SOURCE_HUMAN if i % 2 == 0 else SOURCE_GENERATED

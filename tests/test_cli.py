@@ -1,13 +1,18 @@
 import json
 import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from guessmix import cli, config, dialogue, metrics, scene
 from guessmix.config import ConfigError, ExperimentConfig, load_config
 from guessmix.seeding import derive_seed
+
+DATA_DIR = Path(__file__).parent / "data"
 
 TINY_CONFIG = """
 # tiny smoke experiment
@@ -254,6 +259,23 @@ class TestRunExperiment:
 
         digest = hashlib.sha256((tiny_run / "seed_0" / "report.csv").read_bytes()).hexdigest()
         assert manifest["files"]["seed_0/report.csv"] == digest
+
+    def test_manifest_records_numeric_environment(self, tiny_run):
+        manifest = json.loads((tiny_run / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": {name: os.environ.get(name) for name in
+                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count(),
+        }
+
+    def test_reports_match_committed_pin(self, tiny_run):
+        # tests/data holds the mean reports TINY_CONFIG gives as committed. A
+        # change that moves any of their bytes regenerates them (copy the two
+        # files from a `guessmix run` of TINY_CONFIG) and says why in CHANGES.md
+        for name in ("report_mean.csv", "stats_mean.csv"):
+            assert (tiny_run / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
 
     def test_scene_ranges_disjoint(self, tiny_run):
         train = scene.read_scenes(tiny_run / "seed_0" / "scenes_train.jsonl")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from guessmix import lang, model, oracle, scene, teacher
-from guessmix.dialogue import Dialogue
+from guessmix.dialogue import Dialogue, Turn
 from guessmix.lang import SPECIAL_TOKENS, Vocabulary
 from guessmix.scene import Scene, SceneObject
 
@@ -59,7 +59,7 @@ class TestFeatures:
     def test_one_hot_layout(self):
         o = SceneObject(id=0, category=scene.CATEGORIES[0], color=scene.COLORS[0],
                         size=scene.SIZES[0], cell_x=0, cell_y=0)
-        f = model.object_features(o)
+        f = model.object_feature_matrix([o])[0]
         assert f[0] == 1.0
         assert np.all(f[1:12] == 0.0)
         assert f[12] == 1.0 and np.all(f[13:20] == 0.0)
@@ -68,7 +68,7 @@ class TestFeatures:
 
     def test_coordinates_normalized(self):
         o = SceneObject(id=0, category="cat", color="red", size="small", cell_x=4, cell_y=2)
-        f = model.object_features(o)
+        f = model.object_feature_matrix([o])[0]
         assert f[23] == pytest.approx(1.0)
         assert f[24] == pytest.approx(0.5)
 
@@ -83,8 +83,24 @@ class TestFeatures:
         sc = Scene(scene_id=0, objects=objs, target_index=0)
         f = model.scene_features(sc)
         # identical except x: mean equals shared one-hots, averaged coordinate
-        per = [model.object_features(o) for o in objs]
+        per = model.object_feature_matrix(objs)
         assert np.allclose(f, np.mean(per, axis=0))
+
+    def test_matrix_matches_per_object_construction(self):
+        def one_object(o):  # the per-object construction the matrix replaced
+            f = np.zeros(model.FEATURE_DIM)
+            f[scene.CATEGORIES.index(o.category)] = 1.0
+            f[len(scene.CATEGORIES) + scene.COLORS.index(o.color)] = 1.0
+            f[len(scene.CATEGORIES) + len(scene.COLORS) + scene.SIZES.index(o.size)] = 1.0
+            f[model.FEATURE_DIM - 2] = o.cell_x / float(scene.GRID_SIZE - 1)
+            f[model.FEATURE_DIM - 1] = o.cell_y / float(scene.GRID_SIZE - 1)
+            return f
+
+        for sc in scene.generate_scene_set(50, seed=11):
+            old = np.stack([one_object(o) for o in sc.objects])
+            assert model.object_feature_matrix(sc.objects).tobytes() == old.tobytes()
+            old_mean = np.mean([one_object(o) for o in sc.objects], axis=0)
+            assert model.scene_features(sc).tobytes() == old_mean.tobytes()
 
 
 class TestEncodeTurn:
@@ -192,7 +208,7 @@ class TestGuesser:
         cfg = model.ModelConfig(embed_dim=4, hidden_dim=6)
         vocab = tiny_vocab()
         params = model.init_params(cfg, vocab, seed=0)
-        feats = np.stack([model.object_features(o) for o in sc.objects])
+        feats = model.object_feature_matrix(sc.objects)
         # craft a featurizer mapping object i to coordinate axis i
         params.w_obj[...] = 0.0
         q, _ = np.linalg.qr(feats.T)  # (25, 3) orthonormal columns
@@ -213,8 +229,7 @@ class TestGuesser:
         state = np.array([1.0, 2.0])
         scores = model.guesser_scores(params, state, sc)
         expected = []
-        for o in sc.objects:
-            f = model.object_features(o)
+        for f in model.object_feature_matrix(sc.objects):
             g = (f[0] * 1.0, f[23] * 2.0)
             expected.append(1.0 * g[0] + 2.0 * g[1])
         assert scores == pytest.approx(expected, abs=1e-12)
@@ -227,7 +242,7 @@ class TestGuesser:
         state = np.random.default_rng(0).uniform(-1, 1, 6)
         scores = model.guesser_scores(params, state, sc)
         const = np.random.default_rng(1).uniform(-1, 1, 6)
-        feats = np.stack([model.object_features(o) for o in sc.objects])
+        feats = model.object_feature_matrix(sc.objects)
         shifted = feats @ params.w_obj.T + const
         shifted_scores = shifted @ state
         assert shifted_scores == pytest.approx(scores + state @ const, abs=1e-12)
@@ -327,6 +342,43 @@ class TestGradients:
 
     def test_gradient_check_deterministic(self):
         assert model.gradient_check(seed=2) == model.gradient_check(seed=2)
+
+    def test_padding_leaks_nothing(self):
+        # 1- and 5-turn dialogues with 1- and 10-token questions in one batch:
+        # the question-loss gradient is the token-weighted mean of the
+        # batch-of-one gradients, the guesser's is their plain mean
+        vocab = tiny_vocab()
+        cfg = model.ModelConfig(embed_dim=6, hidden_dim=8)
+        params = model.init_params(cfg, vocab, seed=4)
+        scenes = scene.generate_scene_set(4, seed=3)
+        rng = np.random.default_rng(0)
+        shapes = [(1, 10), (5, 1), (1, 1), (5, 10)]  # (turns, first question length)
+        batch = []
+        for i, ((n_turns, q_len), sc) in enumerate(zip(shapes, scenes)):
+            turns = tuple(
+                Turn(question=tuple(f"w{int(rng.integers(15)):02d}"
+                                    for _ in range(q_len if t % 2 == 0 else 11 - q_len)),
+                     answer=("yes", "no", "n/a")[int(rng.integers(3))])
+                for t in range(n_turns)
+            )
+            batch.append((Dialogue(game_id=i, scene_id=sc.scene_id, source="human",
+                                   turns=turns, guess=0, success=True), sc))
+
+        def grads_of(pairs, phase):
+            _, g, aux = model.loss_and_grads(params, vocab, pairs, phase)
+            return {name: getattr(g, name) for name in model.PARAM_FIELDS}, aux["n_tokens"]
+
+        singles = [(grads_of([p], model.PHASE_QGEN), grads_of([p], model.PHASE_JOINT)[0])
+                   for p in batch]
+        n_total = sum(n for (_, n), _ in singles)
+        for phase in (model.PHASE_QGEN, model.PHASE_JOINT):
+            got, _ = grads_of(batch, phase)
+            for name in model.PARAM_FIELDS:
+                want = sum(n * q[name] for (q, n), _ in singles) / n_total
+                if phase == model.PHASE_JOINT:
+                    want = want + sum(j[name] - q[name] for (q, _), j in singles) / len(batch)
+                err = np.abs(got[name] - want).max()
+                assert err <= 1e-10 * np.abs(want).max(), (phase, name, err)
 
 
 class TestTrain:

@@ -12,6 +12,7 @@ in sequence, and each step subcommand reads its input files and calls one.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
 import json
 import logging
@@ -163,24 +164,14 @@ def stage_mix(human, generated, spec: MixSpec, require_success: bool, out, manif
     return mixed
 
 
-def stage_evaluate(training, length_mode: str, *, min_count: int | None = None,
-                   questioner=None, test_scenes=(), noise: float = 0.1, turns: int = 5,
-                   seed: int = 0, pct_human: float = 100.0):
-    """Score a training corpus and the model trained on it.
-
-    Returns (stats_row, report_row): the corpus statistics when `min_count`
-    is given and the test-protocol row when `questioner` is given, else None.
-    """
-    stats = None
-    if min_count is not None:
-        stats = corpus_mod.corpus_stats(training, min_count, length_mode)
-    row = None
-    if questioner is not None:
-        row = metrics.evaluate(
-            questioner, test_scenes, OracleConfig(noise), corpus_mod.question_set(training),
-            turns=turns, seed=seed, pct_human=pct_human, length_mode=length_mode,
-        )
-    return stats, row
+def stage_evaluate(questioner, training, test_scenes, length_mode: str, noise: float,
+                   turns: int, seed: int, pct_human: float):
+    """Play the test protocol with a questioner trained on `training`;
+    returns the report row."""
+    return metrics.evaluate(
+        questioner, test_scenes, OracleConfig(noise), corpus_mod.question_set(training),
+        turns=turns, seed=seed, pct_human=pct_human, length_mode=length_mode,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +276,9 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
                     derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
                 )
             stage = f"evaluate-{tag}"
-            stats, row = stage_evaluate(
-                mixed, mode, min_count=min_count, questioner=questioner,
-                test_scenes=test_scenes, noise=noise,
-                turns=cfg["evaluate.turns"], seed=derive_seed(rep_seed, 90 + j), pct_human=pct,
-            )
-            stats_rows.append(stats)
+            stats_rows.append(corpus_mod.corpus_stats(mixed, min_count, mode))
+            row = stage_evaluate(questioner, mixed, test_scenes, mode, noise,
+                                 cfg["evaluate.turns"], derive_seed(rep_seed, 90 + j), pct)
             (ablation_rows if pct == 0 else report_rows).append(row)
 
         stage = "report"
@@ -300,35 +288,31 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
 
 
-def _lock_is_stale(lock: Path) -> bool:
-    """True when the lock holds the id of a process that no longer exists."""
+def _acquire_lock(lock: Path) -> int:
+    """Hold an exclusive flock on `lock` and write this process id into it.
+
+    The kernel drops the flock when its holder exits, however it exits, so a
+    lock file left behind by a killed run blocks nothing. Returns the open
+    descriptor, which holds the lock until it is closed.
+    """
+    fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
     try:
-        pid = int(lock.read_text(encoding="utf-8"))
-        if pid > 0:
-            os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass
-    return False
-
-
-def _acquire_lock(lock: Path) -> None:
-    """Create the lock holding this process id; a stale lock is removed once."""
-    for retry in (False, True):
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if retry or not _lock_is_stale(lock):
-                raise ConfigError(
-                    f"output directory {lock.parent} is locked by another run "
-                    f"(remove {lock} if stale)"
-                ) from None
-            log.warning("removing stale lock %s", lock)
-            lock.unlink(missing_ok=True)
-    with os.fdopen(fd, "w") as f:
-        f.write(str(os.getpid()))
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a finishing run unlinks the file before it lets go of the flock,
+            # so a flock won on a file no longer at `lock` means that run ended
+            # between our open and our flock, and another may hold `lock` now
+            held = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise ConfigError(f"output directory {lock.parent} is locked by another run")
+        os.ftruncate(fd, 0)
+        os.write(fd, str(os.getpid()).encode())
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
 
 
 def run_experiment(cfg: ExperimentConfig) -> Path:
@@ -338,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock = out / ".lock"
-    _acquire_lock(lock)
+    lock_fd = _acquire_lock(lock)
     try:
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
@@ -368,6 +352,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         )
     finally:
         lock.unlink(missing_ok=True)
+        os.close(lock_fd)
     log.info("experiment complete: %s", out)
     return out
 
@@ -377,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
 
 def _cmd_gen_scenes(args) -> None:
-    cfg = SceneConfig(args.min_objects, args.max_objects, args.grid_size)
+    cfg = SceneConfig(args.min_objects, args.max_objects)
     [scenes] = stage_scenes([(args.out, args.n)], args.seed, cfg)
     print(f"wrote {len(scenes)} scenes to {args.out}")
 
@@ -433,7 +418,7 @@ def _cmd_mix(args) -> None:
 
 def _cmd_stats(args) -> None:
     dialogues = read_dialogues(args.corpus)
-    stats, _ = stage_evaluate(dialogues, args.length_mode, min_count=args.min_count)
+    stats = corpus_mod.corpus_stats(dialogues, args.min_count, args.length_mode)
     print(corpus_mod.format_stats_row(stats))
 
 
@@ -441,10 +426,8 @@ def _cmd_evaluate(args) -> None:
     questioner = model.load_checkpoint(args.model)
     scenes = read_scenes(args.scenes)
     training = read_dialogues(args.train_dialogues)
-    _, row = stage_evaluate(
-        training, args.length, questioner=questioner, test_scenes=scenes,
-        noise=args.noise, turns=args.turns, seed=args.seed, pct_human=args.pct_human,
-    )
+    row = stage_evaluate(questioner, training, scenes, args.length, args.noise, args.turns,
+                         args.seed, args.pct_human)
     print(metrics.format_report_row(row))
     if args.out:
         Path(args.out).write_text(json.dumps(asdict(row), sort_keys=True) + "\n",
@@ -498,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("gen-scenes", _cmd_gen_scenes, "generate a scene file")
     p.add_argument("--n", type=int, required=True)
-    _schema_flags(p, "scene.min_objects", "scene.max_objects", "scene.grid_size")
+    _schema_flags(p, "scene.min_objects", "scene.max_objects")
     p.add_argument("--out", required=True)
 
     p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file")

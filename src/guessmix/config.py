@@ -46,7 +46,6 @@ SCHEMA: dict[str, tuple] = {
     ),
     "scene.min_objects": (int, 3, "minimum objects per scene"),
     "scene.max_objects": (int, 20, "maximum objects per scene"),
-    "scene.grid_size": (int, 5, "grid side length"),
     "teacher.noise": (float, 0.0, "oracle answer noise while collecting the teacher corpus"),
     "teacher.max_turns": (int, 8, "teacher turn budget per game"),
     "corpus.min_count": (int, 3, "vocabulary frequency threshold"),
@@ -116,7 +115,6 @@ class ExperimentConfig:
         return SceneConfig(
             min_objects=self["scene.min_objects"],
             max_objects=self["scene.max_objects"],
-            grid_size=self["scene.grid_size"],
         )
 
     def model_config(self) -> ModelConfig:

@@ -56,50 +56,38 @@ class QuestionSemantics:
             raise ValueError(f"{self.value!r} is not a valid {self.kind} argument")
 
 
-@dataclass(frozen=True)
-class Template:
-    template_id: int
-    kind: str
-    pattern: tuple[str, ...]  # exactly one SLOT, ends with "?"
-
-
-def _make_templates(kind: str, patterns: list[tuple[str, ...]]) -> tuple[Template, ...]:
-    return tuple(Template(i, kind, p) for i, p in enumerate(patterns))
-
-
-TEMPLATES: dict[str, tuple[Template, ...]] = {
-    KIND_CATEGORY: _make_templates(KIND_CATEGORY, [
+TEMPLATES: dict[str, tuple[tuple[str, ...], ...]] = {
+    # each pattern holds exactly one SLOT and ends with "?"
+    KIND_CATEGORY: (
         ("is", "it", "a", SLOT, "?"),
         ("is", "the", "object", "a", SLOT, "?"),
         ("could", "it", "be", "a", SLOT, "?"),
-    ]),
-    KIND_COLOR: _make_templates(KIND_COLOR, [
+    ),
+    KIND_COLOR: (
         ("is", "it", SLOT, "?"),
         ("is", "the", "object", SLOT, "?"),
         ("is", "it", "colored", SLOT, "?"),
-    ]),
-    KIND_SIZE: _make_templates(KIND_SIZE, [
+    ),
+    KIND_SIZE: (
         ("is", "it", SLOT, "?"),
         ("is", "the", "object", SLOT, "?"),
         ("is", "it", "a", SLOT, "one", "?"),
-    ]),
-    KIND_REGION: _make_templates(KIND_REGION, [
+    ),
+    KIND_REGION: (
         ("is", "it", "on", "the", SLOT, "?"),
         ("is", "it", "in", "the", SLOT, "part", "?"),
         ("is", "it", "near", "the", SLOT, "?"),
-    ]),
+    ),
 }
 
-# longest pattern first so parsing prefers the most specific surface match
-_PARSE_ORDER: list[Template] = sorted(
-    (t for ts in TEMPLATES.values() for t in ts),
-    key=lambda t: (-len(t.pattern), t.kind, t.template_id),
+_ALL_SEMANTICS = tuple(
+    QuestionSemantics(kind, v) for kind in KINDS for v in SLOT_VALUES[kind]
 )
 
 
-def all_semantics() -> list[QuestionSemantics]:
+def all_semantics() -> tuple[QuestionSemantics, ...]:
     """The full question space, in a fixed enumeration order."""
-    return [QuestionSemantics(kind, v) for kind in KINDS for v in SLOT_VALUES[kind]]
+    return _ALL_SEMANTICS
 
 
 def realize(semantics: QuestionSemantics, template_id: int) -> list[str]:
@@ -107,25 +95,21 @@ def realize(semantics: QuestionSemantics, template_id: int) -> list[str]:
     templates = TEMPLATES[semantics.kind]
     if not (0 <= template_id < len(templates)):
         raise ValueError(f"unknown template id {template_id} for kind {semantics.kind!r}")
-    return [semantics.value if tok == SLOT else tok for tok in templates[template_id].pattern]
+    return [semantics.value if tok == SLOT else tok for tok in templates[template_id]]
+
+
+# every surface of the grammar; no two (semantics, template) pairs share one
+_SURFACES: dict[tuple[str, ...], QuestionSemantics] = {
+    tuple(realize(sem, i)): sem
+    for sem in _ALL_SEMANTICS
+    for i in range(len(TEMPLATES[sem.kind]))
+}
 
 
 def parse_question(tokens: list[str] | tuple[str, ...]) -> QuestionSemantics | None:
-    """Invert realize. Returns None when no template matches (malformed question)."""
-    toks = tuple(tokens)
-    for tpl in _PARSE_ORDER:
-        if len(toks) != len(tpl.pattern):
-            continue
-        value = None
-        for got, want in zip(toks, tpl.pattern):
-            if want == SLOT:
-                value = got
-            elif got != want:
-                break
-        else:
-            if value is not None and value in SLOT_VALUES[tpl.kind]:
-                return QuestionSemantics(tpl.kind, value)
-    return None
+    """Invert realize. Returns None for a sequence no template realizes
+    (a malformed question)."""
+    return _SURFACES.get(tuple(tokens))
 
 
 @dataclass

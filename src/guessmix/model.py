@@ -38,6 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import corpus
 from .dialogue import SOURCE_HUMAN, Dialogue
 from .lang import SPECIAL_TOKENS, Vocabulary
 from .scene import CATEGORIES, COLORS, GRID_SIZE, SIZES, Scene, SceneObject
@@ -116,10 +117,6 @@ class ModelParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    @classmethod
-    def zeros_like(cls, other: "ModelParams") -> "ModelParams":
-        return cls(**{name: np.zeros_like(getattr(other, name)) for name in PARAM_FIELDS})
 
 
 def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
@@ -549,8 +546,6 @@ def train(
     supplied, the parameters at the epoch with the lowest validation NLL are
     returned as best_val_params alongside the final ones.
     """
-    from .corpus import make_batches  # local import: corpus depends on metrics
-
     cfg.validate()
     if not dataset:
         raise ValueError("empty training dataset")
@@ -560,7 +555,7 @@ def train(
     best_params: ModelParams | None = None
     for epoch in range(1, cfg.epochs + 1):
         phase = training_phase(epoch, cfg.modulo_n)
-        batches = make_batches(dataset, cfg.batch_size, seed=derive_seed(seed, epoch))
+        batches = corpus.make_batches(dataset, cfg.batch_size, seed=derive_seed(seed, epoch))
         qgen_sum = 0.0
         guess_sum = 0.0
         for bi, chunk in enumerate(batches):

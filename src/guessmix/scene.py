@@ -41,7 +41,6 @@ class SceneGenerationError(RuntimeError):
 class SceneConfig:
     min_objects: int = MIN_OBJECTS
     max_objects: int = MAX_OBJECTS
-    grid_size: int = GRID_SIZE
 
     def validate(self) -> None:
         if not (MIN_OBJECTS <= self.min_objects <= self.max_objects <= MAX_OBJECTS):
@@ -49,8 +48,6 @@ class SceneConfig:
                 f"object count bounds must satisfy {MIN_OBJECTS} <= min <= max <= "
                 f"{MAX_OBJECTS}, got [{self.min_objects}, {self.max_objects}]"
             )
-        if self.grid_size < 1:
-            raise SceneConfigError(f"grid_size must be >= 1, got {self.grid_size}")
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,8 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: int = 0
                 category=cats[int(rng.integers(len(cats)))],
                 color=cols[int(rng.integers(len(cols)))],
                 size=SIZES[int(rng.integers(len(SIZES)))],
-                cell_x=int(rng.integers(cfg.grid_size)),
-                cell_y=int(rng.integers(cfg.grid_size)),
+                cell_x=int(rng.integers(GRID_SIZE)),
+                cell_y=int(rng.integers(GRID_SIZE)),
             )
             if obj.attribute_tuple() not in seen:
                 break

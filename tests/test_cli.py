@@ -1,9 +1,11 @@
+import fcntl
 import json
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +49,15 @@ class TestConfig:
         path.write_text("model.hugeness = 9\n")
         with pytest.raises(ConfigError, match="hugeness"):
             load_config(path)
+
+    def test_grid_size_is_not_a_setting(self, tmp_path, capsys):
+        # the grid is scene.GRID_SIZE; the oracle and the model assume it
+        with pytest.raises(ConfigError, match="scene.grid_size"):
+            load_config(None, {"scene.grid_size": "5"})
+        with pytest.raises(SystemExit):
+            cli.main(["gen-scenes", "--n", "1", "--grid-size", "5",
+                      "--out", str(tmp_path / "s.jsonl")])
+        assert "--grid-size" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -283,15 +294,20 @@ class TestRunExperiment:
         assert {s.scene_id for s in train} & {s.scene_id for s in test} == set()
 
     def test_lock_blocks_concurrent_runs(self, tiny_run, tmp_path):
-        (tiny_run / ".lock").write_text("held")
-        cfg = load_config(None, {
-            "experiment.output_dir": str(tiny_run),
-            "experiment.n_train_scenes": "10",
-            "experiment.n_test_scenes": "5",
-        })
-        with pytest.raises(ConfigError, match="lock"):
-            cli.run_experiment(cfg)
-        (tiny_run / ".lock").unlink()
+        lock = tiny_run / ".lock"
+        fd = os.open(lock, os.O_RDWR | os.O_CREAT)
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        try:
+            cfg = load_config(None, {
+                "experiment.output_dir": str(tiny_run),
+                "experiment.n_train_scenes": "10",
+                "experiment.n_test_scenes": "5",
+            })
+            with pytest.raises(ConfigError, match="lock"):
+                cli.run_experiment(cfg)
+        finally:
+            lock.unlink()
+            os.close(fd)
 
     def test_lock_of_dead_process_is_removed(self, tmp_path):
         proc = subprocess.Popen([sys.executable, "-c", ""])
@@ -313,15 +329,76 @@ class TestRunExperiment:
         assert (out / "report_mean.csv").exists()
         assert not (out / ".lock").exists()
 
-    def test_lock_of_live_process_blocks(self, tmp_path):
+    def test_lock_of_live_process_blocks(self, tmp_path, capsys):
         out = tmp_path / "live"
         out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()))
-        cfg = load_config(None, {"experiment.output_dir": str(out)})
+        # another process holds the lock the way a run does: flock, then its
+        # pid; it exits when the with block closes its stdin
+        with subprocess.Popen(
+            [sys.executable, "-c",
+             "import fcntl, os, sys\n"
+             "fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)\n"
+             "fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)\n"
+             "os.write(fd, str(os.getpid()).encode())\n"
+             "print('held', flush=True)\n"
+             "sys.stdin.read()\n",
+             str(out / ".lock")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        ) as holder:
+            assert holder.stdout.readline() == "held\n"
+            assert cli.main(["run", "--experiment.output_dir", str(out),
+                             "--experiment.n_train_scenes", "10",
+                             "--experiment.n_test_scenes", "5"]) == cli.EXIT_VALIDATION
+            assert "locked by another run" in capsys.readouterr().err
+            assert (out / ".lock").read_text() == str(holder.pid)
+        assert not (out / "config.txt").exists()
+
+    def test_lock_won_on_replaced_file_does_not_proceed(self, tmp_path, monkeypatch):
+        # this run opens .lock; before its flock, the holder ends (unlinks the
+        # file and lets go) and the next run creates a fresh .lock. The flock
+        # on the old file then succeeds, but the run must not proceed on it
+        out = tmp_path / "race"
+        out.mkdir()
+        lock = out / ".lock"
+
+        def flock_after_handover(fd, operation):
+            lock.unlink()
+            lock.write_text("")
+            fcntl.flock(fd, operation)
+
+        monkeypatch.setattr(cli, "fcntl", SimpleNamespace(
+            flock=flock_after_handover, LOCK_EX=fcntl.LOCK_EX, LOCK_NB=fcntl.LOCK_NB))
+        cfg = load_config(None, {
+            "experiment.output_dir": str(out),
+            "experiment.n_train_scenes": "10",
+            "experiment.n_test_scenes": "5",
+        })
         with pytest.raises(ConfigError, match="lock"):
             cli.run_experiment(cfg)
-        assert (out / ".lock").read_text() == str(os.getpid())
         assert not (out / "config.txt").exists()
+
+    def test_leftover_lock_naming_live_process_does_not_block(self, tmp_path):
+        # a .lock nobody holds the flock on blocks nothing, even when the pid
+        # in it names a live process that is not a run
+        out = tmp_path / "leftover"
+        out.mkdir()
+        with subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
+                              stdin=subprocess.PIPE) as bystander:
+            (out / ".lock").write_text(str(bystander.pid))
+            cfg = load_config(None, {
+                "experiment.output_dir": str(out),
+                "experiment.n_train_scenes": "20",
+                "experiment.n_test_scenes": "5",
+                "experiment.mix_specs": "100:-",
+                "model.embed_dim": "8",
+                "model.hidden_dim": "12",
+                "model.epochs": "1",
+                "model.batch_size": "8",
+            })
+            cli.run_experiment(cfg)
+            assert bystander.poll() is None
+        assert (out / "report_mean.csv").exists()
+        assert not (out / ".lock").exists()
 
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
         seed_dir = tiny_run / "seed_0"

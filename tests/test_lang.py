@@ -7,6 +7,15 @@ from conftest import make_dialogue
 from guessmix import lang
 
 
+def _realizations():
+    """Every surface the grammar realizes, mapped to its semantics."""
+    return {
+        tuple(lang.realize(sem, i)): sem
+        for sem in lang.all_semantics()
+        for i in range(len(lang.TEMPLATES[sem.kind]))
+    }
+
+
 class TestGrammar:
     def test_realize_color(self):
         sem = lang.QuestionSemantics(lang.KIND_COLOR, "red")
@@ -31,16 +40,41 @@ class TestGrammar:
 
     def test_round_trip_full_cross_product(self):
         for sem in lang.all_semantics():
-            for tpl in lang.TEMPLATES[sem.kind]:
-                tokens = lang.realize(sem, tpl.template_id)
-                assert lang.parse_question(tokens) == sem, (sem, tpl)
+            for template_id in range(len(lang.TEMPLATES[sem.kind])):
+                tokens = lang.realize(sem, template_id)
+                assert lang.parse_question(tokens) == sem, (sem, template_id)
 
     def test_every_kind_has_enough_templates(self):
-        for kind, templates in lang.TEMPLATES.items():
-            assert len(templates) >= 3
-            for tpl in templates:
-                assert tpl.pattern[-1] == "?"
-                assert sum(1 for t in tpl.pattern if t == lang.SLOT) == 1
+        for kind, patterns in lang.TEMPLATES.items():
+            assert len(patterns) >= 3
+            for pattern in patterns:
+                assert pattern[-1] == "?"
+                assert sum(1 for t in pattern if t == lang.SLOT) == 1
+
+    def test_one_surface_per_semantics_and_template(self):
+        expected = sum(len(lang.TEMPLATES[k]) * len(lang.SLOT_VALUES[k]) for k in lang.KINDS)
+        assert expected == 84
+        assert len(_realizations()) == expected
+
+    def test_one_token_substitutions_parse_only_as_realizations(self):
+        realizations = _realizations()
+        words = {tok for surface in realizations for tok in surface} | {lang.UNK}
+        for surface in realizations:
+            for pos in range(len(surface)):
+                for word in words - {surface[pos]}:
+                    tokens = surface[:pos] + (word,) + surface[pos + 1:]
+                    assert lang.parse_question(tokens) == realizations.get(tokens), tokens
+
+    def test_all_semantics_order(self):
+        # the teacher breaks ties by drawing an index into this sequence, so
+        # its order is part of every teacher corpus
+        semantics = lang.all_semantics()
+        assert semantics is lang.all_semantics()
+        assert semantics == tuple(
+            lang.QuestionSemantics(kind, v) for kind in lang.KINDS for v in lang.SLOT_VALUES[kind]
+        )
+        assert [semantics[i].value for i in (0, 11, 12, 19, 20, 22, 23, 27)] == \
+            ["cat", "lamp", "red", "purple", "small", "large", "left", "center"]
 
     def test_unknown_template_id(self):
         sem = lang.QuestionSemantics(lang.KIND_SIZE, "small")

@@ -101,6 +101,7 @@ def test_resampling_budget_exhausted_raises(monkeypatch):
     # duplicate-free objects are impossible and the resample budget trips
     monkeypatch.setattr(scene, "_PALETTE_CATEGORIES", (2, 2))
     monkeypatch.setattr(scene, "_PALETTE_COLORS", (2, 2))
-    cfg = scene.SceneConfig(min_objects=20, max_objects=20, grid_size=1)
+    monkeypatch.setattr(scene, "GRID_SIZE", 1)
+    cfg = scene.SceneConfig(min_objects=20, max_objects=20)
     with pytest.raises(scene.SceneGenerationError):
         scene.generate_scene(np.random.default_rng(0), cfg)

@@ -33,6 +33,28 @@ def ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _ngram_orders(tokens: Tokens) -> list[Counter]:
+    """The candidate's n-gram counts for n = 1 .. min(4, len(tokens))."""
+    return [ngram_counts(tokens, n) for n in range(1, min(4, len(tokens)) + 1)]
+
+
+def _closest_length(c: int, lengths) -> int:
+    """The reference length closest to c, ties broken toward the shorter."""
+    return min(lengths, key=lambda rl: (abs(rl - c), rl))
+
+
+def _bleu_from_clipped(clipped: list[int], c: int, r: int) -> float:
+    """BLEU of a length-c candidate from its clipped match count per order
+    (order n has c - n + 1 candidate n-grams) and the reference length r."""
+    log_precisions = []
+    for n, k in enumerate(clipped, 1):
+        if k == 0:
+            return 0.0
+        log_precisions.append(math.log(k / (c - n + 1)))
+    bp = min(1.0, math.exp(1.0 - r / c))
+    return bp * math.exp(sum(log_precisions) / len(clipped))
+
+
 def bleu4(candidate, references) -> float:
     """BLEU with n-gram orders capped at the candidate length, no smoothing."""
     candidate = tuple(candidate)
@@ -41,24 +63,19 @@ def bleu4(candidate, references) -> float:
         raise ValueError("bleu4 candidate must be non-empty")
     if not references:
         raise ValueError("bleu4 needs at least one reference")
-    max_order = min(4, len(candidate))
-    log_precisions = []
-    for n in range(1, max_order + 1):
-        counts = ngram_counts(candidate, n)
+    clipped = []
+    for n in range(1, min(4, len(candidate)) + 1):
         max_ref: Counter = Counter()
         for ref in references:
-            for gram, c in ngram_counts(ref, n).items():
-                if c > max_ref[gram]:
-                    max_ref[gram] = c
-        clipped = sum(min(c, max_ref[gram]) for gram, c in counts.items())
-        total = sum(counts.values())
-        if clipped == 0:
+            for gram, k in ngram_counts(ref, n).items():
+                if k > max_ref[gram]:
+                    max_ref[gram] = k
+        matched = sum(min(k, max_ref[gram]) for gram, k in ngram_counts(candidate, n).items())
+        if matched == 0:
             return 0.0
-        log_precisions.append(math.log(clipped / total))
+        clipped.append(matched)
     c = len(candidate)
-    r = min((len(ref) for ref in references), key=lambda rl: (abs(rl - c), rl))
-    bp = min(1.0, math.exp(1.0 - r / c))
-    return bp * math.exp(sum(log_precisions) / max_order)
+    return _bleu_from_clipped(clipped, c, _closest_length(c, (len(r) for r in references)))
 
 
 def mutual_overlap_dialogue(dialogue: Dialogue) -> float:
@@ -66,14 +83,42 @@ def mutual_overlap_dialogue(dialogue: Dialogue) -> float:
 
     Dialogues with fewer than two questions have no comparison partners and
     score 0 by convention.
+
+    Equal to averaging `bleu4(q, others)` over the questions, computed from
+    one count per n-gram and question: a candidate's clip count for a gram
+    is the largest count among the other questions, which is the top count
+    unless the candidate holds it, and then the runner-up.
     """
     questions = dialogue.questions()
     if len(questions) < 2:
         return 0.0
+    if not all(questions):
+        raise ValueError("bleu4 candidate must be non-empty")
+    orders = [_ngram_orders(q) for q in questions]
+    top: dict[Tokens, list[int]] = {}   # gram -> [top count, its question, runner-up]
+    for i, per_order in enumerate(orders):
+        for counts in per_order:
+            for gram, k in counts.items():
+                entry = top.get(gram)
+                if entry is None:
+                    top[gram] = [k, i, 0]
+                elif k > entry[0]:
+                    top[gram] = [k, i, entry[0]]
+                elif k > entry[2]:
+                    entry[2] = k
+    lengths = [len(q) for q in questions]
     scores = []
-    for i, q in enumerate(questions):
-        refs = questions[:i] + questions[i + 1:]
-        scores.append(bleu4(q, refs))
+    for i, per_order in enumerate(orders):
+        clipped = []
+        for counts in per_order:
+            matched = 0
+            for gram, k in counts.items():
+                best, holder, runner_up = top[gram]
+                matched += min(k, runner_up if holder == i else best)
+            clipped.append(matched)
+        c = lengths[i]
+        r = _closest_length(c, lengths[:i] + lengths[i + 1:])
+        scores.append(_bleu_from_clipped(clipped, c, r))
     return sum(scores) / len(scores)
 
 

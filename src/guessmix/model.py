@@ -27,6 +27,13 @@ projection, computed once per batch for the whole vocabulary, plus one
 its loops hold one matmul per step, and the weight gradients are formed
 after them from the stacked step gradients. `gradient_check` verifies it
 against central finite differences entry by entry.
+
+Play runs one game at a time. `encode_turn` and `decode_question` compute
+the same input projection W_in e(x) + b once per call (for the turn's
+tokens, or for the whole vocabulary), so a step is a row gather, one matvec
+and one tanh. The decoder stacks W_out over W_h, so that one matvec gives
+both a step's logits and the next step's recurrent term. Nothing is cached
+across calls: training and tests update the parameter arrays in place.
 """
 
 from __future__ import annotations
@@ -170,9 +177,10 @@ def initial_state(params: ModelParams, scene: Scene) -> np.ndarray:
     return np.tanh(params.w_scene @ scene_features(scene))
 
 
-def _cell(params: ModelParams, token_id: int, h: np.ndarray) -> np.ndarray:
-    e = params.embeddings[token_id]
-    return np.tanh(params.w_in @ e + params.w_h @ h + params.b_h)
+def _input_projection(params: ModelParams, token_ids=None) -> np.ndarray:
+    """W_in e(x) + b for the given token ids, or for the whole vocabulary."""
+    emb = params.embeddings if token_ids is None else params.embeddings[token_ids]
+    return emb @ params.w_in.T + params.b_h
 
 
 def encode_turn(
@@ -182,11 +190,15 @@ def encode_turn(
     question_tokens: list[str] | tuple[str, ...],
     answer: str,
 ) -> np.ndarray:
-    """Advance the dialogue state over the question tokens then the answer token."""
+    """Advance the dialogue state over the question tokens then the answer token:
+    one projection of those tokens, then one matvec and one tanh per token."""
+    ids = [vocab.token_id(tok) for tok in question_tokens]
+    ids.append(vocab.answer_id(answer))
+    w_h = params.w_h
     h = np.asarray(state, dtype=float)
-    for tok in question_tokens:
-        h = _cell(params, vocab.token_id(tok), h)
-    return _cell(params, vocab.answer_id(answer), h)
+    for x in _input_projection(params, ids):
+        h = np.tanh(x + w_h @ h)
+    return h
 
 
 def decode_question(
@@ -203,23 +215,35 @@ def decode_question(
     Decoding stops at the end-of-question token or after max_len emitted
     tokens; the end token is suppressed at the first step so the result is
     never empty.
+
+    The input projection of the whole vocabulary is computed once per call,
+    and the output and recurrent weights are stacked, so each step is a row
+    gather, one matvec giving both this step's logits and the next step's
+    recurrent term, and one tanh. A sampled token is the first index whose
+    cumulative unnormalized probability exceeds one uniform draw times the
+    total: one `rng.random()` per token, as `Generator.choice` consumes.
     """
     if mode == DECODE_SAMPLE and rng is None:
         raise ValueError("sample decoding requires an rng")
-    h = np.asarray(state, dtype=float)
+    proj = _input_projection(params)
+    n_words = proj.shape[0]
+    out_rec = np.concatenate((params.w_out, params.w_h))   # (V + H, H)
+    rec = params.w_h @ np.asarray(state, dtype=float)
     token_ids: list[int] = []
     prev = vocab.soq_id
     for step in range(max_len):
-        h = _cell(params, prev, h)
-        logits = params.w_out @ h
+        out = out_rec @ np.tanh(proj[prev] + rec)
+        logits, rec = out[:n_words], out[n_words:]
         if step == 0:
-            logits = logits.copy()
             logits[vocab.eoq_id] = -np.inf
         if mode == DECODE_GREEDY:
             nxt = int(np.argmax(logits))
         else:
-            p = softmax(logits)
-            nxt = int(rng.choice(len(p), p=p / p.sum()))
+            cdf = np.exp(logits - logits.max()).cumsum()
+            if not math.isfinite(cdf[-1]):
+                raise ValueError("cannot sample from non-finite logits")
+            nxt = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")),
+                      n_words - 1)
         if nxt == vocab.eoq_id:
             break
         token_ids.append(nxt)
@@ -325,7 +349,7 @@ def _forward(
 
     # the input projection of every vocabulary word, once per call, so that
     # a step's input term is a row gather
-    proj = params.embeddings @ params.w_in.T + params.b_h   # (V, H)
+    proj = _input_projection(params)   # (V, H)
     w_h_t = params.w_h.T
     pre = np.empty((Z * B + L * R, H))
     pre_enc = pre[:Z * B].reshape(Z, B, H)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
-from . import oracle
+from . import lang, oracle
 from .dialogue import Dialogue, GameAlignmentError, SOURCE_GENERATED, Turn
 from .scene import Scene
 
@@ -117,7 +117,11 @@ def generate_selfplay_corpus(
         turns = policy.turns if isinstance(policy, FixedLength) else policy.turns_by_game[sc.scene_id]
         game = play_game(questioner, sc, oracle_cfg, turns, np.random.default_rng([seed, sc.scene_id]))
         corpus.append(game.dialogue)
-    n_success = sum(1 for d in corpus if d.success)
-    log.info("self-play corpus: %d games, %.1f%% successful", len(corpus),
-             100.0 * n_success / len(corpus) if corpus else 0.0)
+    if log.isEnabledFor(logging.INFO):
+        n_success = sum(1 for d in corpus if d.success)
+        questions = [q for d in corpus for q in d.questions()]
+        n_malformed = sum(1 for q in questions if lang.parse_question(q) is None)
+        log.info("self-play corpus: %d games, %.1f%% successful, %.1f%% of %d questions malformed",
+                 len(corpus), 100.0 * n_success / len(corpus) if corpus else 0.0,
+                 100.0 * n_malformed / len(questions) if questions else 0.0, len(questions))
     return corpus

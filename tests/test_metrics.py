@@ -5,7 +5,7 @@ import pytest
 
 from bleu_reference import reference_bleu4
 from conftest import make_dialogue
-from guessmix import metrics
+from guessmix import lang, metrics, model, oracle, selfplay
 from guessmix.lang import SPECIAL_TOKENS, Vocabulary
 from guessmix.selfplay import PlayedGame
 
@@ -122,6 +122,66 @@ class TestMutualOverlap:
             make_dialogue(["is it red ?", "does that thing fly"]),
         ]
         assert metrics.corpus_mo(corpus) == pytest.approx((1.0 + 0.0) / 2)
+
+
+class TestMutualOverlapExact:
+    """The count-based mutual overlap equals averaging `bleu4` of each
+    question against the others, bit for bit."""
+
+    @staticmethod
+    def per_candidate(d):
+        qs = d.questions()
+        if len(qs) < 2:
+            return 0.0
+        scores = [metrics.bleu4(q, qs[:i] + qs[i + 1:]) for i, q in enumerate(qs)]
+        return sum(scores) / len(scores)
+
+    def assert_bitwise(self, dialogues):
+        for d in dialogues:
+            assert metrics.mutual_overlap_dialogue(d).hex() == self.per_candidate(d).hex()
+
+    def test_teacher_dialogues(self, small_teacher_corpus):
+        self.assert_bitwise(small_teacher_corpus)
+
+    def test_generated_dialogues(self, small_scenes, small_teacher_corpus):
+        vocab = lang.build_vocabulary(small_teacher_corpus, min_count=1)
+        generated = []
+        for mode in ("sample", "greedy"):
+            cfg = model.ModelConfig(embed_dim=8, hidden_dim=16, decode_mode=mode)
+            q = model.Questioner(model.init_params(cfg, vocab, seed=3), vocab, cfg)
+            generated += selfplay.generate_selfplay_corpus(
+                q, small_scenes, oracle.OracleConfig(0.0), selfplay.FixedLength(6), seed=1)
+        assert metrics.grq(generated) > 0  # repeated questions occur
+        self.assert_bitwise(generated)
+
+    def test_random_dialogues(self):
+        # a 3-word alphabet makes repeated questions, shared grams and equal
+        # counts common; lengths 1..6 make 1-token questions and ties
+        # between reference lengths common
+        rng = np.random.default_rng(5)
+        alphabet = ["a", "b", "c"]
+        dialogues = []
+        for _ in range(1500):
+            questions = [
+                " ".join(alphabet[i] for i in rng.integers(3, size=rng.integers(1, 7)))
+                for _ in range(rng.integers(1, 9))
+            ]
+            dialogues.append(make_dialogue(questions))
+        self.assert_bitwise(dialogues)
+
+    def test_hand_picked_cases(self):
+        self.assert_bitwise([
+            make_dialogue(["a b", "a b", "a b"]),            # every question repeated
+            make_dialogue(["a", "a", "b"]),                  # 1-token questions
+            make_dialogue(["a", "b c d", "a b"]),
+            make_dialogue(["a b c", "a b", "a b c d"]),      # lengths 2 and 4 tie for 3
+            make_dialogue(["a a b", "a a", "a b a a", "b"]),  # gram counts above 1
+            make_dialogue(["x y z", "p q"]),                 # nothing shared
+        ])
+
+    def test_empty_question_rejected_like_bleu4(self):
+        with pytest.raises(ValueError):
+            metrics.mutual_overlap_dialogue(make_dialogue(["a b", ""]))
 
 
 class TestGrq:

@@ -194,6 +194,138 @@ class TestDecode:
         assert base == model.decode_question(shifted, vocab, state, mode="greedy", max_len=8)
 
 
+class _ScriptedRng:
+    """Stands in for a Generator: returns the scripted uniform draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def _reference_cell(params, token_id, h):
+    # the per-step cell as written before the input projection was hoisted
+    return np.tanh(params.w_in @ params.embeddings[token_id] + params.w_h @ h + params.b_h)
+
+
+def _reference_decode(params, vocab, state, mode, max_len, rng=None):
+    # the decoder as written before: one cell call and one output matvec per
+    # step, sampled tokens drawn with Generator.choice
+    h = np.asarray(state, dtype=float)
+    out = []
+    prev = vocab.soq_id
+    for step in range(max_len):
+        h = _reference_cell(params, prev, h)
+        logits = params.w_out @ h
+        if step == 0:
+            logits = logits.copy()
+            logits[vocab.eoq_id] = -np.inf
+        if mode == "greedy":
+            nxt = int(np.argmax(logits))
+        else:
+            p = model.softmax(logits)
+            nxt = int(rng.choice(len(p), p=p / p.sum()))
+        if nxt == vocab.eoq_id:
+            break
+        out.append(nxt)
+        prev = nxt
+    return [vocab.word(i) for i in out]
+
+
+class TestDecodeContract:
+    def _model(self, seed, n_learnable=15, hidden=12):
+        cfg = model.ModelConfig(embed_dim=8, hidden_dim=hidden)
+        vocab = tiny_vocab(n_learnable)
+        return model.init_params(cfg, vocab, seed=seed), vocab
+
+    def test_one_uniform_draw_per_sampled_token(self):
+        params, vocab = self._model(4)
+        for seed in range(40):
+            state = np.random.default_rng(seed).uniform(-1, 1, 12)
+            rng = np.random.default_rng([seed, 1])
+            out = model.decode_question(params, vocab, state, mode="sample", max_len=6, rng=rng)
+            steps = len(out) + 1 if len(out) < 6 else 6  # the <eoq> draw is a step too
+            fresh = np.random.default_rng([seed, 1])
+            for _ in range(steps):
+                fresh.random()
+            assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_minus_inf_token_never_drawn_and_index_in_range(self):
+        # V - 1 = 16, so each draw u lands at the cumulative mass u * 16
+        params, vocab = self._model(0, n_learnable=12)
+        v = vocab.n_words
+        assert v == 17
+        params.w_out[...] = 0.0  # uniform over every token but <eoq> at step 0
+        state = np.zeros(12)
+        edges = [0.0, 1.0 / 16, 2.0 / 16, np.nextafter(1.0, 0.0)]
+        for u in edges:
+            out = model.decode_question(params, vocab, state, mode="sample", max_len=1,
+                                        rng=_ScriptedRng([u]))
+            assert out and out[0] != lang.EOQ
+        # u = 1/16 sits exactly on the end of token 0's mass: the zero-mass
+        # <eoq> (id 1) is skipped and id 2 is drawn
+        out = model.decode_question(params, vocab, state, mode="sample", max_len=1,
+                                    rng=_ScriptedRng([1.0 / 16]))
+        assert vocab.token_id(out[0]) == 2
+        out = model.decode_question(params, vocab, state, mode="sample", max_len=1,
+                                    rng=_ScriptedRng([np.nextafter(1.0, 0.0)]))
+        assert vocab.token_id(out[0]) == v - 1
+        # <eoq> dominating every other token is still never drawn at step 0
+        params.w_out[vocab.eoq_id] = 50.0 * np.sign(_reference_cell(params, vocab.soq_id, state))
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            out = model.decode_question(params, vocab, state, mode="sample", max_len=1, rng=rng)
+            assert len(out) == 1 and out[0] != lang.EOQ
+
+    def test_non_finite_logits_rejected_when_sampling(self):
+        params, vocab = self._model(0)
+        params.w_out[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            model.decode_question(params, vocab, np.zeros(12), mode="sample", max_len=3,
+                                  rng=np.random.default_rng(0))
+
+    def test_sampled_frequencies_match_softmax(self):
+        params, vocab = self._model(7)
+        params.w_out *= 6.0  # a peaked distribution with some rare tokens
+        state = np.linspace(-0.6, 0.6, 12)
+        logits = params.w_out @ _reference_cell(params, vocab.soq_id, state)
+        logits[vocab.eoq_id] = -np.inf
+        p = model.softmax(logits)
+        n = 20000
+        rng = np.random.default_rng(11)
+        counts = np.zeros(vocab.n_words)
+        for _ in range(n):
+            out = model.decode_question(params, vocab, state, mode="sample", max_len=1, rng=rng)
+            counts[vocab.token_id(out[0])] += 1
+        sigma = np.sqrt(n * p * (1 - p))
+        assert counts[vocab.eoq_id] == 0
+        assert np.all(np.abs(counts - n * p) <= 4 * sigma + 1e-9)
+
+    def test_matches_reference_formulas(self, world):
+        _, corpus, vocab, dataset = world
+        cfg = model.ModelConfig(embed_dim=8, hidden_dim=12, epochs=6, batch_size=4)
+        trained = model.train(model.init_params(cfg, vocab, seed=2), vocab, dataset, cfg,
+                              seed=0).params
+        for params in (model.init_params(cfg, vocab, seed=5), trained):
+            for seed in range(30):
+                state = np.random.default_rng(seed).uniform(-1, 1, 12)
+                greedy = model.decode_question(params, vocab, state, mode="greedy", max_len=10)
+                assert greedy == _reference_decode(params, vocab, state, "greedy", 10)
+                sampled = model.decode_question(params, vocab, state, mode="sample", max_len=10,
+                                                rng=np.random.default_rng(seed))
+                assert sampled == _reference_decode(params, vocab, state, "sample", 10,
+                                                    np.random.default_rng(seed))
+                for turn in corpus[seed % len(corpus)].turns:
+                    got = model.encode_turn(params, vocab, state, turn.question, turn.answer)
+                    h = state
+                    for tok in turn.question:
+                        h = _reference_cell(params, vocab.token_id(tok), h)
+                    h = _reference_cell(params, vocab.answer_id(turn.answer), h)
+                    assert np.max(np.abs(got - h)) <= 1e-12
+                    state = got
+
+
 class TestGuesser:
     def _scene(self):
         objs = (

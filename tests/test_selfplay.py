@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ class TestGenerateCorpus:
         assert metrics.grq(generated) > 0.0
         assert metrics.grq(small_teacher_corpus) == 0.0
         assert metrics.corpus_mo(small_teacher_corpus) < metrics.corpus_mo(generated)
+
+    def test_log_reports_malformed_rate(self, questioner, small_scenes, small_teacher_corpus,
+                                        caplog, monkeypatch):
+        # every third question the decoder emits fails to parse
+        good = small_teacher_corpus[0].turns[0].question
+        asked = []
+
+        def decode(*args, **kwargs):
+            asked.append(None)
+            return ["is", "it"] if len(asked) % 3 == 0 else list(good)
+
+        monkeypatch.setattr(model, "decode_question", decode)
+        caplog.set_level(logging.INFO, logger="guessmix.selfplay")
+        selfplay.generate_selfplay_corpus(questioner, small_scenes[:10],
+                                          oracle.OracleConfig(0.0),
+                                          selfplay.FixedLength(3), seed=2)
+        assert "33.3% of 30 questions malformed" in caplog.text
 
     def test_fixed_length_validated(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from . import lang, metrics, model, selfplay, teacher
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE, MixSpec
 from .dialogue import SOURCE_HUMAN, GameAlignmentError, read_dialogues, write_dialogues
+from .jsonl import read_jsonl, write_jsonl
 from .oracle import OracleConfig
 from .scene import SceneConfig, generate_scene_set, read_scenes, write_scenes
 from .seeding import derive_seed
@@ -147,8 +148,9 @@ def stage_selfplay(questioner, scenes, noise: float, length_mode: str, turns: in
     return dialogues
 
 
-def stage_mix(human, generated, spec: MixSpec, require_success: bool, out, manifest_out):
-    """Write the mixed corpus and a manifest naming the replaced game ids."""
+def stage_mix(human, generated, spec: MixSpec, require_success: bool, out):
+    """Write the mixed corpus to `out`, and a manifest naming the replaced
+    game ids to `out` with its suffix replaced by `.manifest.json`."""
     mixed = corpus_mod.mix_corpora(
         human, generated, spec, require_generated_success=require_success
     )
@@ -159,8 +161,8 @@ def stage_mix(human, generated, spec: MixSpec, require_success: bool, out, manif
         "seed": spec.seed,
         "replaced_game_ids": sorted(d.game_id for d in mixed if d.source != SOURCE_HUMAN),
     }
-    Path(manifest_out).write_text(json.dumps(manifest, sort_keys=True) + "\n",
-                                  encoding="utf-8")
+    Path(out).with_suffix(".manifest.json").write_text(
+        json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return mixed
 
 
@@ -252,14 +254,8 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
             for stream, mode in ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
         }
 
-        specs = list(cfg.mix_specs())
-        if cfg["experiment.include_generated_only"]:
-            for mode in (LENGTH_FIXED, LENGTH_VARIABLE):
-                if (0, mode) not in specs:
-                    specs.append((0, mode))
-
         stats_rows, report_rows, ablation_rows = [], [], []
-        for j, (pct, mode) in enumerate(specs):
+        for j, (pct, mode) in enumerate(cfg.mix_specs()):
             tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
             if pct == 100:
                 mixed, questioner = human, base
@@ -267,8 +263,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
                 stage = f"mix-{tag}"
                 mixed = stage_mix(
                     human, generated[mode], MixSpec(pct, mode, seed=derive_seed(rep_seed, 8)),
-                    cfg["corpus.require_generated_success"],
-                    seed_dir / f"mixed_{tag}.jsonl", seed_dir / f"mixed_{tag}.manifest.json",
+                    cfg["corpus.require_generated_success"], seed_dir / f"mixed_{tag}.jsonl",
                 )
                 stage = f"train-{tag}"
                 questioner, _, _ = stage_train(
@@ -410,10 +405,9 @@ def _cmd_selfplay(args) -> None:
 def _cmd_mix(args) -> None:
     human = read_dialogues(args.human)
     generated = read_dialogues(args.generated)
-    manifest_path = Path(str(args.out) + ".manifest.json")
     mixed = stage_mix(human, generated, MixSpec(args.pct_human, args.length, seed=args.seed),
-                      args.require_success, args.out, manifest_path)
-    print(f"wrote {len(mixed)} dialogues to {args.out} (+ {manifest_path.name})")
+                      args.require_success, args.out)
+    print(f"wrote {len(mixed)} dialogues to {args.out} and its .manifest.json")
 
 
 def _cmd_stats(args) -> None:
@@ -430,15 +424,12 @@ def _cmd_evaluate(args) -> None:
                          args.seed, args.pct_human)
     print(metrics.format_report_row(row))
     if args.out:
-        Path(args.out).write_text(json.dumps(asdict(row), sort_keys=True) + "\n",
-                                  encoding="utf-8")
+        write_jsonl(args.out, [asdict(row)])
 
 
 def _cmd_report(args) -> None:
-    rows = []
-    for path in args.rows:
-        rec = json.loads(Path(path).read_text(encoding="utf-8"))
-        rows.append(metrics.ReportRow(**rec))
+    rows = [row for path in args.rows
+            for row in read_jsonl(path, lambda rec: metrics.ReportRow(**rec), "report row")]
     metrics.write_report_csv(args.out_csv, rows)
     if args.out_md:
         Path(args.out_md).write_text(metrics.report_markdown(rows), encoding="utf-8")
@@ -471,11 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_flag = argparse.ArgumentParser(add_help=False)
-    seed_flag.add_argument("--seed", type=int, default=0)
 
-    def command(name, func, help_text, seed=True):
-        p = sub.add_parser(name, help=help_text, parents=[seed_flag] if seed else [])
+    def command(name, func, help_text, seed="seed of this step's random draws"):
+        p = sub.add_parser(name, help=help_text)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help=seed)
         p.set_defaults(func=func)
         return p
 
@@ -489,7 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     _schema_flags(p, "teacher.noise", "teacher.max_turns")
     p.add_argument("--out", required=True)
 
-    p = command("train", _cmd_train, "train a questioner on a dialogue corpus")
+    p = command("train", _cmd_train, "train a questioner on a dialogue corpus", seed=(
+        "S: initialise with derive_seed(S, 0) and train with derive_seed(S, 1). A run "
+        "uses derive_seed(R, 4) and (R, 5) for its base model and (R, 30 + j) and "
+        "(R, 60 + j) for mix j, with R the replicate seed, so no S gives a run's checkpoint"))
     p.add_argument("--dialogues", required=True)
     p.add_argument("--scenes", required=True)
     _schema_flags(p, "corpus.min_count", dest="corpus.min_count")
@@ -520,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     _schema_flags(p, "corpus.require_generated_success", flag="--require-success")
     p.add_argument("--out", required=True)
 
-    p = command("stats", _cmd_stats, "print the statistics row of a corpus", seed=False)
+    p = command("stats", _cmd_stats, "print the statistics row of a corpus", seed=None)
     p.add_argument("corpus")
     _schema_flags(p, "corpus.min_count")
     p.add_argument("--length-mode", default=LENGTH_NONE)
@@ -535,12 +529,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", default=LENGTH_NONE)
     p.add_argument("--out", help="also write the row as JSON")
 
-    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=False)
+    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=None)
     p.add_argument("--rows", nargs="+", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-md")
 
-    p = command("run", _cmd_run, "run the full two-step experiment from a config file", seed=False)
+    p = command("run", _cmd_run, "run the full two-step experiment from a config file", seed=None)
     p.add_argument("--config", help="key-value config file; defaults apply when omitted")
     for key, (_, _, help_text) in SCHEMA.items():
         p.add_argument(f"--{key}", dest=key, metavar="V", help=help_text)

@@ -7,12 +7,13 @@ command line overrides (`--model.epochs 5`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE
-from .model import DECODE_SAMPLE, ModelConfig
+from .model import ModelConfig
 from .scene import SceneConfig
+from .teacher import DEFAULT_MAX_TURNS
 
 
 class ConfigError(ValueError):
@@ -28,6 +29,13 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+# The scene.* and model.* keys are the fields of SceneConfig and ModelConfig:
+# key -> (dataclass, field). A key is its field's name unless renamed here.
+_KEY_OF_FIELD = {"decode_mode": "decode"}
+_FIELDS = {f"{section}.{_KEY_OF_FIELD.get(f.name, f.name)}": (cls, f)
+           for section, cls in (("scene", SceneConfig), ("model", ModelConfig))
+           for f in fields(cls)}
+
 # key -> (parser, default, help)
 SCHEMA: dict[str, tuple] = {
     "experiment.seed": (int, 0, "master seed; everything else derives from it"),
@@ -39,15 +47,11 @@ SCHEMA: dict[str, tuple] = {
     "experiment.mix_specs": (
         str,
         "100:-,75:fixed,75:variable,50:fixed,50:variable",
-        "comma list of pct_human:length_mode",
+        "comma list of pct_human:length_mode; 0:fixed and 0:variable are the "
+        "generated-only ablation",
     ),
-    "experiment.include_generated_only": (
-        _parse_bool, False, "also build 0% human datasets (evaluation flagged as ablation)",
-    ),
-    "scene.min_objects": (int, 3, "minimum objects per scene"),
-    "scene.max_objects": (int, 20, "maximum objects per scene"),
     "teacher.noise": (float, 0.0, "oracle answer noise while collecting the teacher corpus"),
-    "teacher.max_turns": (int, 8, "teacher turn budget per game"),
+    "teacher.max_turns": (int, DEFAULT_MAX_TURNS, "teacher turn budget per game"),
     "corpus.min_count": (int, 3, "vocabulary frequency threshold"),
     "corpus.require_generated_success": (
         _parse_bool, False, "drop failed generated games before mixing",
@@ -55,19 +59,9 @@ SCHEMA: dict[str, tuple] = {
     "selfplay.noise": (float, 0.1, "machine-oracle answer noise (self-play and evaluation)"),
     "selfplay.turns": (int, 5, "fixed-length turn budget for generated dialogues"),
     "selfplay.checkpoint": (str, "last", "which checkpoint plays: last or best_val"),
-    "model.embed_dim": (int, 32, "token embedding size"),
-    "model.hidden_dim": (int, 64, "dialogue state size"),
-    "model.learning_rate": (float, 0.3, "SGD step size"),
-    "model.grad_clip": (float, 5.0, "global gradient norm bound"),
-    "model.modulo_n": (int, 3, "guesser joins the loss every n-th epoch"),
-    "model.epochs": (int, 30, "training epochs"),
-    "model.batch_size": (int, 32, "dialogues per batch"),
-    "model.decode": (str, DECODE_SAMPLE, "question decoding: sample or greedy"),
-    "model.max_question_len": (int, 10, "generation length cap"),
-    "model.guesser_human_only": (
-        _parse_bool, False, "restrict the guesser loss to human-sourced dialogues",
-    ),
     "evaluate.turns": (int, 5, "questions per game in the test protocol"),
+    **{key: (_parse_bool if isinstance(f.default, bool) else type(f.default), f.default,
+             f.metadata["help"]) for key, (_, f) in _FIELDS.items()},
 }
 
 CHECKPOINT_CHOICES = ("last", "best_val")
@@ -111,25 +105,14 @@ class ExperimentConfig:
             raise ConfigError("selfplay.checkpoint=best_val needs experiment.n_val_scenes >= 1")
         self.mix_specs()
 
+    def _section_config(self, cls):
+        return cls(**{f.name: self[key] for key, (owner, f) in _FIELDS.items() if owner is cls})
+
     def scene_config(self) -> SceneConfig:
-        return SceneConfig(
-            min_objects=self["scene.min_objects"],
-            max_objects=self["scene.max_objects"],
-        )
+        return self._section_config(SceneConfig)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            embed_dim=self["model.embed_dim"],
-            hidden_dim=self["model.hidden_dim"],
-            learning_rate=self["model.learning_rate"],
-            grad_clip=self["model.grad_clip"],
-            modulo_n=self["model.modulo_n"],
-            epochs=self["model.epochs"],
-            batch_size=self["model.batch_size"],
-            decode_mode=self["model.decode"],
-            max_question_len=self["model.max_question_len"],
-            guesser_human_only=self["model.guesser_human_only"],
-        )
+        return self._section_config(ModelConfig)
 
     def mix_specs(self) -> list[tuple[int, str]]:
         """Parse experiment.mix_specs into (pct_human, length_mode) pairs."""

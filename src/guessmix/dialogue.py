@@ -6,9 +6,10 @@ self-play (generated) corpora; files differ only in the "source" field.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
+
+from .jsonl import read_jsonl, write_jsonl
 
 SOURCE_HUMAN = "human"
 SOURCE_GENERATED = "generated"
@@ -41,46 +42,37 @@ class Dialogue:
         return [t.question for t in self.turns]
 
 
+def _dialogue_record(d: Dialogue) -> dict:
+    return {
+        "game_id": d.game_id,
+        "scene_id": d.scene_id,
+        "source": d.source,
+        "turns": [{"q": " ".join(t.question), "a": t.answer} for t in d.turns],
+        "guess": d.guess,
+        "success": d.success,
+    }
+
+
+def _dialogue_from_record(rec: dict) -> Dialogue:
+    d = Dialogue(
+        game_id=rec["game_id"],
+        scene_id=rec["scene_id"],
+        source=rec["source"],
+        turns=tuple(Turn(question=tuple(t["q"].split()), answer=t["a"]) for t in rec["turns"]),
+        guess=rec["guess"],
+        success=rec["success"],
+    )
+    if d.source not in SOURCES:
+        raise ValueError(f"unknown source {d.source!r}")
+    for t in d.turns:
+        if t.answer not in (YES, NO):
+            raise ValueError(f"unknown answer {t.answer!r}")
+    return d
+
+
 def write_dialogues(path: str | Path, dialogues: list[Dialogue]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for d in dialogues:
-            rec = {
-                "game_id": d.game_id,
-                "scene_id": d.scene_id,
-                "source": d.source,
-                "turns": [{"q": " ".join(t.question), "a": t.answer} for t in d.turns],
-                "guess": d.guess,
-                "success": d.success,
-            }
-            f.write(json.dumps(rec) + "\n")
+    write_jsonl(path, map(_dialogue_record, dialogues))
 
 
 def read_dialogues(path: str | Path) -> list[Dialogue]:
-    dialogues = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                turns = tuple(
-                    Turn(question=tuple(t["q"].split()), answer=t["a"]) for t in rec["turns"]
-                )
-                d = Dialogue(
-                    game_id=rec["game_id"],
-                    scene_id=rec["scene_id"],
-                    source=rec["source"],
-                    turns=turns,
-                    guess=rec["guess"],
-                    success=rec["success"],
-                )
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed dialogue record: {exc}") from exc
-            if d.source not in SOURCES:
-                raise ValueError(f"{path}:{lineno}: unknown source {d.source!r}")
-            for t in d.turns:
-                if t.answer not in (YES, NO):
-                    raise ValueError(f"{path}:{lineno}: unknown answer {t.answer!r}")
-            dialogues.append(d)
-    return dialogues
+    return read_jsonl(path, _dialogue_from_record, "dialogue")

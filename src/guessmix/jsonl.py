@@ -1,0 +1,30 @@
+"""JSON-lines record files: one JSON object per line, blank lines skipped.
+Each record type supplies how it maps to and from a decoded line."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+
+def write_jsonl(path: str | Path, records) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
+
+
+def read_jsonl(path: str | Path, build, kind: str) -> list:
+    """`build` each decoded line into a record. The file comes from outside
+    the program, so whatever `json.loads` or `build` raises on a line makes
+    it a malformed `kind` record: a ValueError naming the file and line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                out.append(build(json.loads(line)))
+            except Exception as exc:  # noqa: BLE001 - any failure is a bad record
+                raise ValueError(f"{path}:{lineno}: malformed {kind} record: {exc}") from exc
+    return out

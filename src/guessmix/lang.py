@@ -9,13 +9,13 @@ match no template are malformed by definition.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import scene
 from .dialogue import Dialogue
+from .jsonl import write_jsonl
 
 REGIONS = ("left", "right", "top", "bottom", "center")
 
@@ -187,6 +187,5 @@ def build_vocabulary(corpus: list[Dialogue], min_count: int = 3) -> Vocabulary:
 
 def write_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
     """JSON-lines of {"word","count","id"}; specials first by construction."""
-    with open(path, "w", encoding="utf-8") as f:
-        for i, w in enumerate(vocab.words):
-            f.write(json.dumps({"word": w, "count": vocab.counts.get(w, 0), "id": i}) + "\n")
+    write_jsonl(path, ({"word": w, "count": vocab.counts.get(w, 0), "id": i}
+                       for i, w in enumerate(vocab.words)))

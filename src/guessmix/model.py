@@ -79,16 +79,21 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    embed_dim: int = 32
-    hidden_dim: int = 64
-    learning_rate: float = 0.3
-    grad_clip: float = 5.0
-    modulo_n: int = 3
-    epochs: int = 30
-    batch_size: int = 32
-    decode_mode: str = DECODE_SAMPLE
-    max_question_len: int = 10
-    guesser_human_only: bool = False
+    """The `model.*` settings, with their help in each field's metadata."""
+
+    embed_dim: int = field(default=32, metadata={"help": "token embedding size"})
+    hidden_dim: int = field(default=64, metadata={"help": "dialogue state size"})
+    learning_rate: float = field(default=0.3, metadata={"help": "SGD step size"})
+    grad_clip: float = field(default=5.0, metadata={"help": "global gradient norm bound"})
+    modulo_n: int = field(default=3, metadata={"help": "guesser joins the loss every n-th epoch"})
+    epochs: int = field(default=30, metadata={"help": "training epochs"})
+    batch_size: int = field(default=32, metadata={"help": "dialogues per batch"})
+    decode_mode: str = field(default=DECODE_SAMPLE,
+                             metadata={"help": "question decoding: sample or greedy"})
+    max_question_len: int = field(default=10, metadata={"help": "generation length cap"})
+    guesser_human_only: bool = field(
+        default=False, metadata={"help": "restrict the guesser loss to human-sourced dialogues"},
+    )
 
     def validate(self) -> None:
         if self.embed_dim < 1 or self.hidden_dim < 1:

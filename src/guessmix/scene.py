@@ -8,11 +8,12 @@ the question grammar stays closed and parseable.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .jsonl import read_jsonl, write_jsonl
 
 CATEGORIES = (
     "cat", "dog", "bird", "car", "chair", "table",
@@ -39,8 +40,10 @@ class SceneGenerationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SceneConfig:
-    min_objects: int = MIN_OBJECTS
-    max_objects: int = MAX_OBJECTS
+    """The `scene.*` settings, with their help in each field's metadata."""
+
+    min_objects: int = field(default=MIN_OBJECTS, metadata={"help": "minimum objects per scene"})
+    max_objects: int = field(default=MAX_OBJECTS, metadata={"help": "maximum objects per scene"})
 
     def validate(self) -> None:
         if not (MIN_OBJECTS <= self.min_objects <= self.max_objects <= MAX_OBJECTS):
@@ -162,56 +165,45 @@ def generate_scene_set(n: int, seed: int, cfg: SceneConfig | None = None) -> lis
     ]
 
 
+def _scene_record(s: Scene) -> dict:
+    return {
+        "scene_id": s.scene_id,
+        "objects": [
+            {
+                "id": o.id,
+                "category": o.category,
+                "color": o.color,
+                "size": o.size,
+                "x": o.cell_x,
+                "y": o.cell_y,
+            }
+            for o in s.objects
+        ],
+        "target": s.target_index,
+    }
+
+
+def _scene_from_record(rec: dict) -> Scene:
+    objects = tuple(
+        SceneObject(
+            id=o["id"],
+            category=o["category"],
+            color=o["color"],
+            size=o["size"],
+            cell_x=o["x"],
+            cell_y=o["y"],
+        )
+        for o in rec["objects"]
+    )
+    scene = Scene(scene_id=rec["scene_id"], objects=objects, target_index=rec["target"])
+    validate_scene(scene)
+    return scene
+
+
 def write_scenes(path: str | Path, scenes: list[Scene]) -> None:
     """One scene per line: {"scene_id", "objects": [...], "target"}."""
-    with open(path, "w", encoding="utf-8") as f:
-        for s in scenes:
-            rec = {
-                "scene_id": s.scene_id,
-                "objects": [
-                    {
-                        "id": o.id,
-                        "category": o.category,
-                        "color": o.color,
-                        "size": o.size,
-                        "x": o.cell_x,
-                        "y": o.cell_y,
-                    }
-                    for o in s.objects
-                ],
-                "target": s.target_index,
-            }
-            f.write(json.dumps(rec) + "\n")
+    write_jsonl(path, map(_scene_record, scenes))
 
 
 def read_scenes(path: str | Path) -> list[Scene]:
-    scenes = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                objects = tuple(
-                    SceneObject(
-                        id=o["id"],
-                        category=o["category"],
-                        color=o["color"],
-                        size=o["size"],
-                        cell_x=o["x"],
-                        cell_y=o["y"],
-                    )
-                    for o in rec["objects"]
-                )
-                scene = Scene(
-                    scene_id=rec["scene_id"], objects=objects, target_index=rec["target"]
-                )
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed scene record: {exc}") from exc
-            try:
-                validate_scene(scene)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            scenes.append(scene)
-    return scenes
+    return read_jsonl(path, _scene_from_record, "scene")

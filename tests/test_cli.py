@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,8 @@ import pytest
 
 from guessmix import cli, config, dialogue, metrics, scene
 from guessmix.config import ConfigError, ExperimentConfig, load_config
+from guessmix.model import ModelConfig
+from guessmix.scene import SceneConfig
 from guessmix.seeding import derive_seed
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -88,6 +91,36 @@ class TestConfig:
             ExperimentConfig({"selfplay.checkpoint": "best_val"})
         ExperimentConfig({"selfplay.checkpoint": "best_val", "experiment.n_val_scenes": 50})
 
+    def test_model_and_scene_keys_are_the_dataclass_fields(self):
+        keys = {key for key in config.SCHEMA if key.startswith(("model.", "scene."))}
+        assert keys == ({f"scene.{f.name}" for f in fields(SceneConfig)}
+                        | {"model.decode" if f.name == "decode_mode" else f"model.{f.name}"
+                           for f in fields(ModelConfig)})
+        assert ExperimentConfig().model_config() == ModelConfig()
+        assert ExperimentConfig().scene_config() == SceneConfig()
+        cfg = load_config(None, {"model.decode": "greedy", "model.learning_rate": "1",
+                                 "model.guesser_human_only": "yes", "scene.max_objects": "9"})
+        assert cfg.model_config() == ModelConfig(decode_mode="greedy", learning_rate=1.0,
+                                                 guesser_human_only=True)
+        assert cfg.scene_config() == SceneConfig(max_objects=9)
+        assert config.parse_value("model.guesser_human_only", "no") is False
+
+    def test_generated_only_ablation_is_a_mix_spec(self):
+        cfg = ExperimentConfig({"experiment.mix_specs": "100:-,0:fixed,0:variable"})
+        assert cfg.mix_specs() == [(100, "-"), (0, "fixed"), (0, "variable")]
+        with pytest.raises(ConfigError, match="include_generated_only"):
+            load_config(None, {"experiment.include_generated_only": "true"})
+
+    def test_readme_key_defaults_match_schema(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Key defaults")[1].split("\n\n")[1].splitlines()
+        assert table[0].startswith("| key | default |")
+        rows = [[cell.strip() for cell in line.split("|")[1:3]] for line in table[2:]]
+        assert rows
+        for key, default in rows:
+            assert key in config.SCHEMA, key
+            assert config.parse_value(key, default) == config.SCHEMA[key][1], key
+
     def test_echo_round_trips(self, tmp_path):
         cfg = ExperimentConfig({"model.epochs": 5})
         path = tmp_path / "echo.cfg"
@@ -132,9 +165,28 @@ class TestSubcommands:
         assert rc == 0
         mixed = dialogue.read_dialogues(mp)
         assert len(mixed) == 2
-        manifest = json.loads((tmp_path / "m.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "m.manifest.json").read_text())
         assert manifest["pct_human"] == 50
         assert len(manifest["replaced_game_ids"]) == 1
+
+    @pytest.mark.parametrize("argv, record", [
+        (["stats", "{bad}"],
+         {"game_id": 0, "scene_id": 0, "source": "human", "turns": [{"q": 5, "a": "yes"}],
+          "guess": 0, "success": True}),
+        (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
+         {"scene_id": 0, "target": 0, "objects": [
+             {"id": 0, "category": "cat", "color": "red", "size": "small", "x": "1", "y": 0},
+             {"id": 1, "category": "dog", "color": "red", "size": "small", "x": 2, "y": 0},
+             {"id": 2, "category": "cup", "color": "blue", "size": "large", "x": 3, "y": 4}]}),
+        (["report", "--rows", "{bad}", "--out-csv", "{dir}/report.csv"],
+         {"pct_human": 50, "pct_generated": 50, "length_mode": "fixed"}),
+    ], ids=["dialogue-q-not-text", "scene-x-not-int", "report-row-missing-fields"])
+    def test_malformed_record_is_validation_error(self, tmp_path, capsys, argv, record):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(record) + "\n")
+        rc = cli.main([a.format(bad=bad, dir=tmp_path) for a in argv])
+        assert rc == cli.EXIT_VALIDATION
+        assert f"{bad}:1: malformed" in capsys.readouterr().err
 
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         rc = cli.main(["stats", str(tmp_path / "nope.jsonl")])
@@ -428,7 +480,7 @@ class TestRunExperiment:
                            ("generated_fixed.jsonl", "generated_fixed.jsonl"),
                            ("generated_variable.jsonl", "generated_variable.jsonl"),
                            ("mixed_50_fixed.jsonl", "mixed.jsonl"),
-                           ("mixed_50_fixed.manifest.json", "mixed.jsonl.manifest.json")):
+                           ("mixed_50_fixed.manifest.json", "mixed.manifest.json")):
             assert (tmp_path / ours).read_bytes() == (seed_dir / name).read_bytes(), name
 
         stats_lines = (seed_dir / "stats.csv").read_text().splitlines()
@@ -481,8 +533,7 @@ class TestRunExperiment:
             "experiment.output_dir": str(tmp_path / "ablation"),
             "experiment.n_train_scenes": "50",
             "experiment.n_test_scenes": "15",
-            "experiment.mix_specs": "100:-,50:fixed",
-            "experiment.include_generated_only": "true",
+            "experiment.mix_specs": "100:-,50:fixed,0:fixed,0:variable",
             "model.embed_dim": "8",
             "model.hidden_dim": "12",
             "model.epochs": "2",

@@ -29,9 +29,9 @@ from . import lang, metrics, model, selfplay, teacher
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE, MixSpec
 from .dialogue import SOURCE_HUMAN, GameAlignmentError, read_dialogues, write_dialogues
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import checked, read_jsonl, write_jsonl
 from .oracle import OracleConfig
-from .scene import SceneConfig, generate_scene_set, read_scenes, write_scenes
+from .scene import generate_scene_set, read_scenes, write_scenes
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
@@ -72,25 +72,17 @@ def _numeric_environment() -> dict:
     }
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages, shared by `run` and the subcommands
 
 
-def stage_scenes(splits, seed: int, scene_cfg: SceneConfig):
+def stage_scenes(splits, cfg: ExperimentConfig, seed: int):
     """Generate one scene set and write consecutive slices of it.
 
     `splits` lists (path, count) pairs; scene ids run on across the slices,
     so they are disjoint. Returns the slices in order.
     """
-    everything = generate_scene_set(sum(n for _, n in splits), seed, scene_cfg)
+    everything = generate_scene_set(sum(n for _, n in splits), seed, cfg.scene_config())
     parts, start = [], 0
     for path, n in splits:
         parts.append(everything[start:start + n])
@@ -99,25 +91,25 @@ def stage_scenes(splits, seed: int, scene_cfg: SceneConfig):
     return parts
 
 
-def stage_collect(scenes, noise: float, max_turns: int, seed: int, out):
+def stage_collect(scenes, cfg: ExperimentConfig, seed: int, out):
     """Play the scripted teacher on every scene; returns the kept dialogues."""
     dialogues = teacher.collect_teacher_corpus(
-        scenes, OracleConfig(noise), max_turns=max_turns, seed=seed
+        scenes, OracleConfig(cfg["teacher.noise"]), max_turns=cfg["teacher.max_turns"], seed=seed
     )
     write_dialogues(out, dialogues)
     return dialogues
 
 
-def stage_train(dialogues, scenes, model_cfg: model.ModelConfig, min_count: int,
-                init_seed: int, train_seed: int, out, val_pairs=None,
-                vocab_out=None, best_val_out=None):
+def stage_train(dialogues, scenes, cfg: ExperimentConfig, init_seed: int, train_seed: int,
+                out, val_pairs=None, vocab_out=None, best_val_out=None):
     """Train a fresh Questioner on `dialogues` and save it to `out`.
 
     Returns (questioner, best_val, train_log). `best_val` holds the
     parameters of the epoch with the lowest validation NLL and is None
     without `val_pairs`; it is saved only when `best_val_out` is given.
     """
-    vocab = lang.build_vocabulary(dialogues, min_count)
+    model_cfg = cfg.model_config()
+    vocab = lang.build_vocabulary(dialogues, cfg["corpus.min_count"])
     if vocab_out:
         lang.write_vocabulary(vocab_out, vocab)
     params = model.init_params(model_cfg, vocab, init_seed)
@@ -133,26 +125,29 @@ def stage_train(dialogues, scenes, model_cfg: model.ModelConfig, min_count: int,
     return questioner, best_val, result.log
 
 
-def stage_selfplay(questioner, scenes, noise: float, length_mode: str, turns: int,
-                   human, seed: int, out):
-    """Let the questioner play every scene, for `turns` turns (fixed length)
-    or as many as the `human` dialogue of the same game (variable length)."""
+def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, human,
+                   seed: int, out):
+    """Let the questioner replay the game of every `human` dialogue on its
+    scene, for selfplay.turns turns (fixed length) or as many as that
+    dialogue (variable length)."""
     if length_mode == LENGTH_FIXED:
-        policy: selfplay.LengthPolicy = selfplay.FixedLength(turns)
+        policy: selfplay.LengthPolicy = selfplay.FixedLength(cfg["selfplay.turns"])
     else:
         policy = selfplay.MatchHuman({d.game_id: len(d.turns) for d in human})
     dialogues = selfplay.generate_selfplay_corpus(
-        questioner, scenes, OracleConfig(noise), policy, seed=seed
+        questioner, [s for _, s in _pair_with_scenes(human, scenes)],
+        OracleConfig(cfg["selfplay.noise"]), policy, seed=seed,
     )
     write_dialogues(out, dialogues)
     return dialogues
 
 
-def stage_mix(human, generated, spec: MixSpec, require_success: bool, out):
+def stage_mix(human, generated, spec: MixSpec, cfg: ExperimentConfig, out):
     """Write the mixed corpus to `out`, and a manifest naming the replaced
     game ids to `out` with its suffix replaced by `.manifest.json`."""
     mixed = corpus_mod.mix_corpora(
-        human, generated, spec, require_generated_success=require_success
+        human, generated, spec,
+        require_generated_success=cfg["corpus.require_generated_success"],
     )
     write_dialogues(out, mixed)
     manifest = {
@@ -166,13 +161,19 @@ def stage_mix(human, generated, spec: MixSpec, require_success: bool, out):
     return mixed
 
 
-def stage_evaluate(questioner, training, test_scenes, length_mode: str, noise: float,
-                   turns: int, seed: int, pct_human: float):
+def stage_stats(corpus, cfg: ExperimentConfig, length_mode: str):
+    """The statistics row of a training corpus."""
+    return corpus_mod.corpus_stats(corpus, cfg["corpus.min_count"], length_mode)
+
+
+def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig, length_mode: str,
+                   seed: int, pct_human: float):
     """Play the test protocol with a questioner trained on `training`;
     returns the report row."""
     return metrics.evaluate(
-        questioner, test_scenes, OracleConfig(noise), corpus_mod.question_set(training),
-        turns=turns, seed=seed, pct_human=pct_human, length_mode=length_mode,
+        questioner, test_scenes, OracleConfig(cfg["selfplay.noise"]),
+        corpus_mod.question_set(training), turns=cfg["evaluate.turns"], seed=seed,
+        pct_human=pct_human, length_mode=length_mode,
     )
 
 
@@ -209,8 +210,6 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
     log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
-    model_cfg = cfg.model_config()
-    min_count = cfg["corpus.min_count"]
     n_val = cfg["experiment.n_val_scenes"]
     stage = "scenes"
     try:
@@ -218,62 +217,56 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
                   (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
         if n_val:
             splits.append((seed_dir / "scenes_val.jsonl", n_val))
-        train_scenes, test_scenes, *val_split = stage_scenes(
-            splits, derive_seed(rep_seed, 1), cfg.scene_config()
-        )
+        train_scenes, test_scenes, *val_split = stage_scenes(splits, cfg,
+                                                             derive_seed(rep_seed, 1))
 
         stage = "teacher"
-        teacher_noise, max_turns = cfg["teacher.noise"], cfg["teacher.max_turns"]
-        human = stage_collect(train_scenes, teacher_noise, max_turns,
-                              derive_seed(rep_seed, 2), seed_dir / "human.jsonl")
+        human = stage_collect(train_scenes, cfg, derive_seed(rep_seed, 2), seed_dir / "human.jsonl")
         val_pairs = None
         if n_val:
             [val_scenes] = val_split
-            val = stage_collect(val_scenes, teacher_noise, max_turns,
-                                derive_seed(rep_seed, 3), seed_dir / "val.jsonl")
+            val = stage_collect(val_scenes, cfg, derive_seed(rep_seed, 3), seed_dir / "val.jsonl")
             val_pairs = _pair_with_scenes(val, val_scenes)
 
         stage = "base-train"
+        best_val_out = None
+        if cfg["selfplay.checkpoint"] == "best_val":
+            best_val_out = seed_dir / "model_100_best_val.ckpt"
         base, best_val, _ = stage_train(
-            human, train_scenes, model_cfg, min_count,
-            derive_seed(rep_seed, 4), derive_seed(rep_seed, 5), seed_dir / "model_100.ckpt",
-            val_pairs=val_pairs, vocab_out=seed_dir / "vocab_100.jsonl",
+            human, train_scenes, cfg, derive_seed(rep_seed, 4), derive_seed(rep_seed, 5),
+            seed_dir / "model_100.ckpt", val_pairs=val_pairs,
+            vocab_out=seed_dir / "vocab_100.jsonl", best_val_out=best_val_out,
         )
-        player = base
-        if cfg["selfplay.checkpoint"] == "best_val" and best_val is not None:
-            player = best_val
+        player = best_val if best_val_out and best_val is not None else base
 
         stage = "selfplay"
-        human_scene_ids = {d.scene_id for d in human}
-        replayable = [s for s in train_scenes if s.scene_id in human_scene_ids]
-        noise = cfg["selfplay.noise"]
         generated = {
-            mode: stage_selfplay(player, replayable, noise, mode, cfg["selfplay.turns"],
-                                 human, derive_seed(rep_seed, stream),
+            mode: stage_selfplay(player, train_scenes, cfg, mode, human,
+                                 derive_seed(rep_seed, stream),
                                  seed_dir / f"generated_{mode}.jsonl")
             for stream, mode in ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
         }
 
         stats_rows, report_rows, ablation_rows = [], [], []
-        for j, (pct, mode) in enumerate(cfg.mix_specs()):
+        for j, spec in enumerate(cfg.mix_specs()):
+            pct, mode = spec.pct_human, spec.length_mode
             tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
             if pct == 100:
                 mixed, questioner = human, base
             else:
                 stage = f"mix-{tag}"
-                mixed = stage_mix(
-                    human, generated[mode], MixSpec(pct, mode, seed=derive_seed(rep_seed, 8)),
-                    cfg["corpus.require_generated_success"], seed_dir / f"mixed_{tag}.jsonl",
-                )
+                mixed = stage_mix(human, generated[mode],
+                                  replace(spec, seed=derive_seed(rep_seed, 8)), cfg,
+                                  seed_dir / f"mixed_{tag}.jsonl")
                 stage = f"train-{tag}"
                 questioner, _, _ = stage_train(
-                    mixed, train_scenes, model_cfg, min_count, derive_seed(rep_seed, 30 + j),
+                    mixed, train_scenes, cfg, derive_seed(rep_seed, 30 + j),
                     derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
                 )
             stage = f"evaluate-{tag}"
-            stats_rows.append(corpus_mod.corpus_stats(mixed, min_count, mode))
-            row = stage_evaluate(questioner, mixed, test_scenes, mode, noise,
-                                 cfg["evaluate.turns"], derive_seed(rep_seed, 90 + j), pct)
+            stats_rows.append(stage_stats(mixed, cfg, mode))
+            row = stage_evaluate(questioner, mixed, test_scenes, cfg, mode,
+                                 derive_seed(rep_seed, 90 + j), pct)
             (ablation_rows if pct == 0 else report_rows).append(row)
 
         stage = "report"
@@ -340,7 +333,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             "config": cfg.values,
             "environment": _numeric_environment(),
             "replicate_seeds": [derive_seed(cfg["experiment.seed"], r) for r in range(n_rep)],
-            "files": {str(p.relative_to(out)): _sha256(p) for p in files},
+            "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in files},
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -353,23 +347,28 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets its parsed arguments and the settings built from them
 
 
-def _cmd_gen_scenes(args) -> None:
-    cfg = SceneConfig(args.min_objects, args.max_objects)
-    [scenes] = stage_scenes([(args.out, args.n)], args.seed, cfg)
+def _report_row_from_record(rec: dict) -> metrics.ReportRow:
+    return metrics.ReportRow(**{
+        key: checked(value, str) if key == "length_mode" else checked(value, int, float)
+        for key, value in rec.items()
+    })
+
+
+def _cmd_gen_scenes(args, cfg: ExperimentConfig) -> None:
+    [scenes] = stage_scenes([(args.out, args.n)], cfg, args.seed)
     print(f"wrote {len(scenes)} scenes to {args.out}")
 
 
-def _cmd_collect_human(args) -> None:
+def _cmd_collect_human(args, cfg: ExperimentConfig) -> None:
     scenes = read_scenes(args.scenes)
-    dialogues = stage_collect(scenes, args.noise, args.max_turns, args.seed, args.out)
+    dialogues = stage_collect(scenes, cfg, args.seed, args.out)
     print(f"wrote {len(dialogues)} teacher dialogues to {args.out}")
 
 
-def _cmd_train(args) -> None:
-    cfg = ExperimentConfig({key: value for key, value in vars(args).items() if key in SCHEMA})
+def _cmd_train(args, cfg: ExperimentConfig) -> None:
     if args.val_dialogues and not args.val_scenes:
         raise ConfigError("--val-dialogues needs --val-scenes")
     dialogues = read_dialogues(args.dialogues)
@@ -379,80 +378,61 @@ def _cmd_train(args) -> None:
         val_pairs = _pair_with_scenes(read_dialogues(args.val_dialogues),
                                       read_scenes(args.val_scenes))
     _, _, train_log = stage_train(
-        dialogues, scenes, cfg.model_config(), cfg["corpus.min_count"],
-        derive_seed(args.seed, 0), derive_seed(args.seed, 1), args.out,
+        dialogues, scenes, cfg, derive_seed(args.seed, 0), derive_seed(args.seed, 1), args.out,
         val_pairs=val_pairs, best_val_out=args.best_val_out,
     )
     if train_log.epochs:
-        print(f"trained {cfg['model.epochs']} epochs, "
+        print(f"trained {len(train_log.epochs)} epochs, "
               f"final question NLL {train_log.final_qgen_nll:.4f}")
     print(f"wrote checkpoint to {args.out}")
 
 
-def _cmd_selfplay(args) -> None:
+def _cmd_selfplay(args, cfg: ExperimentConfig) -> None:
     questioner = model.load_checkpoint(args.model)
     scenes = read_scenes(args.scenes)
-    human = None
-    if args.length == LENGTH_VARIABLE:
-        if not args.match:
-            raise ConfigError("--length variable needs --match HUMAN.jsonl")
-        human = read_dialogues(args.match)
-    dialogues = stage_selfplay(questioner, scenes, args.noise, args.length, args.turns, human,
-                               args.seed, args.out)
+    human = read_dialogues(args.human)
+    dialogues = stage_selfplay(questioner, scenes, cfg, args.length, human, args.seed, args.out)
     print(f"wrote {len(dialogues)} generated dialogues to {args.out}")
 
 
-def _cmd_mix(args) -> None:
+def _cmd_mix(args, cfg: ExperimentConfig) -> None:
     human = read_dialogues(args.human)
     generated = read_dialogues(args.generated)
     mixed = stage_mix(human, generated, MixSpec(args.pct_human, args.length, seed=args.seed),
-                      args.require_success, args.out)
+                      cfg, args.out)
     print(f"wrote {len(mixed)} dialogues to {args.out} and its .manifest.json")
 
 
-def _cmd_stats(args) -> None:
+def _cmd_stats(args, cfg: ExperimentConfig) -> None:
     dialogues = read_dialogues(args.corpus)
-    stats = corpus_mod.corpus_stats(dialogues, args.min_count, args.length_mode)
+    stats = stage_stats(dialogues, cfg, args.length)
     print(corpus_mod.format_stats_row(stats))
 
 
-def _cmd_evaluate(args) -> None:
+def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
     questioner = model.load_checkpoint(args.model)
     scenes = read_scenes(args.scenes)
     training = read_dialogues(args.train_dialogues)
-    row = stage_evaluate(questioner, training, scenes, args.length, args.noise, args.turns,
-                         args.seed, args.pct_human)
+    row = stage_evaluate(questioner, training, scenes, cfg, args.length, args.seed,
+                         args.pct_human)
     print(metrics.format_report_row(row))
     if args.out:
         write_jsonl(args.out, [asdict(row)])
 
 
-def _cmd_report(args) -> None:
+def _cmd_report(args, cfg: ExperimentConfig) -> None:
     rows = [row for path in args.rows
-            for row in read_jsonl(path, lambda rec: metrics.ReportRow(**rec), "report row")]
+            for row in read_jsonl(path, _report_row_from_record, "report row")]
     metrics.write_report_csv(args.out_csv, rows)
     if args.out_md:
         Path(args.out_md).write_text(metrics.report_markdown(rows), encoding="utf-8")
     print(f"wrote {len(rows)} rows to {args.out_csv}")
 
 
-def _cmd_run(args) -> None:
-    overrides = {key: vars(args)[key] for key in SCHEMA if vars(args).get(key) is not None}
-    cfg = load_config(args.config, overrides)
+def _cmd_run(args, cfg: ExperimentConfig) -> None:
     out = run_experiment(cfg)
     print(f"experiment artifacts in {out}")
     print(f"report: {out / 'report_mean.csv'}")
-
-
-def _schema_flags(p: argparse.ArgumentParser, *keys: str, flag: str | None = None,
-                  **kwargs) -> None:
-    """Flags that mirror config keys (`--max-turns` for teacher.max_turns)
-    and take their type, default and help from SCHEMA."""
-    for key in keys:
-        parse, default, help_text = SCHEMA[key]
-        kind = {"action": "store_true"} if isinstance(default, bool) else {"type": parse}
-        p.add_argument(flag or "--" + key.split(".")[1].replace("_", "-"),
-                       default=default, help=help_text, **kind, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,68 +443,70 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, seed="seed of this step's random draws"):
+    def command(name, func, help_text, keys=(), seed="seed of this step's random draws"):
+        """A subcommand with one `--<key> V` flag per config key its stage
+        reads; a flag left out keeps the key's default."""
         p = sub.add_parser(name, help=help_text)
         if seed:
             p.add_argument("--seed", type=int, default=0, help=seed)
-        p.set_defaults(func=func)
+        for key in keys:
+            p.add_argument(f"--{key}", dest=key, metavar="V", help=SCHEMA[key][2])
+        p.set_defaults(func=func, config=None)
         return p
 
-    p = command("gen-scenes", _cmd_gen_scenes, "generate a scene file")
+    p = command("gen-scenes", _cmd_gen_scenes, "generate a scene file",
+                ("scene.min_objects", "scene.max_objects"))
     p.add_argument("--n", type=int, required=True)
-    _schema_flags(p, "scene.min_objects", "scene.max_objects")
     p.add_argument("--out", required=True)
 
-    p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file")
+    p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file",
+                ("teacher.noise", "teacher.max_turns"))
     p.add_argument("--scenes", required=True)
-    _schema_flags(p, "teacher.noise", "teacher.max_turns")
     p.add_argument("--out", required=True)
 
-    p = command("train", _cmd_train, "train a questioner on a dialogue corpus", seed=(
+    p = command("train", _cmd_train, "train a questioner on a dialogue corpus",
+                ("corpus.min_count", *(key for key in SCHEMA if key.startswith("model."))), seed=(
         "S: initialise with derive_seed(S, 0) and train with derive_seed(S, 1). A run "
         "uses derive_seed(R, 4) and (R, 5) for its base model and (R, 30 + j) and "
         "(R, 60 + j) for mix j, with R the replicate seed, so no S gives a run's checkpoint"))
     p.add_argument("--dialogues", required=True)
     p.add_argument("--scenes", required=True)
-    _schema_flags(p, "corpus.min_count", dest="corpus.min_count")
     p.add_argument("--val-dialogues")
     p.add_argument("--val-scenes")
     p.add_argument("--best-val-out")
-    for key in SCHEMA:
-        if key.startswith("model."):
-            extra = {"choices": (model.DECODE_GREEDY, model.DECODE_SAMPLE)} \
-                if key == "model.decode" else {}
-            _schema_flags(p, key, dest=key, **extra)
     p.add_argument("--out", required=True)
 
-    p = command("selfplay", _cmd_selfplay, "let a trained model play against the oracle")
+    p = command("selfplay", _cmd_selfplay,
+                "let a trained model replay the games of a teacher corpus against the oracle",
+                ("selfplay.noise", "selfplay.turns"))
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
+    p.add_argument("--human", required=True,
+                   help="teacher corpus whose games to replay (and, at variable length, "
+                        "whose turn counts to copy)")
     p.add_argument("--length", choices=(LENGTH_FIXED, LENGTH_VARIABLE), default=LENGTH_FIXED)
-    _schema_flags(p, "selfplay.turns", "selfplay.noise")
-    p.add_argument("--match", help="human corpus whose turn counts to copy (variable length)")
     p.add_argument("--out", required=True)
 
-    p = command("mix", _cmd_mix, "replace part of a human corpus with generated dialogues")
+    p = command("mix", _cmd_mix, "replace part of a human corpus with generated dialogues",
+                ("corpus.require_generated_success",))
     p.add_argument("--human", required=True)
     p.add_argument("--generated", required=True)
     p.add_argument("--pct-human", type=int, required=True)
     p.add_argument("--length", choices=(LENGTH_FIXED, LENGTH_VARIABLE, LENGTH_NONE),
                    default=LENGTH_FIXED)
-    _schema_flags(p, "corpus.require_generated_success", flag="--require-success")
     p.add_argument("--out", required=True)
 
-    p = command("stats", _cmd_stats, "print the statistics row of a corpus", seed=None)
+    p = command("stats", _cmd_stats, "print the statistics row of a corpus",
+                ("corpus.min_count",), seed=None)
     p.add_argument("corpus")
-    _schema_flags(p, "corpus.min_count")
-    p.add_argument("--length-mode", default=LENGTH_NONE)
+    p.add_argument("--length", default=LENGTH_NONE)
 
-    p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row")
+    p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row",
+                ("selfplay.noise", "evaluate.turns"))
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--train-dialogues", required=True,
                    help="corpus the model was trained on (defines NQ)")
-    _schema_flags(p, "evaluate.turns", "selfplay.noise")
     p.add_argument("--pct-human", type=float, default=100.0)
     p.add_argument("--length", default=LENGTH_NONE)
     p.add_argument("--out", help="also write the row as JSON")
@@ -534,10 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-md")
 
-    p = command("run", _cmd_run, "run the full two-step experiment from a config file", seed=None)
+    p = command("run", _cmd_run, "run the full two-step experiment from a config file", SCHEMA,
+                seed=None)
     p.add_argument("--config", help="key-value config file; defaults apply when omitted")
-    for key, (_, _, help_text) in SCHEMA.items():
-        p.add_argument(f"--{key}", dest=key, metavar="V", help=help_text)
 
     return parser
 
@@ -549,7 +530,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        args.func(args)
+        flags = {key: value for key, value in vars(args).items()
+                 if key in SCHEMA and value is not None}
+        args.func(args, load_config(args.config, flags))
         return EXIT_OK
     except (ConfigError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE
+from .corpus import LENGTH_NONE, MixSpec
 from .model import ModelConfig
 from .scene import SceneConfig
 from .teacher import DEFAULT_MAX_TURNS
@@ -84,8 +84,8 @@ class ExperimentConfig:
         for key in self.values:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
-        self.scene_config().validate()
         try:
+            self.scene_config().validate()
             self.model_config().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -114,28 +114,23 @@ class ExperimentConfig:
     def model_config(self) -> ModelConfig:
         return self._section_config(ModelConfig)
 
-    def mix_specs(self) -> list[tuple[int, str]]:
-        """Parse experiment.mix_specs into (pct_human, length_mode) pairs."""
-        out: list[tuple[int, str]] = []
-        raw = self["experiment.mix_specs"]
-        for part in raw.split(","):
+    def mix_specs(self) -> list[MixSpec]:
+        """Parse experiment.mix_specs into MixSpecs with seed 0. A 100% spec
+        mixes nothing in, so its length mode is "-" whatever the text says."""
+        out: list[MixSpec] = []
+        for part in self["experiment.mix_specs"].split(","):
             part = part.strip()
             if not part:
                 continue
             try:
                 pct_text, mode = part.split(":")
                 pct = int(pct_text)
+                spec = MixSpec(pct, LENGTH_NONE if pct == 100 else mode)
             except ValueError as exc:
-                raise ConfigError(f"bad mix spec {part!r} (want pct:mode)") from exc
-            if not (0 <= pct <= 100):
-                raise ConfigError(f"mix spec pct_human out of range: {part!r}")
-            if pct == 100:
-                mode = LENGTH_NONE
-            elif mode not in (LENGTH_FIXED, LENGTH_VARIABLE):
-                raise ConfigError(f"mix spec length mode must be fixed|variable: {part!r}")
-            if (pct, mode) in out:
+                raise ConfigError(f"bad mix spec {part!r} (want pct:mode): {exc}") from exc
+            if spec in out:
                 raise ConfigError(f"duplicate mix spec {part!r}")
-            out.append((pct, mode))
+            out.append(spec)
         if not out:
             raise ConfigError("experiment.mix_specs is empty")
         return out

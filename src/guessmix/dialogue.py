@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import checked, read_jsonl, write_jsonl
 
 SOURCE_HUMAN = "human"
 SOURCE_GENERATED = "generated"
@@ -55,12 +55,13 @@ def _dialogue_record(d: Dialogue) -> dict:
 
 def _dialogue_from_record(rec: dict) -> Dialogue:
     d = Dialogue(
-        game_id=rec["game_id"],
-        scene_id=rec["scene_id"],
+        game_id=checked(rec["game_id"], int),
+        scene_id=checked(rec["scene_id"], int),
         source=rec["source"],
-        turns=tuple(Turn(question=tuple(t["q"].split()), answer=t["a"]) for t in rec["turns"]),
-        guess=rec["guess"],
-        success=rec["success"],
+        turns=tuple(Turn(question=tuple(checked(t["q"], str).split()), answer=t["a"])
+                    for t in rec["turns"]),
+        guess=checked(rec["guess"], int),
+        success=checked(rec["success"], bool),
     )
     if d.source not in SOURCES:
         raise ValueError(f"unknown source {d.source!r}")

@@ -13,6 +13,13 @@ def write_jsonl(path: str | Path, records) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
+def checked(value, *types):
+    """`value` if its type is one of `types`; a bool is not an int here."""
+    if type(value) not in types:
+        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
 def read_jsonl(path: str | Path, build, kind: str) -> list:
     """`build` each decoded line into a record. The file comes from outside
     the program, so whatever `json.loads` or `build` raises on a line makes

@@ -38,6 +38,7 @@ across calls: training and tests update the parameter arrays in place.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -561,6 +562,16 @@ def validation_nll(
     return total / tokens if tokens else 0.0
 
 
+def _keep_freed_memory() -> None:
+    """Have malloc keep what a training batch frees for the next, not unmap or trim it
+    and fault it in again (145k-410k minor faults a `pipeline` benchmark round)."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc and musl have it
+    if mallopt:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: only larger arrays get a map (glibc: 128 KiB)
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD: free heap top kept up to this
+
+
 def train(
     params: ModelParams,
     vocab: Vocabulary,
@@ -578,6 +589,7 @@ def train(
     cfg.validate()
     if not dataset:
         raise ValueError("empty training dataset")
+    _keep_freed_memory()
     params = params.copy()
     log = TrainLog()
     best_val = math.inf

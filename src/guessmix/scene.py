@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import checked, read_jsonl, write_jsonl
 
 CATEGORIES = (
     "cat", "dog", "bird", "car", "chair", "table",
@@ -186,16 +186,17 @@ def _scene_record(s: Scene) -> dict:
 def _scene_from_record(rec: dict) -> Scene:
     objects = tuple(
         SceneObject(
-            id=o["id"],
+            id=checked(o["id"], int),
             category=o["category"],
             color=o["color"],
             size=o["size"],
-            cell_x=o["x"],
-            cell_y=o["y"],
+            cell_x=checked(o["x"], int),
+            cell_y=checked(o["y"], int),
         )
         for o in rec["objects"]
     )
-    scene = Scene(scene_id=rec["scene_id"], objects=objects, target_index=rec["target"])
+    scene = Scene(scene_id=checked(rec["scene_id"], int), objects=objects,
+                  target_index=checked(rec["target"], int))
     validate_scene(scene)
     return scene
 

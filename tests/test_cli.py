@@ -2,6 +2,8 @@ import fcntl
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -13,11 +15,15 @@ import pytest
 
 from guessmix import cli, config, dialogue, metrics, scene
 from guessmix.config import ConfigError, ExperimentConfig, load_config
+from guessmix.corpus import MixSpec
 from guessmix.model import ModelConfig
 from guessmix.scene import SceneConfig
 from guessmix.seeding import derive_seed
 
 DATA_DIR = Path(__file__).parent / "data"
+
+TINY_MODEL_FLAGS = ("--model.embed_dim", "8", "--model.hidden_dim", "12", "--model.epochs", "2",
+                    "--model.batch_size", "8", "--corpus.min_count", "1")
 
 TINY_CONFIG = """
 # tiny smoke experiment
@@ -58,9 +64,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="scene.grid_size"):
             load_config(None, {"scene.grid_size": "5"})
         with pytest.raises(SystemExit):
-            cli.main(["gen-scenes", "--n", "1", "--grid-size", "5",
+            cli.main(["gen-scenes", "--n", "1", "--scene.grid_size", "5",
                       "--out", str(tmp_path / "s.jsonl")])
-        assert "--grid-size" in capsys.readouterr().err
+        assert "--scene.grid_size" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -76,7 +82,8 @@ class TestConfig:
 
     def test_mix_specs_parsing(self):
         cfg = ExperimentConfig({"experiment.mix_specs": "100:-,75:fixed,50:variable"})
-        assert cfg.mix_specs() == [(100, "-"), (75, "fixed"), (50, "variable")]
+        assert cfg.mix_specs() == [MixSpec(100, "-"), MixSpec(75, "fixed"),
+                                   MixSpec(50, "variable")]
 
     def test_mix_specs_validation(self):
         with pytest.raises(ConfigError):
@@ -107,7 +114,8 @@ class TestConfig:
 
     def test_generated_only_ablation_is_a_mix_spec(self):
         cfg = ExperimentConfig({"experiment.mix_specs": "100:-,0:fixed,0:variable"})
-        assert cfg.mix_specs() == [(100, "-"), (0, "fixed"), (0, "variable")]
+        assert cfg.mix_specs() == [MixSpec(100, "-"), MixSpec(0, "fixed"),
+                                   MixSpec(0, "variable")]
         with pytest.raises(ConfigError, match="include_generated_only"):
             load_config(None, {"experiment.include_generated_only": "true"})
 
@@ -129,6 +137,45 @@ class TestConfig:
         assert again.values == cfg.values
 
 
+GOOD_DIALOGUE = {"game_id": 0, "scene_id": 0, "source": "human",
+                 "turns": [{"q": "is it red ?", "a": "yes"}], "guess": 0, "success": True}
+GOOD_ROW = {"pct_human": 50, "pct_generated": 50.0, "length_mode": "fixed",
+            "acc": 10.0, "grq": 0.0, "mo": 0.1, "nq": 1.0, "gr": 20.0}
+
+
+def scene_record(x):
+    """A valid three-object scene record whose first object sits at column `x`."""
+    return {"scene_id": 0, "target": 0, "objects": [
+        {"id": 0, "category": "cat", "color": "red", "size": "small", "x": x, "y": 0},
+        {"id": 1, "category": "dog", "color": "red", "size": "small", "x": 2, "y": 0},
+        {"id": 2, "category": "cup", "color": "blue", "size": "large", "x": 3, "y": 4}]}
+
+
+# arguments each subcommand needs that are not settings
+REQUIRED_ARGS = {
+    "gen-scenes": ["--n", "1", "--out", "o"],
+    "collect-human": ["--scenes", "s", "--out", "o"],
+    "train": ["--dialogues", "d", "--scenes", "s", "--out", "o"],
+    "selfplay": ["--model", "m", "--scenes", "s", "--human", "h", "--out", "o"],
+    "mix": ["--human", "h", "--generated", "g", "--pct-human", "50", "--out", "o"],
+    "stats": ["c"],
+    "evaluate": ["--model", "m", "--scenes", "s", "--train-dialogues", "t"],
+    "report": ["--rows", "r", "--out-csv", "o"],
+    "run": [],
+}
+
+
+def other_value(key):
+    """Flag text for a valid value of `key` other than its default."""
+    for text in ("1", "2", "4", "greedy", "100:-"):
+        try:
+            if load_config(None, {key: text})[key] != config.SCHEMA[key][1]:
+                return text
+        except ValueError:
+            pass
+    raise AssertionError(f"no other valid value for {key}")
+
+
 class TestSubcommands:
     def test_gen_scenes(self, tmp_path, capsys):
         out = tmp_path / "scenes.jsonl"
@@ -143,7 +190,7 @@ class TestSubcommands:
         assert cli.main(["collect-human", "--scenes", str(scenes_path),
                          "--out", str(human_path), "--seed", "2"]) == 0
         capsys.readouterr()
-        assert cli.main(["stats", str(human_path), "--min-count", "1"]) == 0
+        assert cli.main(["stats", str(human_path), "--corpus.min_count", "1"]) == 0
         line = capsys.readouterr().out.strip()
         parts = line.split(",")
         assert parts[0] == "100" and parts[1] == "0"
@@ -170,17 +217,20 @@ class TestSubcommands:
         assert len(manifest["replaced_game_ids"]) == 1
 
     @pytest.mark.parametrize("argv, record", [
-        (["stats", "{bad}"],
-         {"game_id": 0, "scene_id": 0, "source": "human", "turns": [{"q": 5, "a": "yes"}],
-          "guess": 0, "success": True}),
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, turns=[{"q": 5, "a": "yes"}])),
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, success="no")),
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, guess="0")),
         (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
-         {"scene_id": 0, "target": 0, "objects": [
-             {"id": 0, "category": "cat", "color": "red", "size": "small", "x": "1", "y": 0},
-             {"id": 1, "category": "dog", "color": "red", "size": "small", "x": 2, "y": 0},
-             {"id": 2, "category": "cup", "color": "blue", "size": "large", "x": 3, "y": 4}]}),
+         scene_record(x="1")),
+        (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
+         scene_record(x=1.5)),
         (["report", "--rows", "{bad}", "--out-csv", "{dir}/report.csv"],
          {"pct_human": 50, "pct_generated": 50, "length_mode": "fixed"}),
-    ], ids=["dialogue-q-not-text", "scene-x-not-int", "report-row-missing-fields"])
+        (["report", "--rows", "{bad}", "--out-csv", "{dir}/report.csv"],
+         dict(GOOD_ROW, acc="x")),
+    ], ids=["dialogue-q-not-text", "dialogue-success-not-bool", "dialogue-guess-not-int",
+            "scene-x-not-int", "scene-x-fractional", "report-row-missing-fields",
+            "report-row-acc-not-number"])
     def test_malformed_record_is_validation_error(self, tmp_path, capsys, argv, record):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n")
@@ -203,28 +253,30 @@ class TestSubcommands:
         assert run("collect-human", "--scenes", f"{d}/train.jsonl",
                    "--out", f"{d}/human.jsonl") == 0
         assert run("train", "--dialogues", f"{d}/human.jsonl", "--scenes", f"{d}/train.jsonl",
-                   "--embed-dim", "8", "--hidden-dim", "12", "--epochs", "2",
-                   "--batch-size", "8", "--min-count", "1", "--out", f"{d}/base.ckpt") == 0
+                   *TINY_MODEL_FLAGS, "--out", f"{d}/base.ckpt") == 0
         human = dialogue.read_dialogues(f"{d}/human.jsonl")
         dialogue.write_dialogues(f"{d}/human_head.jsonl", human[:5])
+        # self-play replays the games of the teacher corpus it is given
         assert run("selfplay", "--model", f"{d}/base.ckpt", "--scenes", f"{d}/train.jsonl",
-                   "--length", "variable", "--match", f"{d}/human_head.jsonl",
-                   "--out", f"{d}/gen.jsonl") == 1  # uncovered games fail alignment
-        kept = [s for s in scene.read_scenes(f"{d}/train.jsonl")
-                if s.scene_id in {h.scene_id for h in human}]
-        scene.write_scenes(f"{d}/kept.jsonl", kept)
-        assert run("selfplay", "--model", f"{d}/base.ckpt", "--scenes", f"{d}/kept.jsonl",
-                   "--length", "variable", "--match", f"{d}/human.jsonl",
+                   "--length", "variable", "--human", f"{d}/human_head.jsonl",
+                   "--out", f"{d}/gen.jsonl") == 0
+        head = dialogue.read_dialogues(f"{d}/gen.jsonl")
+        assert [g.game_id for g in head] == [h.game_id for h in human[:5]]
+        assert [len(g.turns) for g in head] == [len(h.turns) for h in human[:5]]
+        assert run("selfplay", "--model", f"{d}/base.ckpt", "--scenes", f"{d}/test.jsonl",
+                   "--human", f"{d}/human.jsonl",
+                   "--out", f"{d}/gen.jsonl") == 1  # no scene for the teacher's games
+        assert run("selfplay", "--model", f"{d}/base.ckpt", "--scenes", f"{d}/train.jsonl",
+                   "--length", "variable", "--human", f"{d}/human.jsonl",
                    "--out", f"{d}/gen.jsonl") == 0
         assert run("mix", "--human", f"{d}/human.jsonl", "--generated", f"{d}/gen.jsonl",
                    "--pct-human", "50", "--length", "variable",
                    "--out", f"{d}/mixed.jsonl") == 0
         assert run("train", "--dialogues", f"{d}/mixed.jsonl", "--scenes", f"{d}/train.jsonl",
-                   "--embed-dim", "8", "--hidden-dim", "12", "--epochs", "2",
-                   "--batch-size", "8", "--min-count", "1", "--out", f"{d}/mixed.ckpt") == 0
+                   *TINY_MODEL_FLAGS, "--out", f"{d}/mixed.ckpt") == 0
         capsys.readouterr()
         assert run("evaluate", "--model", f"{d}/mixed.ckpt", "--scenes", f"{d}/test.jsonl",
-                   "--train-dialogues", f"{d}/mixed.jsonl", "--turns", "5",
+                   "--train-dialogues", f"{d}/mixed.jsonl", "--evaluate.turns", "5",
                    "--pct-human", "50", "--length", "variable",
                    "--out", f"{d}/row.json") == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -263,23 +315,66 @@ class TestSubcommands:
                          "--out", str(human_path)]) == 0
         out = tmp_path / "model.ckpt"
         rc = cli.main(["train", "--dialogues", str(human_path), "--scenes", str(scenes_path),
-                       "--batch-size", "0", "--out", str(out)])
+                       "--model.batch_size", "0", "--out", str(out)])
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
-    def test_flag_defaults_follow_schema(self):
+    def test_flag_defaults_follow_schema(self, monkeypatch):
+        # every subcommand gets its settings from load_config: no key flags
+        # give the defaults, and one key flag sets exactly its own key
+        received = []
+        for name in dir(cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(cli, name, lambda args, cfg: received.append(cfg))
+        [commands] = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+        assert set(commands) == set(REQUIRED_ARGS)
+        defaults = ExperimentConfig().values
+        for name, sub in commands.items():
+            assert cli.main([name, *REQUIRED_ARGS[name]]) == 0
+            assert received.pop().values == defaults, name
+            keys = [a.dest for a in sub._actions if a.dest in config.SCHEMA]
+            if name == "run":
+                assert set(keys) == set(config.SCHEMA)
+            for key in keys:
+                # best_val is valid only with validation scenes
+                value, partner = (("best_val", {"experiment.n_val_scenes": "1"})
+                                  if key == "selfplay.checkpoint" else (other_value(key), {}))
+                argv = [name, *REQUIRED_ARGS[name], f"--{key}", value]
+                for other, text in partner.items():
+                    argv += [f"--{other}", text]
+                assert cli.main(argv) == 0, argv
+                got = received.pop().values
+                assert got[key] == config.parse_value(key, value) != defaults[key], key
+                assert {k for k in defaults if got[k] != defaults[k]} == {key, *partner}, key
+
+    def test_bad_setting_fails_before_inputs_are_read(self, tmp_path, capsys):
+        rc = cli.main(["selfplay", "--selfplay.turns", "0", "--model", str(tmp_path / "no.ckpt"),
+                       "--scenes", str(tmp_path / "no.jsonl"), "--human", str(tmp_path / "no"),
+                       "--out", str(tmp_path / "gen.jsonl")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "selfplay.turns" in err and "no.ckpt" not in err
+
+    def test_bad_choice_is_validation_error(self, tmp_path, capsys):
+        # a setting's value is checked by the config, not by argparse (exit 2)
+        rc = cli.main(["train", "--model.decode", "argmax", "--dialogues", str(tmp_path / "d"),
+                       "--scenes", str(tmp_path / "s"), "--out", str(tmp_path / "m.ckpt")])
+        assert rc == cli.EXIT_VALIDATION
+        assert "argmax" in capsys.readouterr().err
+
+    def test_readme_step_by_step_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Step-by-step pipeline")[1].split("```sh\n")[1].split("```")[0]
+        lines = block.replace("\\\n", " ").splitlines()
         parser = cli.build_parser()
-        train = parser.parse_args(["train", "--dialogues", "d", "--scenes", "s", "--out", "o"])
-        assert ExperimentConfig(
-            {k: v for k, v in vars(train).items() if k in config.SCHEMA}
-        ).model_config() == ExperimentConfig().model_config()
-        mix = parser.parse_args(["mix", "--human", "h", "--generated", "g",
-                                 "--pct-human", "50", "--out", "o"])
-        assert mix.require_success is config.SCHEMA["corpus.require_generated_success"][1]
-        ev = parser.parse_args(["evaluate", "--model", "m", "--scenes", "s",
-                                "--train-dialogues", "t"])
-        assert (ev.turns, ev.noise) == (config.SCHEMA["evaluate.turns"][1],
-                                        config.SCHEMA["selfplay.noise"][1])
+        for line in lines:
+            argv = shlex.split(line)
+            assert argv[0] == "guessmix", line
+            parser.parse_args(argv[1:])
+            for flag in re.findall(r"--(\w+\.\w+)", line):
+                assert flag in config.SCHEMA, line
+        # every step subcommand is shown
+        assert {shlex.split(line)[1] for line in lines} == set(REQUIRED_ARGS) - {"run"}
 
 
 @pytest.fixture(scope="module")
@@ -464,15 +559,10 @@ class TestRunExperiment:
                    "--generated", seed_dir / "generated_fixed.jsonl",
                    "--pct-human", 50, "--length", "fixed", "--seed", derive_seed(rep_seed, 8),
                    "--out", tmp_path / "mixed.jsonl") == 0
-        # the run self-plays only the training scenes that kept a teacher dialogue
-        kept = {d.scene_id for d in dialogue.read_dialogues(seed_dir / "human.jsonl")}
-        scene.write_scenes(tmp_path / "kept.jsonl", [
-            s for s in scene.read_scenes(seed_dir / "scenes_train.jsonl") if s.scene_id in kept
-        ])
         for mode, stream in (("fixed", 6), ("variable", 7)):
             assert run("selfplay", "--model", seed_dir / "model_100.ckpt",
-                       "--scenes", tmp_path / "kept.jsonl", "--length", mode,
-                       "--match", seed_dir / "human.jsonl",
+                       "--scenes", seed_dir / "scenes_train.jsonl", "--length", mode,
+                       "--human", seed_dir / "human.jsonl",
                        "--seed", derive_seed(rep_seed, stream),
                        "--out", tmp_path / f"generated_{mode}.jsonl") == 0
         for name, ours in (("scenes_train.jsonl", "scenes_train.jsonl"),
@@ -490,7 +580,7 @@ class TestRunExperiment:
                  ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt", 50, "fixed")]
         for j, (corpus, ckpt, pct, mode) in enumerate(mixes):
             capsys.readouterr()
-            assert run("stats", seed_dir / corpus, "--length-mode", mode) == 0
+            assert run("stats", seed_dir / corpus, "--length", mode) == 0
             assert capsys.readouterr().out.strip() == stats_lines[1 + j]
             assert run("evaluate", "--model", seed_dir / ckpt,
                        "--scenes", seed_dir / "scenes_test.jsonl",
@@ -572,9 +662,18 @@ class TestRunExperiment:
             "model.batch_size": "8",
         })
         out = cli.run_experiment(cfg)
-        assert (out / "seed_0" / "scenes_val.jsonl").exists()
-        assert (out / "seed_0" / "val.jsonl").exists()
+        seed_dir = out / "seed_0"
+        assert (seed_dir / "scenes_val.jsonl").exists()
+        assert (seed_dir / "val.jsonl").exists()
         assert (out / "report_mean.csv").exists()
+        # the self-play player is saved, so the subcommand reproduces its corpus
+        assert cli.main(["selfplay", "--model", str(seed_dir / "model_100_best_val.ckpt"),
+                         "--scenes", str(seed_dir / "scenes_train.jsonl"),
+                         "--human", str(seed_dir / "human.jsonl"),
+                         "--seed", str(derive_seed(derive_seed(0, 0), 6)),
+                         "--out", str(tmp_path / "generated_fixed.jsonl")]) == 0
+        assert ((tmp_path / "generated_fixed.jsonl").read_bytes()
+                == (seed_dir / "generated_fixed.jsonl").read_bytes())
 
     def test_unwritable_output_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "outdir"

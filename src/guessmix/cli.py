@@ -28,7 +28,7 @@ from . import corpus as corpus_mod
 from . import lang, metrics, model, selfplay, teacher
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE, MixSpec
-from .dialogue import SOURCE_HUMAN, GameAlignmentError, read_dialogues, write_dialogues
+from .dialogue import GameAlignmentError, read_dialogues, write_dialogues
 from .jsonl import checked, read_jsonl, write_jsonl
 from .oracle import OracleConfig
 from .scene import generate_scene_set, read_scenes, write_scenes
@@ -100,13 +100,18 @@ def stage_collect(scenes, cfg: ExperimentConfig, seed: int, out):
     return dialogues
 
 
+def best_val_path(out) -> Path:
+    """Where `stage_train` saves the best-validation model of checkpoint `out`."""
+    return Path(out).with_name(f"{Path(out).stem}_best_val.ckpt")
+
+
 def stage_train(dialogues, scenes, cfg: ExperimentConfig, init_seed: int, train_seed: int,
-                out, val_pairs=None, vocab_out=None, best_val_out=None):
+                out, val_pairs=None, vocab_out=None):
     """Train a fresh Questioner on `dialogues` and save it to `out`.
 
-    Returns (questioner, best_val, train_log). `best_val` holds the
-    parameters of the epoch with the lowest validation NLL and is None
-    without `val_pairs`; it is saved only when `best_val_out` is given.
+    Returns (questioner, best_val, train_log). With `val_pairs`, `best_val`
+    holds the parameters of the epoch with the lowest validation NLL and is
+    saved to `best_val_path(out)`; without, it is None.
     """
     model_cfg = cfg.model_config()
     vocab = lang.build_vocabulary(dialogues, cfg["corpus.min_count"])
@@ -120,8 +125,7 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, init_seed: int, train_
     best_val = None
     if result.best_val_params is not None:
         best_val = model.Questioner(result.best_val_params, vocab, model_cfg)
-        if best_val_out:
-            model.save_checkpoint(best_val_out, best_val)
+        model.save_checkpoint(best_val_path(out), best_val)
     return questioner, best_val, result.log
 
 
@@ -143,33 +147,30 @@ def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, 
 
 
 def stage_mix(human, generated, spec: MixSpec, cfg: ExperimentConfig, out):
-    """Write the mixed corpus to `out`, and a manifest naming the replaced
-    game ids to `out` with its suffix replaced by `.manifest.json`."""
+    """Write the mixed corpus to `out` and its manifest beside it."""
     mixed = corpus_mod.mix_corpora(
         human, generated, spec,
         require_generated_success=cfg["corpus.require_generated_success"],
     )
     write_dialogues(out, mixed)
-    manifest = {
-        "pct_human": spec.pct_human,
-        "length_mode": spec.length_mode,
-        "seed": spec.seed,
-        "replaced_game_ids": sorted(d.game_id for d in mixed if d.source != SOURCE_HUMAN),
-    }
-    Path(out).with_suffix(".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+    corpus_mod.write_manifest(out, spec, mixed)
     return mixed
 
 
-def stage_stats(corpus, cfg: ExperimentConfig, length_mode: str):
-    """The statistics row of a training corpus."""
-    return corpus_mod.corpus_stats(corpus, cfg["corpus.min_count"], length_mode)
+def stage_stats(corpus, cfg: ExperimentConfig, mix: MixSpec | None):
+    """The statistics row of a training corpus made with `mix` (None if
+    unknown, labelled `-`); its percentages are measured."""
+    return corpus_mod.corpus_stats(corpus, cfg["corpus.min_count"],
+                                   mix.length_mode if mix else LENGTH_NONE)
 
 
-def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig, length_mode: str,
-                   seed: int, pct_human: float):
+def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
+                   mix: MixSpec | None, seed: int):
     """Play the test protocol with a questioner trained on `training`;
-    returns the report row."""
+    returns the report row, labelled with `mix` or, if that is None, with
+    the measured human share of `training` and `-`."""
+    pct_human, length_mode = ((mix.pct_human, mix.length_mode) if mix
+                              else (corpus_mod.human_pct(training), LENGTH_NONE))
     return metrics.evaluate(
         questioner, test_scenes, OracleConfig(cfg["selfplay.noise"]),
         corpus_mod.question_set(training), turns=cfg["evaluate.turns"], seed=seed,
@@ -229,15 +230,12 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
             val_pairs = _pair_with_scenes(val, val_scenes)
 
         stage = "base-train"
-        best_val_out = None
-        if cfg["selfplay.checkpoint"] == "best_val":
-            best_val_out = seed_dir / "model_100_best_val.ckpt"
         base, best_val, _ = stage_train(
             human, train_scenes, cfg, derive_seed(rep_seed, 4), derive_seed(rep_seed, 5),
             seed_dir / "model_100.ckpt", val_pairs=val_pairs,
-            vocab_out=seed_dir / "vocab_100.jsonl", best_val_out=best_val_out,
+            vocab_out=seed_dir / "vocab_100.jsonl",
         )
-        player = best_val if best_val_out and best_val is not None else base
+        player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
         stage = "selfplay"
         generated = {
@@ -264,9 +262,9 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
                     derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
                 )
             stage = f"evaluate-{tag}"
-            stats_rows.append(stage_stats(mixed, cfg, mode))
-            row = stage_evaluate(questioner, mixed, test_scenes, cfg, mode,
-                                 derive_seed(rep_seed, 90 + j), pct)
+            stats_rows.append(stage_stats(mixed, cfg, spec))
+            row = stage_evaluate(questioner, mixed, test_scenes, cfg, spec,
+                                 derive_seed(rep_seed, 90 + j))
             (ablation_rows if pct == 0 else report_rows).append(row)
 
         stage = "report"
@@ -369,22 +367,24 @@ def _cmd_collect_human(args, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_train(args, cfg: ExperimentConfig) -> None:
-    if args.val_dialogues and not args.val_scenes:
-        raise ConfigError("--val-dialogues needs --val-scenes")
+    if bool(args.val_dialogues) != bool(args.val_scenes):
+        raise ConfigError("--val-dialogues and --val-scenes go together")
     dialogues = read_dialogues(args.dialogues)
     scenes = read_scenes(args.scenes)
     val_pairs = None
     if args.val_dialogues:
         val_pairs = _pair_with_scenes(read_dialogues(args.val_dialogues),
                                       read_scenes(args.val_scenes))
-    _, _, train_log = stage_train(
+    _, best_val, train_log = stage_train(
         dialogues, scenes, cfg, derive_seed(args.seed, 0), derive_seed(args.seed, 1), args.out,
-        val_pairs=val_pairs, best_val_out=args.best_val_out,
+        val_pairs=val_pairs,
     )
     if train_log.epochs:
         print(f"trained {len(train_log.epochs)} epochs, "
               f"final question NLL {train_log.final_qgen_nll:.4f}")
     print(f"wrote checkpoint to {args.out}")
+    if best_val is not None:
+        print(f"wrote best-validation checkpoint to {best_val_path(args.out)}")
 
 
 def _cmd_selfplay(args, cfg: ExperimentConfig) -> None:
@@ -405,7 +405,7 @@ def _cmd_mix(args, cfg: ExperimentConfig) -> None:
 
 def _cmd_stats(args, cfg: ExperimentConfig) -> None:
     dialogues = read_dialogues(args.corpus)
-    stats = stage_stats(dialogues, cfg, args.length)
+    stats = stage_stats(dialogues, cfg, corpus_mod.mix_of(args.corpus))
     print(corpus_mod.format_stats_row(stats))
 
 
@@ -413,8 +413,8 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
     questioner = model.load_checkpoint(args.model)
     scenes = read_scenes(args.scenes)
     training = read_dialogues(args.train_dialogues)
-    row = stage_evaluate(questioner, training, scenes, cfg, args.length, args.seed,
-                         args.pct_human)
+    mix = corpus_mod.mix_of(args.train_dialogues)
+    row = stage_evaluate(questioner, training, scenes, cfg, mix, args.seed)
     print(metrics.format_report_row(row))
     if args.out:
         write_jsonl(args.out, [asdict(row)])
@@ -473,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--val-dialogues")
     p.add_argument("--val-scenes")
-    p.add_argument("--best-val-out")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True,
+                   help="checkpoint; with validation data, also <stem>_best_val.ckpt")
 
     p = command("selfplay", _cmd_selfplay,
                 "let a trained model replay the games of a teacher corpus against the oracle",
@@ -498,17 +498,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("stats", _cmd_stats, "print the statistics row of a corpus",
                 ("corpus.min_count",), seed=None)
-    p.add_argument("corpus")
-    p.add_argument("--length", default=LENGTH_NONE)
+    p.add_argument("corpus", help="labelled from the mix manifest beside it, if any")
 
     p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row",
                 ("selfplay.noise", "evaluate.turns"))
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--train-dialogues", required=True,
-                   help="corpus the model was trained on (defines NQ)")
-    p.add_argument("--pct-human", type=float, default=100.0)
-    p.add_argument("--length", default=LENGTH_NONE)
+                   help="corpus the model was trained on: defines NQ, and its manifest the label")
     p.add_argument("--out", help="also write the row as JSON")
 
     p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=None)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .corpus import LENGTH_NONE, MixSpec
+from .corpus import MixSpec
 from .model import ModelConfig
 from .scene import SceneConfig
 from .teacher import DEFAULT_MAX_TURNS
@@ -115,8 +115,8 @@ class ExperimentConfig:
         return self._section_config(ModelConfig)
 
     def mix_specs(self) -> list[MixSpec]:
-        """Parse experiment.mix_specs into MixSpecs with seed 0. A 100% spec
-        mixes nothing in, so its length mode is "-" whatever the text says."""
+        """Parse experiment.mix_specs into MixSpecs with seed 0. A 100% spec's
+        length mode is "-" whatever the text says (see MixSpec)."""
         out: list[MixSpec] = []
         for part in self["experiment.mix_specs"].split(","):
             part = part.strip()
@@ -124,8 +124,7 @@ class ExperimentConfig:
                 continue
             try:
                 pct_text, mode = part.split(":")
-                pct = int(pct_text)
-                spec = MixSpec(pct, LENGTH_NONE if pct == 100 else mode)
+                spec = MixSpec(int(pct_text), mode)
             except ValueError as exc:
                 raise ConfigError(f"bad mix spec {part!r} (want pct:mode): {exc}") from exc
             if spec in out:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import metrics
 from .dialogue import Dialogue, GameAlignmentError, SOURCE_HUMAN
+from .jsonl import checked, read_jsonl, write_jsonl
 from .lang import build_vocabulary
 
 log = logging.getLogger(__name__)
@@ -23,6 +25,7 @@ log = logging.getLogger(__name__)
 LENGTH_FIXED = "fixed"
 LENGTH_VARIABLE = "variable"
 LENGTH_NONE = "-"
+MANIFEST_SUFFIX = ".manifest.json"
 
 
 class LengthPolicyMismatchError(ValueError):
@@ -38,11 +41,39 @@ class MixSpec:
     def __post_init__(self):
         if not (0 <= self.pct_human <= 100):
             raise ValueError(f"pct_human must be in [0, 100], got {self.pct_human}")
+        if self.pct_human == 100:  # nothing is mixed in, so no length mode applies
+            object.__setattr__(self, "length_mode", LENGTH_NONE)
         valid = (LENGTH_FIXED, LENGTH_VARIABLE, LENGTH_NONE)
         if self.length_mode not in valid:
             raise ValueError(f"length_mode must be one of {valid}, got {self.length_mode!r}")
         if self.pct_human < 100 and self.length_mode == LENGTH_NONE:
             raise ValueError("a length mode is required when generated dialogues are mixed in")
+
+
+def write_manifest(corpus_path, spec: MixSpec, mixed: list[Dialogue]) -> None:
+    """Record the mix that made the corpus at `corpus_path` beside it, as
+    `X.jsonl` -> `X.manifest.json`: one record, keys sorted."""
+    write_jsonl(Path(corpus_path).with_suffix(MANIFEST_SUFFIX), [{
+        "length_mode": spec.length_mode,
+        "pct_human": spec.pct_human,
+        "replaced_game_ids": sorted(d.game_id for d in mixed if d.source != SOURCE_HUMAN),
+        "seed": spec.seed,
+    }])
+
+
+def mix_of(corpus_path) -> MixSpec | None:
+    """The mix recorded beside a corpus file by `write_manifest`, or None
+    without a manifest. One that is not exactly one valid record is a
+    ValueError naming it."""
+    path = Path(corpus_path).with_suffix(MANIFEST_SUFFIX)
+    if not path.exists():
+        return None
+    specs = read_jsonl(path, lambda rec: MixSpec(
+        checked(rec["pct_human"], int), checked(rec["length_mode"], str),
+        checked(rec["seed"], int)), "mix manifest")
+    if len(specs) != 1:
+        raise ValueError(f"{path}: a mix manifest holds one record, not {len(specs)}")
+    return specs[0]
 
 
 @dataclass
@@ -55,16 +86,19 @@ class StatsRow:
     grq: float
 
 
+def _ranking(game_ids: list[int], seed: int) -> list[int]:
+    """Every game id, in the order of a seeded shuffle."""
+    rng = np.random.default_rng(seed)
+    return [int(g) for g in rng.permutation(np.array(sorted(game_ids), dtype=np.int64))]
+
+
 def replacement_ids(game_ids: list[int], spec: MixSpec) -> list[int]:
     """The game ids whose dialogues get replaced, floor(fraction * N) of them.
 
-    Ranks the ids with a seeded shuffle and takes a prefix, so lower
-    pct_human extends the replaced set rather than resampling it.
+    A prefix of the seeded ranking, so lower pct_human extends the replaced
+    set rather than resampling it.
     """
-    n_replace = (100 - spec.pct_human) * len(game_ids) // 100
-    rng = np.random.default_rng(spec.seed)
-    ranked = list(rng.permutation(np.array(sorted(game_ids), dtype=np.int64)))
-    return [int(g) for g in ranked[:n_replace]]
+    return _ranking(game_ids, spec.seed)[:(100 - spec.pct_human) * len(game_ids) // 100]
 
 
 def mix_corpora(
@@ -85,50 +119,32 @@ def mix_corpora(
     by_game = {d.game_id: d for d in generated}
     if require_generated_success:
         by_game = {gid: d for gid, d in by_game.items() if d.success}
-    human_ids = [d.game_id for d in human]
     n_replace = (100 - spec.pct_human) * len(human) // 100
-    ranked = replacement_ids(human_ids, MixSpec(0, spec.length_mode, spec.seed))
-    chosen: list[int] = []
-    missing: list[int] = []
-    for gid in ranked:
-        if len(chosen) == n_replace:
-            break
-        if gid in by_game:
-            chosen.append(gid)
-        else:
-            missing.append(gid)
-    if len(chosen) < n_replace:
+    ranked = _ranking([d.game_id for d in human], spec.seed)
+    if require_generated_success:
+        ranked = [gid for gid in ranked if gid in by_game]
+    replaced = ranked[:n_replace]
+    missing = [gid for gid in replaced if gid not in by_game]
+    if missing or len(replaced) < n_replace:
         raise GameAlignmentError(
-            f"generated corpus covers only {len(chosen)} of {n_replace} games to replace; "
-            f"missing game ids start with {missing[:10]}"
+            f"generated corpus covers only {len(replaced) - len(missing)} of {n_replace} "
+            "games to replace" + (f"; missing ids start with {missing[:10]}" if missing else "")
         )
-    if missing and not require_generated_success:
-        raise GameAlignmentError(
-            f"generated corpus is missing game ids {missing[:10]}"
-            + ("..." if len(missing) > 10 else "")
+    lengths = {len(by_game[g].turns) for g in replaced}
+    if spec.length_mode == LENGTH_FIXED and len(lengths) > 1:
+        raise LengthPolicyMismatchError(
+            f"fixed-length mix but generated turn counts vary: {sorted(lengths)}"
         )
-    replaced = set(chosen)
-    human_by_game = {d.game_id: d for d in human}
-    _check_length_mode(spec, replaced, by_game, human_by_game)
-    return [by_game[d.game_id] if d.game_id in replaced else d for d in human]
-
-
-def _check_length_mode(spec, replaced, generated_by_game, human_by_game):
-    if spec.length_mode == LENGTH_FIXED:
-        lengths = {len(generated_by_game[g].turns) for g in replaced}
-        if len(lengths) > 1:
-            raise LengthPolicyMismatchError(
-                f"fixed-length mix but generated turn counts vary: {sorted(lengths)}"
-            )
-    elif spec.length_mode == LENGTH_VARIABLE:
+    if spec.length_mode == LENGTH_VARIABLE:
+        human_turns = {d.game_id: len(d.turns) for d in human}
         for g in sorted(replaced):
-            got = len(generated_by_game[g].turns)
-            want = len(human_by_game[g].turns)
-            if got != want:
+            if len(by_game[g].turns) != human_turns[g]:
                 raise LengthPolicyMismatchError(
-                    f"variable-length mix but game {g} has {got} generated turns "
-                    f"vs {want} human turns"
+                    f"variable-length mix but game {g} has {len(by_game[g].turns)} generated "
+                    f"turns vs {human_turns[g]} human turns"
                 )
+    swapped = set(replaced)
+    return [by_game[d.game_id] if d.game_id in swapped else d for d in human]
 
 
 def make_batches(items: list, batch_size: int, seed: int) -> list[list]:
@@ -149,44 +165,30 @@ def make_batches(items: list, batch_size: int, seed: int) -> list[list]:
     rng = np.random.default_rng(seed)
     order = [items[i] for i in rng.permutation(len(items))]
     sources = [(it[0] if isinstance(it, tuple) else it).source for it in order]
-    distinct = set(sources)
     n_full = len(order) // batch_size
-    if len(distinct) > 1 and batch_size >= 2 and n_full > 0:
+    if len(set(sources)) > 1 and batch_size >= 2 and n_full > 0:
         _repair_single_source_batches(order, sources, batch_size, n_full)
     return [order[i:i + batch_size] for i in range(0, len(order), batch_size)]
 
 
 def _repair_single_source_batches(order, sources, batch_size, n_full):
-    def batch_slice(b):
-        return range(b * batch_size, (b + 1) * batch_size)
-
-    def needs(b):
-        vals = {sources[i] for i in batch_slice(b)}
-        return None if len(vals) > 1 else next(iter(vals))
+    def count(b, src):
+        return sources[b * batch_size:(b + 1) * batch_size].count(src)
 
     for b in range(n_full):
-        have = needs(b)
-        if have is None:
-            continue
         start, end = b * batch_size, (b + 1) * batch_size
-        best = None
-        for i, src in enumerate(sources):
-            if start <= i < end or src == have:
-                continue
-            donor_batch = i // batch_size
-            if donor_batch < n_full:
-                donor_count = sum(
-                    1 for j in batch_slice(donor_batch) if sources[j] == src
-                )
-                if donor_count < 2:
-                    continue  # taking it would leave the donor single-source
-            dist = start - i if i < start else i - end + 1
-            if best is None or dist < best[0] or (dist == best[0] and i < best[1]):
-                best = (dist, i)
-        if best is None:
+        have = sources[start]
+        if count(b, have) < batch_size:
+            continue
+        # (distance, index) of each element of the other source that can go:
+        # taking it must not leave its own full batch single-source
+        donors = [(start - i if i < start else i - end + 1, i)
+                  for i, src in enumerate(sources) if src != have
+                  and (i // batch_size >= n_full or count(i // batch_size, src) >= 2)]
+        if not donors:
             log.warning("cannot mix batch %d: the other source is exhausted", b)
             continue
-        i = best[1]
+        _, i = min(donors)  # the nearest, ties to the lower index
         j = start if i < start else end - 1  # recipient slot nearest the donor
         order[i], order[j] = order[j], order[i]
         sources[i], sources[j] = sources[j], sources[i]
@@ -194,18 +196,19 @@ def _repair_single_source_batches(order, sources, batch_size, n_full):
 
 def question_set(corpus: list[Dialogue]) -> set[tuple[str, ...]]:
     """All distinct question token sequences of a corpus."""
-    out: set[tuple[str, ...]] = set()
-    for d in corpus:
-        out.update(d.questions())
-    return out
+    return {q for d in corpus for q in d.questions()}
+
+
+def human_pct(corpus: list[Dialogue]) -> float:
+    """The percentage of a corpus's dialogues that are human ones."""
+    if not corpus:
+        raise ValueError("empty corpus")
+    return 100.0 * sum(1 for d in corpus if d.source == SOURCE_HUMAN) / len(corpus)
 
 
 def corpus_stats(corpus: list[Dialogue], min_count: int = 3, length_mode: str = LENGTH_NONE) -> StatsRow:
     """Training-set statistics: vocabulary size, mutual overlap, repeat rate."""
-    if not corpus:
-        raise ValueError("empty corpus")
-    n_human = sum(1 for d in corpus if d.source == SOURCE_HUMAN)
-    pct_human = 100.0 * n_human / len(corpus)
+    pct_human = human_pct(corpus)
     vocab = build_vocabulary(corpus, min_count)
     return StatsRow(
         pct_human=pct_human,

@@ -139,6 +139,7 @@ class TestConfig:
 
 GOOD_DIALOGUE = {"game_id": 0, "scene_id": 0, "source": "human",
                  "turns": [{"q": "is it red ?", "a": "yes"}], "guess": 0, "success": True}
+GOOD_MANIFEST = {"length_mode": "fixed", "pct_human": 50, "replaced_game_ids": [0], "seed": 0}
 GOOD_ROW = {"pct_human": 50, "pct_generated": 50.0, "length_mode": "fixed",
             "acc": 10.0, "grq": 0.0, "mo": 0.1, "nq": 1.0, "gr": 20.0}
 
@@ -277,7 +278,6 @@ class TestSubcommands:
         capsys.readouterr()
         assert run("evaluate", "--model", f"{d}/mixed.ckpt", "--scenes", f"{d}/test.jsonl",
                    "--train-dialogues", f"{d}/mixed.jsonl", "--evaluate.turns", "5",
-                   "--pct-human", "50", "--length", "variable",
                    "--out", f"{d}/row.json") == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         parts = line.split(",")
@@ -375,6 +375,127 @@ class TestSubcommands:
                 assert flag in config.SCHEMA, line
         # every step subcommand is shown
         assert {shlex.split(line)[1] for line in lines} == set(REQUIRED_ARGS) - {"run"}
+
+    def test_readme_reproduction_table_flags_exist(self):
+        # each flag of a command in the table that reproduces a run's files
+        # is an option of that command's subcommand
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        [commands] = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+        table = readme.split("| file | command |")[1].split("\n\n")[0]
+        rows = [line.strip("|").split("|") for line in table.splitlines()[2:]]
+        assert len(rows) >= 8
+        for _, cell in rows:
+            shown = re.findall(r"`([^`]+)`", cell)
+            assert shown, cell
+            for command in shown:
+                name = command.split()[0]
+                assert name in commands, command
+                for flag in re.findall(r"(?<![\w-])--[\w.-]+", command):
+                    assert flag in commands[name]._option_string_actions, command
+
+
+@pytest.fixture(scope="module")
+def mixed_chain(tmp_path_factory):
+    """A teacher corpus, a model trained on it, that model's variable-length
+    self-play corpus and their 50/50 mix, each made by its subcommand."""
+    d = tmp_path_factory.mktemp("mixed_chain")
+    run = lambda *args: cli.main([str(a) for a in args])
+    assert run("gen-scenes", "--n", 25, "--seed", 4, "--out", d / "scenes.jsonl") == 0
+    assert run("collect-human", "--scenes", d / "scenes.jsonl", "--out", d / "human.jsonl") == 0
+    assert run("train", "--dialogues", d / "human.jsonl", "--scenes", d / "scenes.jsonl",
+               *TINY_MODEL_FLAGS, "--out", d / "base.ckpt") == 0
+    assert run("selfplay", "--model", d / "base.ckpt", "--scenes", d / "scenes.jsonl",
+               "--human", d / "human.jsonl", "--length", "variable",
+               "--out", d / "generated.jsonl") == 0
+    assert run("mix", "--human", d / "human.jsonl", "--generated", d / "generated.jsonl",
+               "--pct-human", 50, "--length", "variable", "--out", d / "mixed.jsonl") == 0
+    return d
+
+
+class TestDerivedInputs:
+    """`stats` and `evaluate` label rows from a corpus's mix manifest, and
+    `train` names its best-validation checkpoint after `--out`."""
+
+    @staticmethod
+    def rows(capsys, d, corpus):
+        """The stats and evaluate rows of `corpus`, printed without label flags."""
+        capsys.readouterr()
+        assert cli.main(["stats", str(d / corpus)]) == 0
+        stats = capsys.readouterr().out.strip()
+        assert cli.main(["evaluate", "--model", str(d / "base.ckpt"),
+                         "--scenes", str(d / "scenes.jsonl"),
+                         "--train-dialogues", str(d / corpus)]) == 0
+        return stats, capsys.readouterr().out.strip()
+
+    def test_rows_are_labelled_from_the_manifest(self, mixed_chain, capsys):
+        stats, report = self.rows(capsys, mixed_chain, "mixed.jsonl")
+        assert report.startswith("50,50,variable,")
+        # the stats row measures its shares and takes the mode from the manifest
+        mixed = dialogue.read_dialogues(mixed_chain / "mixed.jsonl")
+        share = 100 * sum(d.source == "human" for d in mixed) / len(mixed)
+        assert stats.startswith(f"{share:g},{100 - share:g},variable,")
+
+    def test_full_human_mix_has_no_length_mode(self, mixed_chain, tmp_path, capsys):
+        # labelled like the run's 100% row, whatever --length says
+        d, out = mixed_chain, tmp_path / "full.jsonl"
+        assert cli.main(["mix", "--human", str(d / "human.jsonl"),
+                         "--generated", str(d / "generated.jsonl"), "--pct-human", "100",
+                         "--length", "fixed", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["stats", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("100,0,-,")
+
+    @pytest.mark.parametrize("corpus, label", [("human.jsonl", "100,0,-,"),
+                                               ("generated.jsonl", "0,100,-,")])
+    def test_corpus_without_manifest_is_labelled_by_its_share(self, mixed_chain, capsys,
+                                                              corpus, label):
+        assert not (mixed_chain / corpus).with_suffix(".manifest.json").exists()
+        stats, report = self.rows(capsys, mixed_chain, corpus)
+        assert stats.startswith(label) and report.startswith(label)
+
+    @pytest.mark.parametrize("text", [
+        "{bad\n",
+        "",
+        json.dumps(GOOD_MANIFEST) + "\n" + json.dumps(GOOD_MANIFEST) + "\n",
+        json.dumps(dict(GOOD_MANIFEST, pct_human=150)) + "\n",
+        json.dumps(dict(GOOD_MANIFEST, pct_human=50.0)) + "\n",
+        json.dumps(dict(GOOD_MANIFEST, length_mode="banana")) + "\n",
+        json.dumps({k: v for k, v in GOOD_MANIFEST.items() if k != "seed"}) + "\n",
+    ], ids=["not-json", "empty", "two-records", "pct-out-of-range", "pct-not-int",
+            "mode-unknown", "seed-missing"])
+    def test_malformed_manifest_is_validation_error(self, tmp_path, capsys, text):
+        corpus, manifest = tmp_path / "mixed.jsonl", tmp_path / "mixed.manifest.json"
+        corpus.write_text(json.dumps(GOOD_DIALOGUE) + "\n")
+        manifest.write_text(text)
+        assert cli.main(["stats", str(corpus)]) == cli.EXIT_VALIDATION
+        assert str(manifest) in capsys.readouterr().err
+
+    def test_train_with_validation_data_writes_best_val(self, mixed_chain, tmp_path, capsys):
+        d, out = mixed_chain, tmp_path / "m.ckpt"
+        capsys.readouterr()
+        assert cli.main(["train", "--dialogues", str(d / "human.jsonl"),
+                         "--scenes", str(d / "scenes.jsonl"), *TINY_MODEL_FLAGS,
+                         "--val-dialogues", str(d / "human.jsonl"),
+                         "--val-scenes", str(d / "scenes.jsonl"), "--out", str(out)]) == 0
+        assert f"best-validation checkpoint to {tmp_path / 'm_best_val.ckpt'}" in (
+            capsys.readouterr().out)
+        assert (tmp_path / "m_best_val.ckpt").exists()
+        # without validation data there is none
+        assert cli.main(["train", "--dialogues", str(d / "human.jsonl"),
+                         "--scenes", str(d / "scenes.jsonl"), *TINY_MODEL_FLAGS,
+                         "--out", str(tmp_path / "n.ckpt")]) == 0
+        assert (tmp_path / "n.ckpt").exists()
+        assert not (tmp_path / "n_best_val.ckpt").exists()
+
+    @pytest.mark.parametrize("flag, corpus", [("--val-scenes", "scenes.jsonl"),
+                                              ("--val-dialogues", "human.jsonl")])
+    def test_validation_flags_go_together(self, mixed_chain, tmp_path, capsys, flag, corpus):
+        d, out = mixed_chain, tmp_path / "m.ckpt"
+        assert cli.main(["train", "--dialogues", str(d / "human.jsonl"),
+                         "--scenes", str(d / "scenes.jsonl"), *TINY_MODEL_FLAGS,
+                         flag, str(d / corpus), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "--val-dialogues and --val-scenes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -575,18 +696,18 @@ class TestRunExperiment:
 
         stats_lines = (seed_dir / "stats.csv").read_text().splitlines()
         report_lines = (seed_dir / "report.csv").read_text().splitlines()
-        # mix j of TINY_CONFIG: (corpus, checkpoint, pct_human, length mode)
-        mixes = [("human.jsonl", "model_100.ckpt", 100, "-"),
-                 ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt", 50, "fixed")]
-        for j, (corpus, ckpt, pct, mode) in enumerate(mixes):
+        # mix j of TINY_CONFIG: (corpus, checkpoint); the labels come from
+        # the corpus's manifest, or for human.jsonl, which has none, from its share
+        mixes = [("human.jsonl", "model_100.ckpt"),
+                 ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt")]
+        for j, (corpus, ckpt) in enumerate(mixes):
             capsys.readouterr()
-            assert run("stats", seed_dir / corpus, "--length", mode) == 0
+            assert run("stats", seed_dir / corpus) == 0
             assert capsys.readouterr().out.strip() == stats_lines[1 + j]
             assert run("evaluate", "--model", seed_dir / ckpt,
                        "--scenes", seed_dir / "scenes_test.jsonl",
                        "--train-dialogues", seed_dir / corpus,
-                       "--seed", derive_seed(rep_seed, 90 + j),
-                       "--pct-human", pct, "--length", mode) == 0
+                       "--seed", derive_seed(rep_seed, 90 + j)) == 0
             assert capsys.readouterr().out.strip() == report_lines[1 + j]
 
     def test_replicate_means(self, tmp_path):

@@ -275,11 +275,14 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
 
 
 def _acquire_lock(lock: Path) -> int:
-    """Hold an exclusive flock on `lock` and write this process id into it.
+    """Hold an exclusive flock on `lock`, and keep the file empty.
 
     The kernel drops the flock when its holder exits, however it exits, so a
-    lock file left behind by a killed run blocks nothing. Returns the open
-    descriptor, which holds the lock until it is closed.
+    lock file left behind by a killed run blocks nothing. The flock is the
+    lock, so nothing is written into the file: closing an unlinked file that
+    holds data waits on the filesystem freeing its blocks, 70-80 ms on an
+    ext4 mounted with `discard`. Returns the open descriptor, which holds
+    the lock until it is closed.
     """
     fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
     try:
@@ -293,8 +296,7 @@ def _acquire_lock(lock: Path) -> int:
             held = False
         if not held:
             raise ConfigError(f"output directory {lock.parent} is locked by another run")
-        os.ftruncate(fd, 0)
-        os.write(fd, str(os.getpid()).encode())
+        os.ftruncate(fd, 0)  # drop what an earlier run left in it
     except BaseException:
         os.close(fd)
         raise

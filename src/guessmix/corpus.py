@@ -158,7 +158,8 @@ def make_batches(items: list, batch_size: int, seed: int) -> list[list]:
     guaranteed to succeed when each source has at least as many elements as
     there are full batches.
 
-    `items` may be Dialogue objects or (Dialogue, Scene) pairs.
+    `items` may be (Dialogue, Scene) pairs or anything with a `source`:
+    Dialogue objects, or the encoded examples `model.train` batches.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

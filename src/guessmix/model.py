@@ -16,7 +16,9 @@ as the dot product of the state with a linear embedding of its features.
 
 Training minimizes mean per-token negative log-likelihood of the questions
 under teacher forcing, plus (in joint phase) the guesser cross-entropy on
-the target index. A batch runs as two recurrences. The encoder reads each
+the target index. `train` turns each (Dialogue, Scene) pair into an
+`Example` of token ids and object codes once, and a batch concatenates
+those. A batch runs as two recurrences. The encoder reads each
 dialogue as one token stream (every turn's question tokens, then its
 answer), suffix-padded to the longest stream; the guesser reads the state
 at the end of each stream. Then every turn of every dialogue is one decoder
@@ -28,12 +30,14 @@ its loops hold one matmul per step, and the weight gradients are formed
 after them from the stacked step gradients. `gradient_check` verifies it
 against central finite differences entry by entry.
 
-Play runs one game at a time. `encode_turn` and `decode_question` compute
-the same input projection W_in e(x) + b once per call (for the turn's
-tokens, or for the whole vocabulary), so a step is a row gather, one matvec
-and one tanh. The decoder stacks W_out over W_h, so that one matvec gives
-both a step's logits and the next step's recurrent term. Nothing is cached
-across calls: training and tests update the parameter arrays in place.
+Play runs one game at a time. `encode_turn` and `decode_question` gather
+rows of the input projection W_in e(x) + b of the whole vocabulary, so a
+step is a row gather, one matvec and one tanh. The decoder stacks W_out
+over W_h, so that one matvec gives both a step's logits and the next step's
+recurrent term. A `Questioner` makes its parameter arrays read-only and
+computes these two tables once, on its `ModelParams`. Parameters outside a
+Questioner, which training and tests update in place, get them computed
+afresh on every call.
 """
 
 from __future__ import annotations
@@ -124,6 +128,14 @@ class ModelParams:
     b_h: np.ndarray         # (H,)
     w_out: np.ndarray       # (V, H)
     w_obj: np.ndarray       # (H, FEATURE_DIM)
+    # a Questioner's (proj, out_rec) decode tables, set once its arrays are
+    # read-only; None while the arrays may still change
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name in PARAM_FIELDS:  # a replaced array makes the tables stale
+            super().__setattr__("_tables", None)
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: getattr(self, name).copy() for name in PARAM_FIELDS})
@@ -152,16 +164,26 @@ def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
     return ModelParams(**{name: rng.uniform(-s, s, shapes[name]) for name in PARAM_FIELDS})
 
 
+def _object_codes(objects: tuple[SceneObject, ...] | list[SceneObject]) -> np.ndarray:
+    """(n, 5) ints: the category, color and size columns of each object's
+    one-hots, then its cell x, y."""
+    return np.array([(_CAT_INDEX[o.category], _COLOR_OFFSET + _COLOR_INDEX[o.color],
+                      _SIZE_OFFSET + _SIZE_INDEX[o.size], o.cell_x, o.cell_y)
+                     for o in objects], dtype=np.int8).reshape(-1, 5)
+
+
+def _features(codes: np.ndarray) -> np.ndarray:
+    """The feature rows of objects given by their `_object_codes`."""
+    n = len(codes)
+    f = np.zeros((n, FEATURE_DIM))
+    f[np.arange(n)[:, None], codes[:, :3]] = 1.0
+    f[:, FEATURE_DIM - 2:] = codes[:, 3:] / _COORD_SCALE
+    return f
+
+
 def object_feature_matrix(objects: tuple[SceneObject, ...] | list[SceneObject]) -> np.ndarray:
     """One FEATURE_DIM row per object: category, color and size one-hots, then x, y."""
-    n = len(objects)
-    f = np.zeros((n, FEATURE_DIM))
-    hot = [(_CAT_INDEX[o.category], _COLOR_OFFSET + _COLOR_INDEX[o.color],
-            _SIZE_OFFSET + _SIZE_INDEX[o.size]) for o in objects]
-    f[np.arange(n)[:, None], hot] = 1.0
-    f[:, FEATURE_DIM - 2:] = np.array([(o.cell_x, o.cell_y) for o in objects],
-                                      dtype=float) / _COORD_SCALE
-    return f
+    return _features(_object_codes(objects))
 
 
 def scene_features(scene: Scene) -> np.ndarray:
@@ -183,10 +205,19 @@ def initial_state(params: ModelParams, scene: Scene) -> np.ndarray:
     return np.tanh(params.w_scene @ scene_features(scene))
 
 
-def _input_projection(params: ModelParams, token_ids=None) -> np.ndarray:
-    """W_in e(x) + b for the given token ids, or for the whole vocabulary."""
-    emb = params.embeddings if token_ids is None else params.embeddings[token_ids]
-    return emb @ params.w_in.T + params.b_h
+def _input_projection(params: ModelParams) -> np.ndarray:
+    """W_in e(x) + b for every vocabulary word x: (V, H)."""
+    return params.embeddings @ params.w_in.T + params.b_h
+
+
+def _decode_tables(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """(proj, out_rec): the input projection of the whole vocabulary and the
+    output weights stacked over the recurrent ones, (V + H, H). A
+    Questioner's are made once; other parameters may change between calls,
+    so theirs are computed for each call."""
+    if params._tables is not None:
+        return params._tables
+    return _input_projection(params), np.concatenate((params.w_out, params.w_h))
 
 
 def encode_turn(
@@ -197,13 +228,18 @@ def encode_turn(
     answer: str,
 ) -> np.ndarray:
     """Advance the dialogue state over the question tokens then the answer token:
-    one projection of those tokens, then one matvec and one tanh per token."""
+    a row gather from the vocabulary's input projection, then one matvec and
+    one tanh per token."""
     ids = [vocab.token_id(tok) for tok in question_tokens]
     ids.append(vocab.answer_id(answer))
+    proj, _ = _decode_tables(params)
     w_h = params.w_h
-    h = np.asarray(state, dtype=float)
-    for x in _input_projection(params, ids):
-        h = np.tanh(x + w_h @ h)
+    h = np.array(state, dtype=float)
+    a = np.empty_like(h)
+    for x in proj[ids]:
+        np.dot(w_h, h, a)
+        np.add(x, a, a)
+        np.tanh(a, h)
     return h
 
 
@@ -222,39 +258,51 @@ def decode_question(
     tokens; the end token is suppressed at the first step so the result is
     never empty.
 
-    The input projection of the whole vocabulary is computed once per call,
-    and the output and recurrent weights are stacked, so each step is a row
-    gather, one matvec giving both this step's logits and the next step's
-    recurrent term, and one tanh. A sampled token is the first index whose
-    cumulative unnormalized probability exceeds one uniform draw times the
-    total: one `rng.random()` per token, as `Generator.choice` consumes.
+    The input projection of the whole vocabulary and the output weights
+    stacked over the recurrent ones come from `_decode_tables`, so each step
+    is a row gather, one matvec giving both this step's logits and the next
+    step's recurrent term, and one tanh, into buffers made once per call. A
+    sampled token is the first index whose cumulative unnormalized
+    probability exceeds one uniform draw times the total: one `rng.random()`
+    per token, as `Generator.choice` consumes.
     """
     if mode == DECODE_SAMPLE and rng is None:
         raise ValueError("sample decoding requires an rng")
-    proj = _input_projection(params)
+    greedy = mode == DECODE_GREEDY
+    proj, out_rec = _decode_tables(params)
     n_words = proj.shape[0]
-    out_rec = np.concatenate((params.w_out, params.w_h))   # (V + H, H)
-    rec = params.w_h @ np.asarray(state, dtype=float)
-    token_ids: list[int] = []
+    last, eoq, words = n_words - 1, vocab.eoq_id, vocab.words
+    # positional `out` arguments: numpy parses keywords slower than a step's arithmetic
+    add, tanh, dot, subtract, exp = np.add, np.tanh, np.dot, np.subtract, np.exp
+    vmax, cumsum = np.maximum.reduce, np.add.accumulate
+    out = np.empty(out_rec.shape[0])
+    logits, rec = out[:n_words], out[n_words:]
+    dot(params.w_h, np.asarray(state, dtype=float), rec)
+    x = np.empty_like(rec)
+    cdf = np.empty_like(logits)
+    question: list[str] = []
     prev = vocab.soq_id
     for step in range(max_len):
-        out = out_rec @ np.tanh(proj[prev] + rec)
-        logits, rec = out[:n_words], out[n_words:]
+        add(proj[prev], rec, x)
+        tanh(x, x)
+        dot(out_rec, x, out)
         if step == 0:
-            logits[vocab.eoq_id] = -np.inf
-        if mode == DECODE_GREEDY:
-            nxt = int(np.argmax(logits))
+            logits[eoq] = -np.inf
+        if greedy:
+            nxt = int(logits.argmax())
         else:
-            cdf = np.exp(logits - logits.max()).cumsum()
-            if not math.isfinite(cdf[-1]):
+            subtract(logits, vmax(logits), cdf)
+            exp(cdf, cdf)
+            cumsum(cdf, 0, None, cdf)
+            total = cdf[last]
+            if not math.isfinite(total):
                 raise ValueError("cannot sample from non-finite logits")
-            nxt = min(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")),
-                      n_words - 1)
-        if nxt == vocab.eoq_id:
+            nxt = min(int(cdf.searchsorted(rng.random() * total, side="right")), last)
+        if nxt == eoq:
             break
-        token_ids.append(nxt)
+        question.append(words[nxt])
         prev = nxt
-    return [vocab.word(i) for i in token_ids]
+    return question
 
 
 def guesser_scores(params: ModelParams, state: np.ndarray, scene: Scene) -> np.ndarray:
@@ -297,10 +345,34 @@ class _Forward:
     guesser: tuple | None      # joint phase: (objf, g, gp, targets, gw, wsum)
 
 
+@dataclass(slots=True)
+class Example:
+    """One training dialogue as the integers `_forward` reads, made once per
+    `train` by `encode_example`: small arrays only, since a dataset holds one
+    per dialogue."""
+
+    source: str
+    target: int          # the scene's target index
+    objects: np.ndarray  # (objects, 5) int8: the scene's `_object_codes`
+    stream: np.ndarray   # int32: every turn's question ids, then its answer id
+    q_len: np.ndarray    # int32: the question length of each turn
+
+
+def encode_example(vocab: Vocabulary, dialogue: Dialogue, scene: Scene) -> Example:
+    """The `Example` of one (Dialogue, Scene) pair; `_forward` encodes raw pairs with it too."""
+    stream: list[int] = []
+    for turn in dialogue.turns:
+        stream += [vocab.token_id(t) for t in turn.question]
+        stream.append(vocab.answer_id(turn.answer))
+    q_len = [len(turn.question) for turn in dialogue.turns]
+    return Example(dialogue.source, scene.target_index, _object_codes(scene.objects),
+                   np.array(stream, dtype=np.int32), np.array(q_len, dtype=np.int32))
+
+
 def _forward(
     params: ModelParams,
     vocab: Vocabulary,
-    batch: list[tuple[Dialogue, Scene]],
+    batch: list[Example] | list[tuple[Dialogue, Scene]],
     phase: str,
     guesser_human_only: bool = False,
 ) -> tuple[float, dict, _Forward]:
@@ -309,36 +381,28 @@ def _forward(
         raise ValueError(f"unknown phase {phase!r}")
     if not batch:
         raise ValueError("empty batch")
+    batch = [encode_example(vocab, *ex) if isinstance(ex, tuple) else ex for ex in batch]
     B = len(batch)
     H = params.w_h.shape[0]
 
     # one token stream per dialogue: every turn's question tokens, then its answer
-    stream_ids: list[int] = []
-    stream_len: list[int] = []
-    owner: list[int] = []
-    start: list[int] = []
-    q_len: list[int] = []
-    q_ids: list[int] = []
-    for i, (d, _) in enumerate(batch):
-        begin = len(stream_ids)
-        for turn in d.turns:
-            q = [vocab.token_id(t) for t in turn.question]
-            owner.append(i)
-            start.append(len(stream_ids) - begin)
-            q_len.append(len(q))
-            q_ids.extend(q)
-            stream_ids.extend(q)
-            stream_ids.append(vocab.answer_id(turn.answer))
-        stream_len.append(len(stream_ids) - begin)
-    stream_len = np.array(stream_len, dtype=np.intp)
+    stream_len = np.array([len(ex.stream) for ex in batch], dtype=np.intp)
+    stream_ids = np.concatenate([ex.stream for ex in batch])
     Z = int(stream_len.max())
     stream = np.full((B, Z), vocab.soq_id, dtype=np.intp)
     stream[np.arange(Z) < stream_len[:, None]] = stream_ids
     stream = stream.T
 
     # one decoder row per turn: inputs [soq w1..wk], targets [w1..wk eoq]
+    q_len = np.concatenate([ex.q_len for ex in batch])
+    owner = np.repeat(np.arange(B), [len(ex.q_len) for ex in batch])
     R = len(owner)
-    q_len = np.array(q_len, dtype=np.intp)
+    turn_end = np.cumsum(q_len + 1)   # just past each turn's answer in stream_ids
+    is_question = np.ones(len(stream_ids), dtype=bool)
+    is_question[turn_end - 1] = False
+    q_ids = stream_ids[is_question]
+    # the offset at which each turn begins in its own dialogue's stream
+    start = turn_end - (q_len + 1) - (np.cumsum(stream_len) - stream_len)[owner]
     L = int(q_len.max()) + 1 if R else 1
     in_question = np.arange(L) < q_len[:, None]
     dec_in = np.full((R, L), vocab.soq_id, dtype=np.intp)
@@ -348,9 +412,8 @@ def _forward(
     valid = (np.arange(L) <= q_len[:, None]).T
     dec_in = dec_in.T
 
-    scenes = [s for _, s in batch]
-    n_obj = np.array([len(s.objects) for s in scenes], dtype=np.intp)
-    objects = object_feature_matrix([o for s in scenes for o in s.objects])
+    n_obj = np.array([len(ex.objects) for ex in batch], dtype=np.intp)
+    objects = _features(np.concatenate([ex.objects for ex in batch]))
     feats = np.add.reduceat(objects, np.cumsum(n_obj) - n_obj, axis=0) / n_obj[:, None]
 
     # the input projection of every vocabulary word, once per call, so that
@@ -367,8 +430,6 @@ def _forward(
         pre_enc[m] += enc[m] @ w_h_t
         np.tanh(pre_enc[m], out=enc[m + 1])
 
-    owner = np.array(owner, dtype=np.intp)
-    start = np.array(start, dtype=np.intp)
     dec = np.empty((L + 1, R, H))
     dec[0] = enc[start, owner]
     np.take(proj, dec_in, axis=0, out=pre_dec)
@@ -389,12 +450,12 @@ def _forward(
         omask = np.arange(n_obj.max()) < n_obj[:, None]
         objf = np.zeros(omask.shape + (FEATURE_DIM,))
         objf[omask] = objects
-        g_targets = np.array([s.target_index for s in scenes])
+        g_targets = np.array([ex.target for ex in batch])
         g = objf @ params.w_obj.T                   # (B, N, H)
         scores = (g * h[:, None, :]).sum(axis=-1)   # (B, N)
         glogp = _log_softmax(np.where(omask, scores, -1e30))
         if guesser_human_only:
-            gw = np.array([1.0 if d.source == SOURCE_HUMAN else 0.0 for d, _ in batch])
+            gw = np.array([1.0 if ex.source == SOURCE_HUMAN else 0.0 for ex in batch])
         else:
             gw = np.ones(B)
         wsum = gw.sum()
@@ -413,7 +474,7 @@ def _forward(
 def loss_and_grads(
     params: ModelParams,
     vocab: Vocabulary,
-    batch: list[tuple[Dialogue, Scene]],
+    batch: list[Example] | list[tuple[Dialogue, Scene]],
     phase: str,
     guesser_human_only: bool = False,
 ) -> tuple[float, ModelParams, dict]:
@@ -548,7 +609,7 @@ def _apply_update(params: ModelParams, grads: ModelParams, cfg: ModelConfig) -> 
 def validation_nll(
     params: ModelParams,
     vocab: Vocabulary,
-    dataset: list[tuple[Dialogue, Scene]],
+    dataset: list[Example] | list[tuple[Dialogue, Scene]],
     batch_size: int = 64,
 ) -> float:
     """Mean per-token question NLL over a held-out set (no gradient step)."""
@@ -591,12 +652,14 @@ def train(
         raise ValueError("empty training dataset")
     _keep_freed_memory()
     params = params.copy()
+    examples = [encode_example(vocab, d, sc) for d, sc in dataset]
+    val_examples = [encode_example(vocab, d, sc) for d, sc in val_dataset or ()]
     log = TrainLog()
     best_val = math.inf
     best_params: ModelParams | None = None
     for epoch in range(1, cfg.epochs + 1):
         phase = training_phase(epoch, cfg.modulo_n)
-        batches = corpus.make_batches(dataset, cfg.batch_size, seed=derive_seed(seed, epoch))
+        batches = corpus.make_batches(examples, cfg.batch_size, seed=derive_seed(seed, epoch))
         qgen_sum = 0.0
         guess_sum = 0.0
         for bi, chunk in enumerate(batches):
@@ -616,8 +679,8 @@ def train(
             qgen_nll=qgen_sum / len(batches),
             guesser_ce=guess_sum / len(batches) if phase == PHASE_JOINT else None,
         )
-        if val_dataset:
-            entry.val_nll = validation_nll(params, vocab, val_dataset)
+        if val_examples:
+            entry.val_nll = validation_nll(params, vocab, val_examples)
             if entry.val_nll < best_val:
                 best_val = entry.val_nll
                 best_params = params.copy()
@@ -705,6 +768,15 @@ class Questioner:
     params: ModelParams
     vocab: Vocabulary
     config: ModelConfig
+
+    def __post_init__(self):
+        # play reads the parameters, never writes them, so they are made
+        # read-only and the decode tables derived from them are made once
+        p = self.params
+        tables = _decode_tables(p)
+        for a in (*p.arrays().values(), *tables):
+            a.flags.writeable = False
+        p._tables = tables
 
 
 def save_checkpoint(path: str | Path, questioner: Questioner) -> None:

@@ -597,11 +597,41 @@ class TestRunExperiment:
         assert (out / "report_mean.csv").exists()
         assert not (out / ".lock").exists()
 
+    def test_lock_file_is_empty_while_held(self, tmp_path, monkeypatch):
+        # the flock is the lock: a run writes nothing into .lock, and empties
+        # one that an earlier run left with a pid in it
+        run_seed = cli._run_seed
+        for leftover in (None, "12345"):
+            out = tmp_path / f"held_{leftover}"
+            out.mkdir()
+            if leftover is not None:
+                (out / ".lock").write_text(leftover)
+            seen = []
+
+            def spy(cfg, replicate, seed_dir):
+                seen.append((out / ".lock").read_bytes())
+                return run_seed(cfg, replicate, seed_dir)
+
+            monkeypatch.setattr(cli, "_run_seed", spy)
+            cli.run_experiment(load_config(None, {
+                "experiment.output_dir": str(out),
+                "experiment.n_train_scenes": "20",
+                "experiment.n_test_scenes": "5",
+                "experiment.mix_specs": "100:-",
+                "model.embed_dim": "8",
+                "model.hidden_dim": "12",
+                "model.epochs": "1",
+                "model.batch_size": "8",
+            }))
+            assert seen == [b""]
+            assert not (out / ".lock").exists()
+
     def test_lock_of_live_process_blocks(self, tmp_path, capsys):
         out = tmp_path / "live"
         out.mkdir()
-        # another process holds the lock the way a run does: flock, then its
-        # pid; it exits when the with block closes its stdin
+        # another process holds the flock the way a run does, and writes its
+        # pid so that the file shows the refused run left it alone; it exits
+        # when the with block closes its stdin
         with subprocess.Popen(
             [sys.executable, "-c",
              "import fcntl, os, sys\n"

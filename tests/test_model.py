@@ -513,6 +513,106 @@ class TestGradients:
                 assert err <= 1e-10 * np.abs(want).max(), (phase, name, err)
 
 
+def _varied_pairs(n, seed):
+    """n (Dialogue, Scene) pairs of 1 to 5 turns with 1- to 6-token questions,
+    human and generated in turn, some tokens outside the vocabulary."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i, sc in enumerate(scene.generate_scene_set(n, seed=seed)):
+        turns = tuple(
+            Turn(question=tuple(f"w{int(rng.integers(17)):02d}"
+                                for _ in range(1 + int(rng.integers(6)))),
+                 answer=("yes", "no")[int(rng.integers(2))])
+            for _ in range(1 + i % 5)
+        )
+        source = "human" if i % 2 == 0 else "generated"
+        pairs.append((Dialogue(game_id=i, scene_id=sc.scene_id, source=source,
+                               turns=turns, guess=0, success=True), sc))
+    return pairs
+
+
+class TestEncodedExamples:
+    def test_layout(self):
+        vocab = tiny_vocab()
+        for d, sc in _varied_pairs(10, seed=1):
+            ex = model.encode_example(vocab, d, sc)
+            assert ex.source == d.source and ex.target == sc.target_index
+            assert np.array_equal(model._features(ex.objects),
+                                  model.object_feature_matrix(sc.objects))
+            assert ex.stream.tolist() == [
+                i for turn in d.turns for i in
+                [vocab.token_id(tok) for tok in turn.question] + [vocab.answer_id(turn.answer)]]
+            assert ex.q_len.tolist() == [len(q) for q in d.questions()]
+
+    def test_loss_and_grads_equal_raw_pairs_bit_for_bit(self):
+        vocab = tiny_vocab()
+        cfg = model.ModelConfig(embed_dim=6, hidden_dim=8)
+        params = model.init_params(cfg, vocab, seed=2)
+        pairs = _varied_pairs(11, seed=3)
+        encoded = [model.encode_example(vocab, d, sc) for d, sc in pairs]
+        mixed = [p if i % 2 else e for i, (p, e) in enumerate(zip(pairs, encoded))]
+        for phase in (model.PHASE_QGEN, model.PHASE_JOINT):
+            for human_only in (False, True):
+                want = model.loss_and_grads(params, vocab, pairs, phase, human_only)
+                for batch in (encoded, mixed):
+                    got = model.loss_and_grads(params, vocab, batch, phase, human_only)
+                    assert got[0] == want[0] and got[2] == want[2]
+                    for name in model.PARAM_FIELDS:
+                        assert np.array_equal(getattr(got[1], name), getattr(want[1], name))
+        assert (model.validation_nll(params, vocab, encoded, batch_size=4)
+                == model.validation_nll(params, vocab, pairs, batch_size=4))
+
+
+class TestQuestionerTables:
+    def _questioner(self, world):
+        _, _, vocab, dataset = world
+        cfg = model.ModelConfig(embed_dim=8, hidden_dim=12, epochs=3, batch_size=4)
+        trained = model.train(model.init_params(cfg, vocab, seed=1), vocab, dataset, cfg,
+                              seed=0).params
+        return model.Questioner(trained, vocab, cfg), dataset
+
+    def test_cached_tables_equal_per_call_path(self, world):
+        q, dataset = self._questioner(world)
+        writeable = q.params.copy()
+        assert q.params._tables is not None and writeable._tables is None
+        for seed in range(40):
+            state = np.random.default_rng(seed).uniform(-1, 1, 12)
+            for mode in ("greedy", "sample"):
+                a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                a = model.decode_question(q.params, q.vocab, state, mode, 10, a_rng)
+                b = model.decode_question(writeable, q.vocab, state, mode, 10, b_rng)
+                assert a == b and a_rng.bit_generator.state == b_rng.bit_generator.state
+            for turn in dataset[seed % len(dataset)][0].turns:
+                a = model.encode_turn(q.params, q.vocab, state, turn.question, turn.answer)
+                b = model.encode_turn(writeable, q.vocab, state, turn.question, turn.answer)
+                assert np.array_equal(a, b)
+                state = a
+
+    def test_params_are_read_only_and_train_copies_them(self, world):
+        q, dataset = self._questioner(world)
+        for name in model.PARAM_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(q.params, name)[...] = 0.0
+        before = q.params.copy()
+        result = model.train(q.params, q.vocab, dataset, q.config, seed=1)
+        for name in model.PARAM_FIELDS:
+            assert np.array_equal(getattr(q.params, name), getattr(before, name))
+        assert not np.array_equal(result.params.w_out, before.w_out)
+        result.params.w_out[0, 0] = 0.0  # what train returns stays writeable
+
+    def test_replacing_an_array_drops_the_tables(self, world):
+        q, _ = self._questioner(world)
+        q.params.w_out = q.params.w_out * 3.0
+        assert q.params._tables is None
+        state = np.linspace(-0.5, 0.5, 12)
+        a_rng, b_rng = np.random.default_rng(0), np.random.default_rng(0)
+        got = [model.decode_question(q.params, q.vocab, state, "sample", 10, a_rng)
+               for _ in range(20)]
+        want = [model.decode_question(q.params.copy(), q.vocab, state, "sample", 10, b_rng)
+                for _ in range(20)]
+        assert got == want
+
+
 class TestTrain:
     def test_zero_learning_rate_keeps_params(self, world):
         scenes, corpus, vocab, dataset = world

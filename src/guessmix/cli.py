@@ -181,21 +181,24 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # full experiment
 
-_ROW_KEYS = ("pct_human", "pct_generated", "length_mode")
-
 
 def _mean_rows(rows_by_seed: list[list]) -> list:
-    """Mean of each row position over the replicates. The key columns come
-    from the first replicate and integer columns are rounded."""
+    """Mean of each row position over the replicates: every numeric column
+    is averaged, integer ones rounded; a text column must read the same in
+    every replicate."""
     out = []
     for group in zip(*rows_by_seed):
-        means = {}
+        values = {}
         for f in fields(group[0]):
-            if f.name in _ROW_KEYS:
-                continue
-            mean = sum(getattr(r, f.name) for r in group) / len(group)
-            means[f.name] = round(mean) if f.type in (int, "int") else mean
-        out.append(replace(group[0], **means))
+            column = [getattr(r, f.name) for r in group]
+            if isinstance(column[0], str):
+                if len(set(column)) > 1:
+                    raise RuntimeError(f"replicates disagree on {f.name}: {column}")
+                values[f.name] = column[0]
+            else:
+                mean = sum(column) / len(column)
+                values[f.name] = round(mean) if f.type in (int, "int") else mean
+        out.append(replace(group[0], **values))
     return out
 
 
@@ -275,31 +278,20 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
 
 
 def _acquire_lock(lock: Path) -> int:
-    """Hold an exclusive flock on `lock`, and keep the file empty.
+    """Hold an exclusive flock on `lock`; returns the open descriptor, which
+    holds it until closed.
 
-    The kernel drops the flock when its holder exits, however it exits, so a
-    lock file left behind by a killed run blocks nothing. The flock is the
-    lock, so nothing is written into the file: closing an unlinked file that
-    holds data waits on the filesystem freeing its blocks, 70-80 ms on an
-    ext4 mounted with `discard`. Returns the open descriptor, which holds
-    the lock until it is closed.
+    The flock is the lock, and `lock` is never removed or replaced, so every
+    run into a directory contends for the same file. The kernel drops the
+    flock when its holder exits, however it exits, so a `lock` file left
+    behind blocks nothing.
     """
     fd = os.open(lock, os.O_RDWR | os.O_CREAT, 0o644)
     try:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            # a finishing run unlinks the file before it lets go of the flock,
-            # so a flock won on a file no longer at `lock` means that run ended
-            # between our open and our flock, and another may hold `lock` now
-            held = os.path.samestat(os.fstat(fd), os.stat(lock))
-        except (BlockingIOError, FileNotFoundError):
-            held = False
-        if not held:
-            raise ConfigError(f"output directory {lock.parent} is locked by another run")
-        os.ftruncate(fd, 0)  # drop what an earlier run left in it
-    except BaseException:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
         os.close(fd)
-        raise
+        raise ConfigError(f"output directory {lock.parent} is locked by another run") from None
     return fd
 
 
@@ -309,8 +301,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     report files byte for byte."""
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    lock = out / ".lock"
-    lock_fd = _acquire_lock(lock)
+    lock_fd = _acquire_lock(out / ".lock")
     try:
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
@@ -340,7 +331,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     finally:
-        lock.unlink(missing_ok=True)
         os.close(lock_fd)
     log.info("experiment complete: %s", out)
     return out

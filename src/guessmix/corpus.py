@@ -86,21 +86,6 @@ class StatsRow:
     grq: float
 
 
-def _ranking(game_ids: list[int], seed: int) -> list[int]:
-    """Every game id, in the order of a seeded shuffle."""
-    rng = np.random.default_rng(seed)
-    return [int(g) for g in rng.permutation(np.array(sorted(game_ids), dtype=np.int64))]
-
-
-def replacement_ids(game_ids: list[int], spec: MixSpec) -> list[int]:
-    """The game ids whose dialogues get replaced, floor(fraction * N) of them.
-
-    A prefix of the seeded ranking, so lower pct_human extends the replaced
-    set rather than resampling it.
-    """
-    return _ranking(game_ids, spec.seed)[:(100 - spec.pct_human) * len(game_ids) // 100]
-
-
 def mix_corpora(
     human: list[Dialogue],
     generated: list[Dialogue],
@@ -109,19 +94,22 @@ def mix_corpora(
 ) -> list[Dialogue]:
     """Replace a seeded subset of human dialogues with their generated twins.
 
-    The output has the same size and game ids as the human corpus, in the
-    same order; source tags distinguish the substituted dialogues. With
-    require_generated_success, failed generated games are skipped in ranking
-    order and later ids are replaced instead.
+    The replaced games are the first floor(fraction * N) of a seeded ranking
+    of all N game ids, so lower pct_human extends the replaced set rather
+    than resampling it. The output has the same size and game ids as the
+    human corpus, in the same order; source tags distinguish the substituted
+    dialogues. With require_generated_success, failed generated games are
+    skipped in ranking order and later ids are replaced instead.
     """
     if spec.pct_human == 100:
         return list(human)
     by_game = {d.game_id: d for d in generated}
+    n_replace = (100 - spec.pct_human) * len(human) // 100
+    ranking = np.random.default_rng(spec.seed).permutation(
+        np.array(sorted(d.game_id for d in human), dtype=np.int64))
+    ranked = [int(g) for g in ranking]
     if require_generated_success:
         by_game = {gid: d for gid, d in by_game.items() if d.success}
-    n_replace = (100 - spec.pct_human) * len(human) // 100
-    ranked = _ranking([d.game_id for d in human], spec.seed)
-    if require_generated_success:
         ranked = [gid for gid in ranked if gid in by_game]
     replaced = ranked[:n_replace]
     missing = [gid for gid in replaced if gid not in by_game]

@@ -144,15 +144,10 @@ class ModelParams:
         return {name: getattr(self, name) for name in PARAM_FIELDS}
 
 
-def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
-    """All entries uniform in [-s, s] with s = 1/sqrt(hidden_dim)."""
-    cfg.validate()
-    if vocab.n_words == 0:
-        raise ValueError("cannot initialize a model over an empty vocabulary")
-    v, e, h = vocab.n_words, cfg.embed_dim, cfg.hidden_dim
-    s = 1.0 / math.sqrt(h)
-    rng = np.random.default_rng(seed)
-    shapes = {
+def param_shapes(cfg: ModelConfig, n_words: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter array of a model over `n_words` words."""
+    v, e, h = n_words, cfg.embed_dim, cfg.hidden_dim
+    return {
         "embeddings": (v, e),
         "w_scene": (h, FEATURE_DIM),
         "w_in": (h, e),
@@ -161,7 +156,17 @@ def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
         "w_out": (v, h),
         "w_obj": (h, FEATURE_DIM),
     }
-    return ModelParams(**{name: rng.uniform(-s, s, shapes[name]) for name in PARAM_FIELDS})
+
+
+def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
+    """All entries uniform in [-s, s] with s = 1/sqrt(hidden_dim)."""
+    cfg.validate()
+    if vocab.n_words == 0:
+        raise ValueError("cannot initialize a model over an empty vocabulary")
+    s = 1.0 / math.sqrt(cfg.hidden_dim)
+    rng = np.random.default_rng(seed)
+    return ModelParams(**{name: rng.uniform(-s, s, shape)
+                          for name, shape in param_shapes(cfg, vocab.n_words).items()})
 
 
 def _object_codes(objects: tuple[SceneObject, ...] | list[SceneObject]) -> np.ndarray:
@@ -794,15 +799,29 @@ def save_checkpoint(path: str | Path, questioner: Questioner) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Questioner:
+    """The Questioner saved at `path`. The file comes from outside the
+    program, so anything in it that `save_checkpoint` would not write (an
+    unknown format or setting, a missing or misshapen array) is a ValueError
+    naming it."""
     with open(path, "rb") as f:
-        with np.load(f, allow_pickle=False) as z:
-            meta = json.loads(z["meta"].item())
-            if meta.get("format") != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
-            params = ModelParams(**{name: z[name].copy() for name in PARAM_FIELDS})
-    vocab = Vocabulary(
-        words=list(meta["vocab"]["words"]),
-        counts={k: int(v) for k, v in meta["vocab"]["counts"].items()},
-        min_count=int(meta["vocab"]["min_count"]),
-    )
-    return Questioner(params=params, vocab=vocab, config=ModelConfig(**meta["config"]))
+        try:
+            with np.load(f, allow_pickle=False) as z:
+                meta = json.loads(z["meta"].item())
+                if meta["format"] != CHECKPOINT_VERSION:
+                    raise ValueError(f"unsupported checkpoint format {meta['format']!r}")
+                arrays = {name: z[name].copy() for name in PARAM_FIELDS}
+            config = ModelConfig(**meta["config"])
+            config.validate()
+            vocab = Vocabulary(
+                words=list(meta["vocab"]["words"]),
+                counts={k: int(v) for k, v in meta["vocab"]["counts"].items()},
+                min_count=int(meta["vocab"]["min_count"]),
+            )
+            for name, shape in param_shapes(config, vocab.n_words).items():
+                a = arrays[name]
+                if a.dtype != np.float64 or a.shape != shape:
+                    raise ValueError(f"{name} is {a.dtype} of shape {a.shape}, "
+                                     f"not float64 of shape {shape}")
+        except Exception as exc:  # noqa: BLE001 - any failure is a malformed checkpoint
+            raise ValueError(f"{path}: malformed checkpoint: {exc}") from exc
+    return Questioner(params=ModelParams(**arrays), vocab=vocab, config=config)

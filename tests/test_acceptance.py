@@ -123,18 +123,16 @@ def test_criterion_5_mixture_invariants():
             qs = ["is it blue ?", "is it green ?", "is it black ?"]
         generated.append(make_dialogue(qs, game_id=g, scene_id=g, source="generated"))
 
+    replaced = {}
     for pct in (75, 50):
         mixed = corpus.mix_corpora(human, generated, corpus.MixSpec(pct, "fixed", seed=3))
         assert len(mixed) == len(human)
         n_replaced = sum(d.source == "generated" for d in mixed)
         assert n_replaced == (100 - pct) * n // 100
-        replaced_ids = {d.game_id for d in mixed if d.source == "generated"}
+        replaced_ids = replaced[pct] = {d.game_id for d in mixed if d.source == "generated"}
         restricted = [d for d in generated if d.game_id in replaced_ids]
         assert metrics.grq(mixed) == (100 - pct) / 100 * metrics.grq(restricted)
-
-    r75 = set(corpus.replacement_ids(list(range(n)), corpus.MixSpec(75, "fixed", seed=3)))
-    r50 = set(corpus.replacement_ids(list(range(n)), corpus.MixSpec(50, "fixed", seed=3)))
-    assert r75 < r50
+    assert replaced[75] < replaced[50]
 
     mixed50 = corpus.mix_corpora(human, generated, corpus.MixSpec(50, "fixed", seed=3))
     v_human = corpus.corpus_stats(human, 3).voc_size

@@ -8,7 +8,6 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -522,7 +521,9 @@ class TestRunExperiment:
         for name in ("report_mean.csv", "stats_mean.csv", "report.md",
                      "manifest.json", "config.txt"):
             assert (tiny_run / name).exists(), name
-        assert not (tiny_run / ".lock").exists()
+        # the run leaves .lock in place, empty and free for the next run
+        assert (tiny_run / ".lock").read_bytes() == b""
+        os.close(cli._acquire_lock(tiny_run / ".lock"))
 
     def test_report_shape(self, tiny_run):
         lines = (tiny_run / "report_mean.csv").read_text().splitlines()
@@ -577,7 +578,7 @@ class TestRunExperiment:
             lock.unlink()
             os.close(fd)
 
-    def test_lock_of_dead_process_is_removed(self, tmp_path):
+    def test_lock_of_dead_process_does_not_block(self, tmp_path):
         proc = subprocess.Popen([sys.executable, "-c", ""])
         proc.wait()  # reaped: its pid no longer names a process
         out = tmp_path / "stale"
@@ -595,36 +596,35 @@ class TestRunExperiment:
         })
         cli.run_experiment(cfg)
         assert (out / "report_mean.csv").exists()
-        assert not (out / ".lock").exists()
+        # the .lock stays, and the next run proceeds on it
+        assert (out / ".lock").read_text() == str(proc.pid)
+        (out / "report_mean.csv").unlink()
+        cli.run_experiment(cfg)
+        assert (out / "report_mean.csv").exists()
 
     def test_lock_file_is_empty_while_held(self, tmp_path, monkeypatch):
-        # the flock is the lock: a run writes nothing into .lock, and empties
-        # one that an earlier run left with a pid in it
+        # the flock is the lock: a run writes nothing into .lock
+        out = tmp_path / "held"
         run_seed = cli._run_seed
-        for leftover in (None, "12345"):
-            out = tmp_path / f"held_{leftover}"
-            out.mkdir()
-            if leftover is not None:
-                (out / ".lock").write_text(leftover)
-            seen = []
+        seen = []
 
-            def spy(cfg, replicate, seed_dir):
-                seen.append((out / ".lock").read_bytes())
-                return run_seed(cfg, replicate, seed_dir)
+        def spy(cfg, replicate, seed_dir):
+            seen.append((out / ".lock").read_bytes())
+            return run_seed(cfg, replicate, seed_dir)
 
-            monkeypatch.setattr(cli, "_run_seed", spy)
-            cli.run_experiment(load_config(None, {
-                "experiment.output_dir": str(out),
-                "experiment.n_train_scenes": "20",
-                "experiment.n_test_scenes": "5",
-                "experiment.mix_specs": "100:-",
-                "model.embed_dim": "8",
-                "model.hidden_dim": "12",
-                "model.epochs": "1",
-                "model.batch_size": "8",
-            }))
-            assert seen == [b""]
-            assert not (out / ".lock").exists()
+        monkeypatch.setattr(cli, "_run_seed", spy)
+        cli.run_experiment(load_config(None, {
+            "experiment.output_dir": str(out),
+            "experiment.n_train_scenes": "20",
+            "experiment.n_test_scenes": "5",
+            "experiment.mix_specs": "100:-",
+            "model.embed_dim": "8",
+            "model.hidden_dim": "12",
+            "model.epochs": "1",
+            "model.batch_size": "8",
+        }))
+        assert seen == [b""]
+        assert (out / ".lock").read_bytes() == b""
 
     def test_lock_of_live_process_blocks(self, tmp_path, capsys):
         out = tmp_path / "live"
@@ -651,30 +651,6 @@ class TestRunExperiment:
             assert (out / ".lock").read_text() == str(holder.pid)
         assert not (out / "config.txt").exists()
 
-    def test_lock_won_on_replaced_file_does_not_proceed(self, tmp_path, monkeypatch):
-        # this run opens .lock; before its flock, the holder ends (unlinks the
-        # file and lets go) and the next run creates a fresh .lock. The flock
-        # on the old file then succeeds, but the run must not proceed on it
-        out = tmp_path / "race"
-        out.mkdir()
-        lock = out / ".lock"
-
-        def flock_after_handover(fd, operation):
-            lock.unlink()
-            lock.write_text("")
-            fcntl.flock(fd, operation)
-
-        monkeypatch.setattr(cli, "fcntl", SimpleNamespace(
-            flock=flock_after_handover, LOCK_EX=fcntl.LOCK_EX, LOCK_NB=fcntl.LOCK_NB))
-        cfg = load_config(None, {
-            "experiment.output_dir": str(out),
-            "experiment.n_train_scenes": "10",
-            "experiment.n_test_scenes": "5",
-        })
-        with pytest.raises(ConfigError, match="lock"):
-            cli.run_experiment(cfg)
-        assert not (out / "config.txt").exists()
-
     def test_leftover_lock_naming_live_process_does_not_block(self, tmp_path):
         # a .lock nobody holds the flock on blocks nothing, even when the pid
         # in it names a live process that is not a run
@@ -696,7 +672,11 @@ class TestRunExperiment:
             cli.run_experiment(cfg)
             assert bystander.poll() is None
         assert (out / "report_mean.csv").exists()
-        assert not (out / ".lock").exists()
+        # the .lock stays, and the next run proceeds on it
+        assert (out / ".lock").read_text() == str(bystander.pid)
+        (out / "report_mean.csv").unlink()
+        cli.run_experiment(cfg)
+        assert (out / "report_mean.csv").exists()
 
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
         seed_dir = tiny_run / "seed_0"
@@ -746,7 +726,7 @@ class TestRunExperiment:
             "experiment.replicate_seeds": "2",
             "experiment.n_train_scenes": "40",
             "experiment.n_test_scenes": "10",
-            "experiment.mix_specs": "100:-,50:fixed",
+            "experiment.mix_specs": "100:-,75:fixed",
             "model.embed_dim": "8",
             "model.hidden_dim": "12",
             "model.epochs": "2",
@@ -756,18 +736,26 @@ class TestRunExperiment:
         def rows(path):
             return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
-        for name, decimals in (("stats", (None, 4, 2)), ("report", (2, 2, 4, 2, 2))):
+        # decimals of each column: "text" for length_mode, 0 for voc_size.
+        # The shares print six significant digits, so four decimals below 100
+        for name, decimals in (("stats", (4, 4, "text", 0, 4, 2)),
+                               ("report", (4, 4, "text", 2, 2, 4, 2, 2))):
             seeds = [rows(out / f"seed_{r}" / f"{name}.csv") for r in range(2)]
             mean = rows(out / f"{name}_mean.csv")
             assert len(mean) == len(seeds[0]) == len(seeds[1]) == 2
             for got, a, b in zip(mean, *seeds):
-                assert got[:3] == a[:3]  # key columns come from the first replicate
-                for col, d in enumerate(decimals, start=3):
-                    if d is None:  # voc_size: the rounded mean of two integers
+                for col, d in enumerate(decimals):
+                    if d == "text":  # the same in every replicate
+                        assert got[col] == a[col] == b[col]
+                    elif d == 0:  # the rounded mean of two integers
                         assert int(got[col]) == round((int(a[col]) + int(b[col])) / 2)
                     else:  # each printed value is off by at most half a unit
                         want = (float(a[col]) + float(b[col])) / 2
                         assert abs(float(got[col]) - want) <= 10 ** -d + 1e-12
+        # the stats rows measure the shares, which the 75:fixed replicates
+        # do not share: their teacher corpora differ in size
+        shares = [rows(out / f"seed_{r}" / "stats.csv")[1][0] for r in range(2)]
+        assert shares[0] != shares[1]
 
     def test_generated_only_rows_are_ablation(self, tmp_path):
         cfg = load_config(None, {
@@ -798,6 +786,31 @@ class TestRunExperiment:
         rc = cli.main(["evaluate", "--model", str(bad), "--scenes", str(scenes_path),
                        "--train-dialogues", str(scenes_path)])
         assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda meta, arrays: meta["config"].update(decode_mode="argmax"), "'argmax'"),
+        (lambda meta, arrays: arrays.update(w_out=arrays["w_out"][:10]), "w_out"),
+        (lambda meta, arrays: meta["config"].update(beam_width=3), "beam_width"),
+        (lambda meta, arrays: arrays.pop("w_obj"), "w_obj"),
+    ], ids=("bad_decode_mode", "short_w_out", "unknown_setting", "missing_array"))
+    def test_damaged_checkpoint_is_validation_error(self, tiny_run, tmp_path, capsys,
+                                                    damage, named):
+        # a checkpoint that save_checkpoint would not write is refused before
+        # play, and the message names the file and what is wrong in it
+        seed_dir = tiny_run / "seed_0"
+        with np.load(seed_dir / "model_100.ckpt", allow_pickle=False) as z:
+            meta = json.loads(z["meta"].item())
+            arrays = {k: z[k] for k in z.files if k != "meta"}
+        damage(meta, arrays)
+        bad = tmp_path / "model.ckpt"
+        with open(bad, "wb") as f:
+            np.savez(f, meta=np.array(json.dumps(meta)), **arrays)
+        rc = cli.main(["evaluate", "--model", str(bad),
+                       "--scenes", str(seed_dir / "scenes_test.jsonl"),
+                       "--train-dialogues", str(seed_dir / "human.jsonl")])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err
 
     def test_best_val_checkpoint_pipeline(self, tmp_path):
         cfg = load_config(None, {

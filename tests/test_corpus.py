@@ -40,10 +40,10 @@ class TestMix:
         assert mixed == human
 
     def test_floor_arithmetic(self):
-        assert len(corpus.replacement_ids(list(range(108_000)),
-                                          corpus.MixSpec(75, "fixed", seed=0))) == 27_000
-        assert len(corpus.replacement_ids(list(range(107)),
-                                          corpus.MixSpec(75, "fixed", seed=0))) == 26
+        for n, replaced in ((108_000, 27_000), (107, 26)):
+            mixed = corpus.mix_corpora(human_corpus(n, turns=1), generated_corpus(n, turns=1),
+                                       corpus.MixSpec(75, "fixed", seed=0))
+            assert sum(d.source == "generated" for d in mixed) == replaced
 
     def test_game_id_multiset_and_order_preserved(self):
         human = human_corpus(40)
@@ -52,11 +52,14 @@ class TestMix:
         assert [d.game_id for d in mixed] == [d.game_id for d in human]
 
     def test_nested_replacement_sets(self):
-        ids = list(range(200))
+        human, gen = human_corpus(200), generated_corpus(200)
+
+        def replaced(pct, seed):
+            mixed = corpus.mix_corpora(human, gen, corpus.MixSpec(pct, "fixed", seed=seed))
+            return {d.game_id for d in mixed if d.source == "generated"}
+
         for seed in range(10):
-            r75 = set(corpus.replacement_ids(ids, corpus.MixSpec(75, "fixed", seed=seed)))
-            r50 = set(corpus.replacement_ids(ids, corpus.MixSpec(50, "fixed", seed=seed)))
-            r0 = set(corpus.replacement_ids(ids, corpus.MixSpec(0, "fixed", seed=seed)))
+            r75, r50, r0 = (replaced(pct, seed) for pct in (75, 50, 0))
             assert r75 < r50 < r0
             assert len(r75) == 50 and len(r50) == 100 and len(r0) == 200
 

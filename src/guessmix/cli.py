@@ -146,12 +146,9 @@ def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, 
     return dialogues
 
 
-def stage_mix(human, generated, spec: MixSpec, cfg: ExperimentConfig, out):
+def stage_mix(human, generated, spec: MixSpec, out):
     """Write the mixed corpus to `out` and its manifest beside it."""
-    mixed = corpus_mod.mix_corpora(
-        human, generated, spec,
-        require_generated_success=cfg["corpus.require_generated_success"],
-    )
+    mixed = corpus_mod.mix_corpora(human, generated, spec)
     write_dialogues(out, mixed)
     corpus_mod.write_manifest(out, spec, mixed)
     return mixed
@@ -176,6 +173,15 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
         corpus_mod.question_set(training), turns=cfg["evaluate.turns"], seed=seed,
         pct_human=pct_human, length_mode=length_mode,
     )
+
+
+def stage_report_md(rows, ablation_rows, cfg: ExperimentConfig, out) -> None:
+    """Write the markdown report to `out`: the test-protocol table, then the
+    generated-only ablation's if there are such rows."""
+    md = metrics.report_markdown(rows, f"Test set, {cfg['evaluate.turns']}-question protocol")
+    if ablation_rows:
+        md += "\n" + metrics.report_markdown(ablation_rows, "Generated-only training (ablation)")
+    Path(out).write_text(md, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +263,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
             else:
                 stage = f"mix-{tag}"
                 mixed = stage_mix(human, generated[mode],
-                                  replace(spec, seed=derive_seed(rep_seed, 8)), cfg,
+                                  replace(spec, seed=derive_seed(rep_seed, 8)),
                                   seed_dir / f"mixed_{tag}.jsonl")
                 stage = f"train-{tag}"
                 questioner, _, _ = stage_train(
@@ -308,14 +314,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
         stats, reports, ablations = (_mean_rows(rows) for rows in zip(*per_seed))
         _write_tables(out, "_mean", stats, reports, ablations)
-        md = metrics.report_markdown(
-            reports, title=f"Test set, {cfg['evaluate.turns']}-question protocol"
-        )
-        if ablations:
-            md += "\n" + metrics.report_markdown(
-                ablations, title="Generated-only training (ablation)"
-            )
-        (out / "report.md").write_text(md, encoding="utf-8")
+        stage_report_md(reports, ablations, cfg, out / "report.md")
         files = sorted(
             p for p in out.rglob("*")
             if p.is_file() and p.name not in (".lock", "manifest.json")
@@ -361,6 +360,8 @@ def _cmd_collect_human(args, cfg: ExperimentConfig) -> None:
 def _cmd_train(args, cfg: ExperimentConfig) -> None:
     if bool(args.val_dialogues) != bool(args.val_scenes):
         raise ConfigError("--val-dialogues and --val-scenes go together")
+    if args.val_dialogues and cfg["model.epochs"] < 1:
+        raise ConfigError("--val-dialogues needs model.epochs >= 1 to pick a best-val checkpoint")
     dialogues = read_dialogues(args.dialogues)
     scenes = read_scenes(args.scenes)
     val_pairs = None
@@ -391,7 +392,7 @@ def _cmd_mix(args, cfg: ExperimentConfig) -> None:
     human = read_dialogues(args.human)
     generated = read_dialogues(args.generated)
     mixed = stage_mix(human, generated, MixSpec(args.pct_human, args.length, seed=args.seed),
-                      cfg, args.out)
+                      args.out)
     print(f"wrote {len(mixed)} dialogues to {args.out} and its .manifest.json")
 
 
@@ -417,7 +418,7 @@ def _cmd_report(args, cfg: ExperimentConfig) -> None:
             for row in read_jsonl(path, _report_row_from_record, "report row")]
     metrics.write_report_csv(args.out_csv, rows)
     if args.out_md:
-        Path(args.out_md).write_text(metrics.report_markdown(rows), encoding="utf-8")
+        stage_report_md(rows, [], cfg, args.out_md)
     print(f"wrote {len(rows)} rows to {args.out_csv}")
 
 
@@ -479,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", choices=(LENGTH_FIXED, LENGTH_VARIABLE), default=LENGTH_FIXED)
     p.add_argument("--out", required=True)
 
-    p = command("mix", _cmd_mix, "replace part of a human corpus with generated dialogues",
-                ("corpus.require_generated_success",))
+    p = command("mix", _cmd_mix, "replace part of a human corpus with generated dialogues")
     p.add_argument("--human", required=True)
     p.add_argument("--generated", required=True)
     p.add_argument("--pct-human", type=int, required=True)
@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="corpus the model was trained on: defines NQ, and its manifest the label")
     p.add_argument("--out", help="also write the row as JSON")
 
-    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=None)
+    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown",
+                ("evaluate.turns",), seed=None)
     p.add_argument("--rows", nargs="+", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-md")

@@ -20,15 +20,6 @@ class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 # The scene.* and model.* keys are the fields of SceneConfig and ModelConfig:
 # key -> (dataclass, field). A key is its field's name unless renamed here.
 _KEY_OF_FIELD = {"decode_mode": "decode"}
@@ -53,15 +44,11 @@ SCHEMA: dict[str, tuple] = {
     "teacher.noise": (float, 0.0, "oracle answer noise while collecting the teacher corpus"),
     "teacher.max_turns": (int, DEFAULT_MAX_TURNS, "teacher turn budget per game"),
     "corpus.min_count": (int, 3, "vocabulary frequency threshold"),
-    "corpus.require_generated_success": (
-        _parse_bool, False, "drop failed generated games before mixing",
-    ),
     "selfplay.noise": (float, 0.1, "machine-oracle answer noise (self-play and evaluation)"),
     "selfplay.turns": (int, 5, "fixed-length turn budget for generated dialogues"),
     "selfplay.checkpoint": (str, "last", "which checkpoint plays: last or best_val"),
     "evaluate.turns": (int, 5, "questions per game in the test protocol"),
-    **{key: (_parse_bool if isinstance(f.default, bool) else type(f.default), f.default,
-             f.metadata["help"]) for key, (_, f) in _FIELDS.items()},
+    **{key: (type(f.default), f.default, f.metadata["help"]) for key, (_, f) in _FIELDS.items()},
 }
 
 CHECKPOINT_CHOICES = ("last", "best_val")
@@ -101,8 +88,10 @@ class ExperimentConfig:
             raise ConfigError("experiment.n_val_scenes must be >= 0")
         if self["selfplay.checkpoint"] not in CHECKPOINT_CHOICES:
             raise ConfigError(f"selfplay.checkpoint must be one of {CHECKPOINT_CHOICES}")
-        if self["selfplay.checkpoint"] == "best_val" and self["experiment.n_val_scenes"] < 1:
-            raise ConfigError("selfplay.checkpoint=best_val needs experiment.n_val_scenes >= 1")
+        if self["selfplay.checkpoint"] == "best_val" and (
+                self["experiment.n_val_scenes"] < 1 or self["model.epochs"] < 1):
+            raise ConfigError("selfplay.checkpoint=best_val needs experiment.n_val_scenes >= 1 "
+                              "and model.epochs >= 1")
         self.mix_specs()
 
     def _section_config(self, cls):

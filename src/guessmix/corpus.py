@@ -86,20 +86,14 @@ class StatsRow:
     grq: float
 
 
-def mix_corpora(
-    human: list[Dialogue],
-    generated: list[Dialogue],
-    spec: MixSpec,
-    require_generated_success: bool = False,
-) -> list[Dialogue]:
+def mix_corpora(human: list[Dialogue], generated: list[Dialogue], spec: MixSpec) -> list[Dialogue]:
     """Replace a seeded subset of human dialogues with their generated twins.
 
     The replaced games are the first floor(fraction * N) of a seeded ranking
     of all N game ids, so lower pct_human extends the replaced set rather
     than resampling it. The output has the same size and game ids as the
     human corpus, in the same order; source tags distinguish the substituted
-    dialogues. With require_generated_success, failed generated games are
-    skipped in ranking order and later ids are replaced instead.
+    dialogues.
     """
     if spec.pct_human == 100:
         return list(human)
@@ -107,16 +101,12 @@ def mix_corpora(
     n_replace = (100 - spec.pct_human) * len(human) // 100
     ranking = np.random.default_rng(spec.seed).permutation(
         np.array(sorted(d.game_id for d in human), dtype=np.int64))
-    ranked = [int(g) for g in ranking]
-    if require_generated_success:
-        by_game = {gid: d for gid, d in by_game.items() if d.success}
-        ranked = [gid for gid in ranked if gid in by_game]
-    replaced = ranked[:n_replace]
+    replaced = [int(g) for g in ranking[:n_replace]]
     missing = [gid for gid in replaced if gid not in by_game]
-    if missing or len(replaced) < n_replace:
+    if missing:
         raise GameAlignmentError(
-            f"generated corpus covers only {len(replaced) - len(missing)} of {n_replace} "
-            "games to replace" + (f"; missing ids start with {missing[:10]}" if missing else "")
+            f"generated corpus covers only {n_replace - len(missing)} of {n_replace} "
+            f"games to replace; missing ids start with {missing[:10]}"
         )
     lengths = {len(by_game[g].turns) for g in replaced}
     if spec.length_mode == LENGTH_FIXED and len(lengths) > 1:

@@ -233,7 +233,7 @@ def write_report_csv(path: str | Path, rows: list[ReportRow]) -> None:
             f.write(format_report_row(row) + "\n")
 
 
-def report_markdown(rows: list[ReportRow], title: str = "Test set, 5-question protocol") -> str:
+def report_markdown(rows: list[ReportRow], title: str) -> str:
     """Aligned table with direction markers: higher ACC/NQ/GR and lower
     GRQ/MO are better."""
     header = ["% human", "% generated", "length",

@@ -96,9 +96,6 @@ class ModelConfig:
     decode_mode: str = field(default=DECODE_SAMPLE,
                              metadata={"help": "question decoding: sample or greedy"})
     max_question_len: int = field(default=10, metadata={"help": "generation length cap"})
-    guesser_human_only: bool = field(
-        default=False, metadata={"help": "restrict the guesser loss to human-sourced dialogues"},
-    )
 
     def validate(self) -> None:
         if self.embed_dim < 1 or self.hidden_dim < 1:
@@ -347,7 +344,7 @@ class _Forward:
     hs: np.ndarray             # (n_tokens, H) decoder states at those positions
     logp: np.ndarray           # (n_tokens, V) predicted log-probabilities
     targets: np.ndarray        # (n_tokens,) target ids [w1 .. wk <eoq>]
-    guesser: tuple | None      # joint phase: (objf, g, gp, targets, gw, wsum)
+    guesser: tuple | None      # joint phase: (objf, g, gp, targets)
 
 
 @dataclass(slots=True)
@@ -379,7 +376,6 @@ def _forward(
     vocab: Vocabulary,
     batch: list[Example] | list[tuple[Dialogue, Scene]],
     phase: str,
-    guesser_human_only: bool = False,
 ) -> tuple[float, dict, _Forward]:
     """The forward half of `loss_and_grads`: (loss, aux, cache)."""
     if phase not in (PHASE_QGEN, PHASE_JOINT):
@@ -459,14 +455,8 @@ def _forward(
         g = objf @ params.w_obj.T                   # (B, N, H)
         scores = (g * h[:, None, :]).sum(axis=-1)   # (B, N)
         glogp = _log_softmax(np.where(omask, scores, -1e30))
-        if guesser_human_only:
-            gw = np.array([1.0 if ex.source == SOURCE_HUMAN else 0.0 for ex in batch])
-        else:
-            gw = np.ones(B)
-        wsum = gw.sum()
-        if wsum > 0:
-            guesser_loss = math.fsum(-glogp[np.arange(B), g_targets] * gw) / wsum
-        guesser = (objf, g, np.exp(glogp), g_targets, gw, wsum)
+        guesser_loss = math.fsum(-glogp[np.arange(B), g_targets]) / B
+        guesser = (objf, g, np.exp(glogp), g_targets)
 
     loss = qgen_loss + guesser_loss
     aux = {"qgen_nll": qgen_loss, "guesser_ce": guesser_loss, "n_tokens": n_tokens}
@@ -481,14 +471,12 @@ def loss_and_grads(
     vocab: Vocabulary,
     batch: list[Example] | list[tuple[Dialogue, Scene]],
     phase: str,
-    guesser_human_only: bool = False,
 ) -> tuple[float, ModelParams, dict]:
     """Teacher-forced question NLL (+ guesser cross-entropy in joint phase).
 
     Returns (loss, grads, aux). The question loss is the mean negative
     log-likelihood per predicted token over the whole batch; the guesser
-    loss is the mean cross-entropy per dialogue (restricted to human-sourced
-    dialogues when guesser_human_only is set). Per-token terms are summed
+    loss is the mean cross-entropy per dialogue. Per-token terms are summed
     with math.fsum, so the loss is exactly invariant under batch order
     permutations.
 
@@ -497,7 +485,7 @@ def loss_and_grads(
     state the guesser reads and padded decoder positions predict nothing,
     so they contribute exactly zero to the loss and the gradients.
     """
-    loss, aux, f = _forward(params, vocab, batch, phase, guesser_human_only)
+    loss, aux, f = _forward(params, vocab, batch, phase)
     enc, dec = f.enc, f.dec
     Z, B, H = enc.shape[0] - 1, enc.shape[1], enc.shape[2]
     L, R = dec.shape[0] - 1, dec.shape[1]
@@ -507,14 +495,13 @@ def loss_and_grads(
     d_enc = np.zeros_like(enc)
     w_obj = np.zeros_like(params.w_obj)
     if f.guesser is not None:
-        objf, g, gp, targets, gw, wsum = f.guesser
-        if wsum > 0:
-            dscores = gp.copy()
-            dscores[np.arange(B), targets] -= 1.0
-            dscores *= (gw / wsum)[:, None]
-            d_enc[f.stream_len, np.arange(B)] = (dscores[:, :, None] * g).sum(axis=1)
-            h = enc[f.stream_len, np.arange(B)]
-            w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
+        objf, g, gp, targets = f.guesser
+        dscores = gp.copy()
+        dscores[np.arange(B), targets] -= 1.0
+        dscores *= 1.0 / B
+        d_enc[f.stream_len, np.arange(B)] = (dscores[:, :, None] * g).sum(axis=1)
+        h = enc[f.stream_len, np.arange(B)]
+        w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
 
     n_tokens = len(f.targets)
     dlog = np.exp(f.logp)
@@ -668,9 +655,7 @@ def train(
         qgen_sum = 0.0
         guess_sum = 0.0
         for bi, chunk in enumerate(batches):
-            loss, grads, aux = loss_and_grads(
-                params, vocab, chunk, phase, guesser_human_only=cfg.guesser_human_only
-            )
+            loss, grads, aux = loss_and_grads(params, vocab, chunk, phase)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}", log=log
@@ -707,7 +692,7 @@ def gradient_check(
     parameter entry by +-delta and returns the maximum relative error
     |analytic - numeric| / max(|analytic| + |numeric|, 1e-8).
     """
-    from .dialogue import NO, SOURCE_GENERATED, Turn, YES
+    from .dialogue import NO, Turn, YES
     from .scene import SceneConfig, generate_scene_set
 
     cfg = cfg or ModelConfig(embed_dim=4, hidden_dim=6, batch_size=4)
@@ -731,9 +716,8 @@ def gradient_check(
             n_turns += 1
             q = tuple(words[int(rng.integers(len(words)))] for _ in range(qlen))
             turns.append(Turn(question=q, answer=YES if rng.random() < 0.5 else NO))
-        source = SOURCE_HUMAN if i % 2 == 0 else SOURCE_GENERATED
         batch.append((
-            Dialogue(game_id=i, scene_id=sc.scene_id, source=source,
+            Dialogue(game_id=i, scene_id=sc.scene_id, source=SOURCE_HUMAN,
                      turns=tuple(turns), guess=0, success=True),
             sc,
         ))
@@ -763,7 +747,7 @@ def gradient_check(
 # checkpointing
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass

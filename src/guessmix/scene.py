@@ -207,4 +207,11 @@ def write_scenes(path: str | Path, scenes: list[Scene]) -> None:
 
 
 def read_scenes(path: str | Path) -> list[Scene]:
-    return read_jsonl(path, _scene_from_record, "scene")
+    """The scenes of a file; an id that appears twice is a ValueError naming it."""
+    scenes = read_jsonl(path, _scene_from_record, "scene")
+    seen: set[int] = set()
+    for sc in scenes:
+        if sc.scene_id in seen:
+            raise ValueError(f"{path}: scene id {sc.scene_id} appears more than once")
+        seen.add(sc.scene_id)
+    return scenes

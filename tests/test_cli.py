@@ -6,7 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,19 +97,53 @@ class TestConfig:
             ExperimentConfig({"selfplay.checkpoint": "best_val"})
         ExperimentConfig({"selfplay.checkpoint": "best_val", "experiment.n_val_scenes": 50})
 
+    def test_best_val_needs_a_training_epoch(self, tmp_path, capsys):
+        # zero epochs select no best-val model, so self-play would have no player
+        with pytest.raises(ConfigError, match="model.epochs"):
+            ExperimentConfig({"selfplay.checkpoint": "best_val", "experiment.n_val_scenes": 5,
+                              "model.epochs": 0})
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--selfplay.checkpoint", "best_val",
+                       "--experiment.n_val_scenes", "5", "--model.epochs", "0",
+                       "--experiment.n_train_scenes", "40", "--experiment.n_test_scenes", "10",
+                       "--experiment.output_dir", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "model.epochs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_and_scene_keys_are_the_dataclass_fields(self):
         keys = {key for key in config.SCHEMA if key.startswith(("model.", "scene."))}
         assert keys == ({f"scene.{f.name}" for f in fields(SceneConfig)}
                         | {"model.decode" if f.name == "decode_mode" else f"model.{f.name}"
                            for f in fields(ModelConfig)})
+        # a key's text is parsed by its default's type, so a bool field would
+        # read "no" as bool("no") == True
+        assert all(type(f.default) in (int, float, str)
+                   for cls in (ModelConfig, SceneConfig) for f in fields(cls))
         assert ExperimentConfig().model_config() == ModelConfig()
         assert ExperimentConfig().scene_config() == SceneConfig()
         cfg = load_config(None, {"model.decode": "greedy", "model.learning_rate": "1",
-                                 "model.guesser_human_only": "yes", "scene.max_objects": "9"})
-        assert cfg.model_config() == ModelConfig(decode_mode="greedy", learning_rate=1.0,
-                                                 guesser_human_only=True)
+                                 "scene.max_objects": "9"})
+        assert cfg.model_config() == ModelConfig(decode_mode="greedy", learning_rate=1.0)
         assert cfg.scene_config() == SceneConfig(max_objects=9)
-        assert config.parse_value("model.guesser_human_only", "no") is False
+
+    @pytest.mark.parametrize("key", ["corpus.require_generated_success",
+                                     "model.guesser_human_only"])
+    def test_removed_switches_are_unknown_keys(self, tmp_path, capsys, key):
+        # generated dialogues enter a mix whatever their outcome, and the
+        # guesser trains on every dialogue, so neither switch is a setting
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n"
+                        f"{key} = no\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: "no"})
+        # no command has the flag, so argparse refuses it as it does any unknown option
+        with pytest.raises(SystemExit):
+            cli.main(["run", f"--{key}", "no"])
+        assert f"--{key}" in capsys.readouterr().err
 
     def test_generated_only_ablation_is_a_mix_spec(self):
         cfg = ExperimentConfig({"experiment.mix_specs": "100:-,0:fixed,0:variable"})
@@ -318,6 +352,31 @@ class TestSubcommands:
         assert rc == cli.EXIT_VALIDATION
         assert not out.exists()
 
+    def test_repeated_scene_id_is_validation_error(self, tmp_path, capsys):
+        # two scenes with one id would pair every dialogue of that id with the last
+        first, second = scene.generate_scene_set(2, seed=0)
+        path = tmp_path / "scenes.jsonl"
+        scene.write_scenes(path, [first, replace(second, scene_id=first.scene_id)])
+        out = tmp_path / "human.jsonl"
+        assert cli.main(["collect-human", "--scenes", str(path),
+                         "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(path) in err and f"scene id {first.scene_id}" in err
+        assert not out.exists()
+
+    def test_report_title_names_the_protocol_length(self, tmp_path):
+        rows = tmp_path / "row.json"
+        rows.write_text(json.dumps({"pct_human": 100, "pct_generated": 0, "length_mode": "-",
+                                    "acc": 50.0, "grq": 10.0, "mo": 0.1, "nq": 1.0,
+                                    "gr": 90.0}) + "\n")
+        for turns in ("3", None):
+            md = tmp_path / f"report_{turns}.md"
+            argv = ["report", "--rows", str(rows), "--out-csv", str(tmp_path / "r.csv"),
+                    "--out-md", str(md)]
+            assert cli.main(argv + (["--evaluate.turns", turns] if turns else [])) == 0
+            want = f"## Test set, {turns or 5}-question protocol\n"
+            assert md.read_text(encoding="utf-8").startswith(want)
+
     def test_flag_defaults_follow_schema(self, monkeypatch):
         # every subcommand gets its settings from load_config: no key flags
         # give the defaults, and one key flag sets exactly its own key
@@ -485,6 +544,17 @@ class TestDerivedInputs:
                          "--out", str(tmp_path / "n.ckpt")]) == 0
         assert (tmp_path / "n.ckpt").exists()
         assert not (tmp_path / "n_best_val.ckpt").exists()
+
+    def test_validation_data_needs_a_training_epoch(self, mixed_chain, tmp_path, capsys):
+        # zero epochs select no best-val model, so the promised file cannot be written
+        d, out = mixed_chain, tmp_path / "m.ckpt"
+        assert cli.main(["train", "--dialogues", str(d / "human.jsonl"),
+                         "--scenes", str(d / "scenes.jsonl"), *TINY_MODEL_FLAGS,
+                         "--model.epochs", "0", "--val-dialogues", str(d / "human.jsonl"),
+                         "--val-scenes", str(d / "scenes.jsonl"),
+                         "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "model.epochs" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, corpus", [("--val-scenes", "scenes.jsonl"),
                                               ("--val-dialogues", "human.jsonl")])
@@ -792,7 +862,10 @@ class TestRunExperiment:
         (lambda meta, arrays: arrays.update(w_out=arrays["w_out"][:10]), "w_out"),
         (lambda meta, arrays: meta["config"].update(beam_width=3), "beam_width"),
         (lambda meta, arrays: arrays.pop("w_obj"), "w_obj"),
-    ], ids=("bad_decode_mode", "short_w_out", "unknown_setting", "missing_array"))
+        # a format-1 checkpoint, whose settings include model.guesser_human_only
+        (lambda meta, arrays: meta.update(
+            format=1, config=dict(meta["config"], guesser_human_only=False)), "format 1"),
+    ], ids=("bad_decode_mode", "short_w_out", "unknown_setting", "missing_array", "format_1"))
     def test_damaged_checkpoint_is_validation_error(self, tiny_run, tmp_path, capsys,
                                                     damage, named):
         # a checkpoint that save_checkpoint would not write is refused before

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_dialogue
 from guessmix import corpus, metrics
-from guessmix.dialogue import Dialogue, GameAlignmentError
+from guessmix.dialogue import GameAlignmentError
 
 
 def human_corpus(n, turns=2):
@@ -83,19 +83,6 @@ class TestMix:
                                scene_id=bad.scene_id, source="generated")
         with pytest.raises(corpus.LengthPolicyMismatchError):
             corpus.mix_corpora(human, gen, corpus.MixSpec(0, "fixed", seed=0))
-
-    def test_require_success_skips_failed_games(self):
-        human = human_corpus(10)
-        gen = generated_corpus(10)
-        gen = [
-            Dialogue(d.game_id, d.scene_id, d.source, d.turns, d.guess, d.game_id % 2 == 0)
-            for d in gen
-        ]
-        mixed = corpus.mix_corpora(human, gen, corpus.MixSpec(50, "fixed", seed=4),
-                                   require_generated_success=True)
-        replaced = [d for d in mixed if d.source == "generated"]
-        assert len(replaced) == 5
-        assert all(d.success for d in replaced)
 
     def test_grq_linearity_exact(self):
         human = human_corpus(100)

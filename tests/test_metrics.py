@@ -293,6 +293,7 @@ class TestReportIO:
 
     def test_markdown_contains_direction_markers(self):
         rows = [metrics.ReportRow(50, 50, "fixed", 48.1, 22.5, 0.18, 0.37, 21.2)]
-        md = metrics.report_markdown(rows)
+        md = metrics.report_markdown(rows, "Test set")
+        assert md.startswith("## Test set\n")
         assert "ACC ↑" in md and "GRQ ↓" in md and "MO ↓" in md
         assert "48.1" in md and "fixed" in md

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -445,19 +446,19 @@ class TestLoss:
         assert loss == pytest.approx(sum(nll) / len(nll), rel=1e-12)
         assert aux["n_tokens"] == len(nll)
 
-    def test_guesser_human_only_mask(self, world):
+    def test_guesser_ce_is_the_mean_over_dialogues(self, world):
+        # every dialogue of a mixed-source batch counts once, whatever its source
         scenes, corpus, vocab, dataset = world
         cfg = model.ModelConfig(embed_dim=8, hidden_dim=12)
         params = model.init_params(cfg, vocab, seed=1)
-        d0, s0 = dataset[0]
-        d1, s1 = dataset[1]
-        gen = Dialogue(game_id=d1.game_id, scene_id=d1.scene_id, source="generated",
-                       turns=d1.turns, guess=d1.guess, success=d1.success)
-        mixed = [(d0, s0), (gen, s1)]
-        human_only = model.loss_and_grads(params, vocab, mixed, model.PHASE_JOINT,
-                                          guesser_human_only=True)
-        pure = model.loss_and_grads(params, vocab, [(d0, s0)], model.PHASE_JOINT)
-        assert human_only[2]["guesser_ce"] == pytest.approx(pure[2]["guesser_ce"], rel=1e-12)
+        mixed = [(replace(d, source="generated") if i % 2 else d, sc)
+                 for i, (d, sc) in enumerate(dataset[:5])]
+        assert {d.source for d, _ in mixed} == {"human", "generated"}
+        batch = model.loss_and_grads(params, vocab, mixed, model.PHASE_JOINT)[2]["guesser_ce"]
+        single = [model.loss_and_grads(params, vocab, [pair], model.PHASE_JOINT)[2]["guesser_ce"]
+                  for pair in mixed]
+        assert all(ce > 0 for ce in single)
+        assert batch == pytest.approx(sum(single) / len(single), rel=1e-12)
 
     def test_empty_batch_rejected(self, world):
         _, _, vocab, _ = world
@@ -552,13 +553,12 @@ class TestEncodedExamples:
         encoded = [model.encode_example(vocab, d, sc) for d, sc in pairs]
         mixed = [p if i % 2 else e for i, (p, e) in enumerate(zip(pairs, encoded))]
         for phase in (model.PHASE_QGEN, model.PHASE_JOINT):
-            for human_only in (False, True):
-                want = model.loss_and_grads(params, vocab, pairs, phase, human_only)
-                for batch in (encoded, mixed):
-                    got = model.loss_and_grads(params, vocab, batch, phase, human_only)
-                    assert got[0] == want[0] and got[2] == want[2]
-                    for name in model.PARAM_FIELDS:
-                        assert np.array_equal(getattr(got[1], name), getattr(want[1], name))
+            want = model.loss_and_grads(params, vocab, pairs, phase)
+            for batch in (encoded, mixed):
+                got = model.loss_and_grads(params, vocab, batch, phase)
+                assert got[0] == want[0] and got[2] == want[2]
+                for name in model.PARAM_FIELDS:
+                    assert np.array_equal(getattr(got[1], name), getattr(want[1], name))
         assert (model.validation_nll(params, vocab, encoded, batch_size=4)
                 == model.validation_nll(params, vocab, pairs, batch_size=4))
 

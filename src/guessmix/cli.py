@@ -7,6 +7,8 @@ datasets, retrain a fresh model per dataset, and evaluate everything on the
 test scenes with the fixed-question protocol. Each step is one `stage_*`
 function that writes its files and returns what it wrote; `run` calls them
 in sequence, and each step subcommand reads its input files and calls one.
+A replicate's mix cells (mix, retrain and evaluate per mix spec) are
+independent, so `run` shares them between itself and a worker per spare core.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import hashlib
 import json
 import logging
 import os
+import pickle
 import platform
 import sys
+import threading
+import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -54,21 +59,30 @@ def _pair_with_scenes(dialogues, scenes):
 
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
-def _numeric_environment() -> dict:
-    """Python and numpy versions and what sets the BLAS thread count.
+def cell_processes(retrain_cells: int, environ=os.environ, cpus: int | None = None) -> int:
+    """How many processes run a replicate's retrain cells: usable CPUs over
+    BLAS threads, which are the first BLAS variable set in `environ` or, when
+    none is, one per usable CPU (OpenBLAS's default), so unset variables give
+    1. Never more than `retrain_cells`: the calling process keeps one."""
+    cpus = cpus or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count())
+    value = next((environ[name] for name in _BLAS_THREAD_VARIABLES if environ.get(name)), "")
+    threads = int(value) if value.isdigit() and int(value) > 0 else cpus
+    return max(1, min(retrain_cells, cpus // threads))
 
-    Checkpoint bits depend on how the BLAS library splits its sums over
-    threads, so these go into `manifest.json` to explain a checkpoint digest
-    that differs between hosts. With the variables unset, OpenBLAS runs one
-    thread per CPU.
-    """
+
+def _numeric_environment(cell_procs: int) -> dict:
+    """For `manifest.json`: the Python and numpy versions and what sets the
+    BLAS thread count, which checkpoint bits depend on, and the cell processes."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
+        "cell_processes": cell_procs,
     }
 
 
@@ -175,9 +189,14 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
     )
 
 
-def stage_report_md(rows, ablation_rows, cfg: ExperimentConfig, out) -> None:
+def _split_ablation(rows):  # (rows, generated-only ablation rows, which have 0% human data)
+    return [r for r in rows if r.pct_human != 0], [r for r in rows if r.pct_human == 0]
+
+
+def stage_report_md(rows, cfg: ExperimentConfig, out) -> None:
     """Write the markdown report to `out`: the test-protocol table, then the
     generated-only ablation's if there are such rows."""
+    rows, ablation_rows = _split_ablation(rows)
     md = metrics.report_markdown(rows, f"Test set, {cfg['evaluate.turns']}-question protocol")
     if ablation_rows:
         md += "\n" + metrics.report_markdown(ablation_rows, "Generated-only training (ablation)")
@@ -208,15 +227,87 @@ def _mean_rows(rows_by_seed: list[list]) -> list:
     return out
 
 
-def _write_tables(out: Path, suffix: str, stats_rows, report_rows, ablation_rows) -> None:
+def _write_tables(out: Path, suffix: str, stats_rows, report_rows) -> None:
     corpus_mod.write_stats_csv(out / f"stats{suffix}.csv", stats_rows)
+    report_rows, ablation_rows = _split_ablation(report_rows)
     metrics.write_report_csv(out / f"report{suffix}.csv", report_rows)
     if ablation_rows:
         metrics.write_report_csv(out / f"report_ablation{suffix}.csv", ablation_rows)
 
 
-def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
-    """One full pipeline pass; returns (stats_rows, report_rows, ablation_rows)."""
+def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inputs=None):
+    """Cell j of a replicate: mix spec j's corpus and model (the base model
+    for 100%, else mixed and retrained), then its (stats_row, report_row).
+    `inputs` is (human, generated by length mode, train scenes, test scenes,
+    base); a worker passes none and reads the files the replicate wrote."""
+    start = time.perf_counter()
+    spec = cfg.mix_specs()[j]
+    pct, mode = spec.pct_human, spec.length_mode
+    tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
+    rep_seed = derive_seed(cfg["experiment.seed"], replicate)
+    stage = f"evaluate-{tag}" if pct == 100 else f"mix-{tag}"
+    try:
+        human, generated, train_scenes, test_scenes, base = inputs or (
+            read_dialogues(seed_dir / "human.jsonl"),
+            {mode: read_dialogues(seed_dir / f"generated_{mode}.jsonl")},
+            read_scenes(seed_dir / "scenes_train.jsonl"),
+            read_scenes(seed_dir / "scenes_test.jsonl"), None)
+        if pct == 100:
+            mixed, questioner = human, base
+        else:
+            mixed = stage_mix(human, generated[mode], replace(spec, seed=derive_seed(rep_seed, 8)),
+                              seed_dir / f"mixed_{tag}.jsonl")
+            stage = f"train-{tag}"
+            questioner, _, _ = stage_train(
+                mixed, train_scenes, cfg, derive_seed(rep_seed, 30 + j),
+                derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
+            )
+            stage = f"evaluate-{tag}"
+        rows = (stage_stats(mixed, cfg, spec),
+                stage_evaluate(questioner, mixed, test_scenes, cfg, spec,
+                               derive_seed(rep_seed, 90 + j)))
+    except Exception as exc:
+        raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
+    log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
+             time.perf_counter() - start, "main" if inputs else f"worker {os.getpid()}")
+    return rows
+
+
+def _start_worker():
+    """A child interpreter serving `_serve_cells`, in this process's environment."""
+    import subprocess  # imported here so that only a run with workers pays for it
+    path = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parents[1]),
+                                         os.environ.get("PYTHONPATH"))))
+    code = f"import guessmix.cli as c; c._serve_cells({os.getpid()}, {log.getEffectiveLevel()})"
+    return subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+
+
+def _serve_cells(parent: int, log_level: int) -> None:
+    """A worker: `_run_cell` jobs pickled on stdin, replies on stdout, until
+    stdin closes; it exits if `parent` dies, whose lock its writes rely on."""
+    logging.basicConfig(level=log_level, format=_LOG_FORMAT)
+
+    def exit_with_parent():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(EXIT_RUNTIME)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+    while True:
+        try:
+            reply = _run_cell(*pickle.load(sys.stdin.buffer))
+        except EOFError:
+            return
+        except StageError as exc:
+            reply = str(exc)
+        pickle.dump(reply, sys.stdout.buffer)
+        sys.stdout.flush()
+
+
+def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, workers):
+    """One full pipeline pass, sharing its cells with `workers`; returns its
+    (stats_rows, report_rows) in spec order."""
     log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
@@ -254,31 +345,30 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
             for stream, mode in ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
         }
 
-        stats_rows, report_rows, ablation_rows = [], [], []
-        for j, spec in enumerate(cfg.mix_specs()):
-            pct, mode = spec.pct_human, spec.length_mode
-            tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
-            if pct == 100:
-                mixed, questioner = human, base
-            else:
-                stage = f"mix-{tag}"
-                mixed = stage_mix(human, generated[mode],
-                                  replace(spec, seed=derive_seed(rep_seed, 8)),
-                                  seed_dir / f"mixed_{tag}.jsonl")
-                stage = f"train-{tag}"
-                questioner, _, _ = stage_train(
-                    mixed, train_scenes, cfg, derive_seed(rep_seed, 30 + j),
-                    derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
-                )
-            stage = f"evaluate-{tag}"
-            stats_rows.append(stage_stats(mixed, cfg, spec))
-            row = stage_evaluate(questioner, mixed, test_scenes, cfg, spec,
-                                 derive_seed(rep_seed, 90 + j))
-            (ablation_rows if pct == 0 else report_rows).append(row)
+        # retrain cells go round-robin to this process (slot 0) and the workers
+        specs = cfg.mix_specs()
+        retrain = [j for j, spec in enumerate(specs) if spec.pct_human != 100]
+        owner = {j: workers[k % (len(workers) + 1) - 1]
+                 for k, j in enumerate(retrain) if k % (len(workers) + 1)}
+        for j, proc in owner.items():
+            stage = f"worker {proc.pid}"
+            pickle.dump((cfg, replicate, seed_dir, j), proc.stdin)
+            proc.stdin.flush()
+        cells = {j: _run_cell(cfg, replicate, seed_dir, j,
+                              (human, generated, train_scenes, test_scenes, base))
+                 for j in range(len(specs)) if j not in owner}
+        for j, proc in owner.items():
+            stage = f"worker {proc.pid}"
+            cells[j] = pickle.load(proc.stdout)
+            if isinstance(cells[j], str):
+                raise StageError(cells[j])
+        stats_rows, report_rows = zip(*(cells[j] for j in range(len(specs))))
 
         stage = "report"
-        _write_tables(seed_dir, "", stats_rows, report_rows, ablation_rows)
-        return stats_rows, report_rows, ablation_rows
+        _write_tables(seed_dir, "", stats_rows, report_rows)
+        return stats_rows, report_rows
+    except StageError:
+        raise
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
 
@@ -304,24 +394,28 @@ def _acquire_lock(lock: Path) -> int:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute every replicate and write aggregate reports; returns the
     output directory. Re-running with the same configuration reproduces all
-    report files byte for byte."""
+    report files byte for byte, however many processes run the cells."""
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
+    n_procs = cell_processes(sum(spec.pct_human != 100 for spec in cfg.mix_specs()))
+    workers = []
     try:
+        for _ in range(n_procs - 1):  # start-up overlaps the stages before the cells
+            workers.append(_start_worker())
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
-        per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
-        stats, reports, ablations = (_mean_rows(rows) for rows in zip(*per_seed))
-        _write_tables(out, "_mean", stats, reports, ablations)
-        stage_report_md(reports, ablations, cfg, out / "report.md")
+        per_seed = [_run_seed(cfg, r, out / f"seed_{r}", workers) for r in range(n_rep)]
+        stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
+        _write_tables(out, "_mean", stats, reports)
+        stage_report_md(reports, cfg, out / "report.md")
         files = sorted(
             p for p in out.rglob("*")
             if p.is_file() and p.name not in (".lock", "manifest.json")
         )
         manifest = {
             "config": cfg.values,
-            "environment": _numeric_environment(),
+            "environment": _numeric_environment(n_procs),
             "replicate_seeds": [derive_seed(cfg["experiment.seed"], r) for r in range(n_rep)],
             "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                       for p in files},
@@ -330,6 +424,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     finally:
+        for proc in workers:
+            proc.kill()
+            proc.communicate()  # closes its pipes, whatever is left unsent, and reaps it
         os.close(lock_fd)
     log.info("experiment complete: %s", out)
     return out
@@ -418,7 +515,7 @@ def _cmd_report(args, cfg: ExperimentConfig) -> None:
             for row in read_jsonl(path, _report_row_from_record, "report row")]
     metrics.write_report_csv(args.out_csv, rows)
     if args.out_md:
-        stage_report_md(rows, [], cfg, args.out_md)
+        stage_report_md(rows, cfg, args.out_md)
     print(f"wrote {len(rows)} rows to {args.out_csv}")
 
 
@@ -514,10 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad command line, a validation error here
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
+        format=_LOG_FORMAT,
     )
     try:
         flags = {key: value for key, value in vars(args).items()

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from guessmix.scene import SceneConfig
 from guessmix.seeding import derive_seed
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 TINY_MODEL_FLAGS = ("--model.embed_dim", "8", "--model.hidden_dim", "12", "--model.epochs", "2",
                     "--model.batch_size", "8", "--corpus.min_count", "1")
@@ -62,9 +64,8 @@ class TestConfig:
         # the grid is scene.GRID_SIZE; the oracle and the model assume it
         with pytest.raises(ConfigError, match="scene.grid_size"):
             load_config(None, {"scene.grid_size": "5"})
-        with pytest.raises(SystemExit):
-            cli.main(["gen-scenes", "--n", "1", "--scene.grid_size", "5",
-                      "--out", str(tmp_path / "s.jsonl")])
+        assert cli.main(["gen-scenes", "--n", "1", "--scene.grid_size", "5",
+                         "--out", str(tmp_path / "s.jsonl")]) == cli.EXIT_VALIDATION
         assert "--scene.grid_size" in capsys.readouterr().err
 
     def test_bad_value_rejected(self, tmp_path):
@@ -140,10 +141,22 @@ class TestConfig:
         assert not (tmp_path / "run").exists()
         with pytest.raises(ConfigError, match=key):
             load_config(None, {key: "no"})
-        # no command has the flag, so argparse refuses it as it does any unknown option
-        with pytest.raises(SystemExit):
-            cli.main(["run", f"--{key}", "no"])
+        # no command has the flag, so it is refused like any unknown option
+        assert cli.main(["run", f"--{key}", "no"]) == cli.EXIT_VALIDATION
         assert f"--{key}" in capsys.readouterr().err
+
+    def test_bad_command_line_is_validation_error(self, capsys):
+        # exit 1, as for the same mistake in a config file; --help still exits 0
+        assert cli.main(["run", "--model.nope", "3"]) == cli.EXIT_VALIDATION
+        assert "unrecognized arguments: --model.nope" in capsys.readouterr().err
+        assert cli.main(["train", "--model.epochs"]) == cli.EXIT_VALIDATION
+        assert cli.main(["frobnicate"]) == cli.EXIT_VALIDATION
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert "usage: guessmix" in capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "guessmix.cli", "run", "--model.nope", "3"],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == cli.EXIT_VALIDATION, proc.stderr
 
     def test_generated_only_ablation_is_a_mix_spec(self):
         cfg = ExperimentConfig({"experiment.mix_specs": "100:-,0:fixed,0:variable"})
@@ -618,6 +631,7 @@ class TestRunExperiment:
             "blas_threads": {name: os.environ.get(name) for name in
                              ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
             "cpu_count": os.cpu_count(),
+            "cell_processes": 1,  # TINY_CONFIG has one retrain cell, and this process keeps it
         }
 
     def test_reports_match_committed_pin(self, tiny_run):
@@ -678,9 +692,9 @@ class TestRunExperiment:
         run_seed = cli._run_seed
         seen = []
 
-        def spy(cfg, replicate, seed_dir):
+        def spy(*args):
             seen.append((out / ".lock").read_bytes())
-            return run_seed(cfg, replicate, seed_dir)
+            return run_seed(*args)
 
         monkeypatch.setattr(cli, "_run_seed", spy)
         cli.run_experiment(load_config(None, {
@@ -919,3 +933,197 @@ class TestRunExperiment:
                        "--experiment.n_train_scenes", "10",
                        "--experiment.n_test_scenes", "5"])
         assert rc == cli.EXIT_RUNTIME
+
+    def test_report_rebuilds_the_run_report_md(self, tmp_path, capsys):
+        # `report --out-md` moves the 0%-human rows to the ablation table,
+        # as `run` does, so the evaluated rows of a run rebuild its report.md
+        specs = ["100:-", "50:fixed", "0:fixed"]
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
+        assert cli.main(["run", "--config", str(path),
+                         "--experiment.mix_specs", ",".join(specs)]) == cli.EXIT_OK
+        seed_dir = tmp_path / "run" / "seed_0"
+        rows = []
+        for j, spec in enumerate(specs):
+            tag = spec.replace(":", "_").removesuffix("_-")
+            corpus = "human.jsonl" if j == 0 else f"mixed_{tag}.jsonl"
+            rows.append(tmp_path / f"row_{j}.jsonl")
+            assert cli.main(["evaluate", "--model", str(seed_dir / f"model_{tag}.ckpt"),
+                             "--scenes", str(seed_dir / "scenes_test.jsonl"),
+                             "--train-dialogues", str(seed_dir / corpus),
+                             "--seed", str(derive_seed(derive_seed(1, 0), 90 + j)),
+                             "--out", str(rows[-1])]) == cli.EXIT_OK
+        assert cli.main(["report", "--rows", *map(str, rows), "--out-csv",
+                         str(tmp_path / "report.csv"), "--out-md",
+                         str(tmp_path / "report.md")]) == cli.EXIT_OK
+        want = (tmp_path / "run" / "report.md").read_bytes()
+        assert b"Generated-only training (ablation)" in want
+        assert (tmp_path / "report.md").read_bytes() == want
+
+
+PINNED_BLAS = {name: "1" for name in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+# three retrain cells: with two processes a worker runs 50_variable
+CELL_SPECS = "100:-,50:fixed,50:variable,0:fixed"
+# start of a `python -c` program whose runs use two cell processes,
+# however many CPUs this host has
+TWO_CELL_PROCESSES = ("import sys; from guessmix import cli; "
+                      "cli.cell_processes = lambda retrain_cells: 2; ")
+
+
+def _children(pid: int) -> set[int]:
+    """The processes whose parent is `pid`, zombies included."""
+    kids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            kids.add(int(stat.parent.name))
+    return kids
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or a zombie that has stopped running."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+class TestCellWorkers:
+    def test_process_count_rule(self):
+        rule = cli.cell_processes
+        assert rule(4, {}, cpus=2) == 1  # unset: BLAS runs a thread per CPU
+        assert rule(4, {"OPENBLAS_NUM_THREADS": "1"}, cpus=2) == 2
+        assert rule(4, {"OMP_NUM_THREADS": "2"}, cpus=2) == 1
+        assert rule(4, {"MKL_NUM_THREADS": "2"}, cpus=8) == 4
+        assert rule(4, {"OPENBLAS_NUM_THREADS": "3"}, cpus=2) == 1
+        # never more than the retrain cells, and at least the calling process
+        assert rule(3, PINNED_BLAS, cpus=16) == 3
+        assert rule(1, PINNED_BLAS, cpus=16) == 1
+        assert rule(0, PINNED_BLAS, cpus=16) == 1
+        # the first variable set counts; one that is not a positive count is unset
+        assert rule(4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, cpus=4) == 4
+        assert rule(4, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, cpus=4) == 2
+        assert rule(4, {"OPENBLAS_NUM_THREADS": "0"}, cpus=4) == 1
+        assert rule(4, {"OPENBLAS_NUM_THREADS": "four"}, cpus=4) == 1
+        # by default the usable CPUs of this process and its environment
+        assert rule(4, PINNED_BLAS) == min(4, len(os.sched_getaffinity(0)))
+        assert rule(4, {}) == 1
+
+    def test_same_outputs_on_one_and_two_cpus(self, tmp_path):
+        # fresh interpreters with one BLAS thread each, on one usable CPU
+        # (one cell process) and on two (a worker besides the calling process)
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG)
+        usable = sorted(os.sched_getaffinity(0))
+        manifests = []
+        for cpus in ({usable[0]}, set(usable[:2])):
+            out = tmp_path / f"cpus_{len(cpus)}"
+            code = (f"import os, sys; os.sched_setaffinity(0, {cpus}); "
+                    "from guessmix import cli; sys.exit(cli.main(sys.argv[1:]))")
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "-v", "run", "--config", str(path),
+                 "--experiment.output_dir", str(out), "--experiment.mix_specs", CELL_SPECS],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, **PINNED_BLAS, "PYTHONPATH": str(SRC)})
+            assert proc.returncode == 0, proc.stderr
+            workers = re.findall(r"cell (\S+) of replicate 0: [\d.]+ s in worker \d+", proc.stderr)
+            assert workers == (["50_variable"] if len(cpus) == 2 else []), proc.stderr
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            assert manifests[-1]["environment"]["cell_processes"] == len(cpus)
+        one, two = (m["files"] for m in manifests)
+        assert one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == ["config.txt"]
+
+    def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
+        started = []
+        start_worker = cli._start_worker
+        monkeypatch.setattr(cli, "_start_worker",
+                            lambda: started.append(start_worker()) or started[-1])
+        out = tmp_path / "run"
+        # a directory where the worker's cell saves its checkpoint
+        (out / "seed_0" / "model_50_variable.ckpt").mkdir(parents=True)
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        before = _children(os.getpid())
+        rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])
+        assert rc == cli.EXIT_RUNTIME
+        assert "stage 'train-50_variable' failed for replicate 0" in capsys.readouterr().err
+        [worker] = started
+        assert worker.returncode is not None  # killed and reaped
+        assert _children(os.getpid()) <= before
+        assert not (out / "manifest.json").exists()
+
+    def test_worker_gone_before_its_job_is_a_stage_error(self, tmp_path, monkeypatch):
+        # the run fails naming the worker, and leaves the output directory
+        # unlocked and no child process behind
+        monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
+        started = []
+
+        def start_dead_worker():
+            started.append(subprocess.Popen([sys.executable, "-c", "pass"],
+                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE))
+            started[-1].wait(timeout=60)
+            return started[-1]
+
+        monkeypatch.setattr(cli, "_start_worker", start_dead_worker)
+        out = tmp_path / "run"
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        with pytest.raises(cli.StageError, match=r"stage 'worker \d+' failed for replicate 0"):
+            cli.run_experiment(load_config(path, {"experiment.mix_specs": CELL_SPECS}))
+        os.close(cli._acquire_lock(out / ".lock"))
+        [worker] = started
+        assert worker.stdin.closed and worker.stdout.closed
+        assert worker.pid not in _children(os.getpid())
+
+    def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG)
+        out = tmp_path / "run"
+        # enough epochs that the worker's cell trains for seconds
+        parent = subprocess.Popen(
+            [sys.executable, "-c", TWO_CELL_PROCESSES + "sys.exit(cli.main(sys.argv[1:]))",
+             "run", "--config", str(path), "--experiment.output_dir", str(out),
+             "--experiment.mix_specs", CELL_SPECS, "--model.epochs", "1000"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env={**os.environ, **PINNED_BLAS, "PYTHONPATH": str(SRC)})
+        try:
+            deadline = time.monotonic() + 120
+            while not (out / "seed_0" / "mixed_50_variable.jsonl").exists():
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+            [worker] = _children(parent.pid)
+        finally:
+            parent.kill()
+            parent.wait()
+        assert not (out / "seed_0" / "model_50_variable.ckpt").exists()  # mid-cell
+        deadline = time.monotonic() + 2.0
+        while not _gone(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _gone(worker)
+
+    def test_script_without_main_guard(self, tmp_path):
+        # a worker does not re-run the script that started the run
+        out = tmp_path / "run"
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "import logging\n" + TWO_CELL_PROCESSES + "from guessmix import config\n"
+            "logging.basicConfig(level=logging.INFO)\n"
+            f"cli.run_experiment(config.load_config({str(path)!r}, "
+            f"{{'experiment.mix_specs': {CELL_SPECS!r}}}))\n"
+            "print('done')\n")
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "done\n"
+        assert "cell 50_variable of replicate 0" in proc.stderr
+        assert re.search(r"in worker \d+", proc.stderr)
+        assert json.loads((out / "manifest.json").read_text())["environment"][
+            "cell_processes"] == 2

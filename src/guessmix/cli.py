@@ -8,7 +8,8 @@ test scenes with the fixed-question protocol. Each step is one `stage_*`
 function that writes its files and returns what it wrote; `run` calls them
 in sequence, and each step subcommand reads its input files and calls one.
 A replicate's mix cells (mix, retrain and evaluate per mix spec) are
-independent, so `run` shares them between itself and a worker per spare core.
+independent once its base model is saved, so `run` then shares them, with
+the self-play they need, between itself and a worker per spare core.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .oracle import OracleConfig
 from .scene import generate_scene_set, read_scenes, write_scenes
 from .seeding import derive_seed
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("guessmix.cli")  # also when run as __main__
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -144,10 +145,10 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, init_seed: int, train_
 
 
 def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, human,
-                   seed: int, out):
+                   seed: int, out=None):
     """Let the questioner replay the game of every `human` dialogue on its
     scene, for selfplay.turns turns (fixed length) or as many as that
-    dialogue (variable length)."""
+    dialogue (variable length); writes the dialogues to `out` unless it is None."""
     if length_mode == LENGTH_FIXED:
         policy: selfplay.LengthPolicy = selfplay.FixedLength(cfg["selfplay.turns"])
     else:
@@ -156,7 +157,8 @@ def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, 
         questioner, [s for _, s in _pair_with_scenes(human, scenes)],
         OracleConfig(cfg["selfplay.noise"]), policy, seed=seed,
     )
-    write_dialogues(out, dialogues)
+    if out is not None:
+        write_dialogues(out, dialogues)
     return dialogues
 
 
@@ -227,31 +229,36 @@ def _mean_rows(rows_by_seed: list[list]) -> list:
     return out
 
 
+def _write_report_csvs(path: Path, ablation_path: Path, rows) -> int:
+    """The report rows to `path`, the generated-only ones to `ablation_path`
+    if there are any; returns how many of those there are."""
+    rows, ablation_rows = _split_ablation(rows)
+    metrics.write_report_csv(path, rows)
+    if ablation_rows:
+        metrics.write_report_csv(ablation_path, ablation_rows)
+    return len(ablation_rows)
+
+
 def _write_tables(out: Path, suffix: str, stats_rows, report_rows) -> None:
     corpus_mod.write_stats_csv(out / f"stats{suffix}.csv", stats_rows)
-    report_rows, ablation_rows = _split_ablation(report_rows)
-    metrics.write_report_csv(out / f"report{suffix}.csv", report_rows)
-    if ablation_rows:
-        metrics.write_report_csv(out / f"report_ablation{suffix}.csv", ablation_rows)
+    _write_report_csvs(out / f"report{suffix}.csv", out / f"report_ablation{suffix}.csv",
+                       report_rows)
 
 
-def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inputs=None):
+def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inputs,
+              where: str):
     """Cell j of a replicate: mix spec j's corpus and model (the base model
     for 100%, else mixed and retrained), then its (stats_row, report_row).
     `inputs` is (human, generated by length mode, train scenes, test scenes,
-    base); a worker passes none and reads the files the replicate wrote."""
+    base); `where` names this process in the log."""
     start = time.perf_counter()
     spec = cfg.mix_specs()[j]
     pct, mode = spec.pct_human, spec.length_mode
     tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
+    human, generated, train_scenes, test_scenes, base = inputs
     stage = f"evaluate-{tag}" if pct == 100 else f"mix-{tag}"
     try:
-        human, generated, train_scenes, test_scenes, base = inputs or (
-            read_dialogues(seed_dir / "human.jsonl"),
-            {mode: read_dialogues(seed_dir / f"generated_{mode}.jsonl")},
-            read_scenes(seed_dir / "scenes_train.jsonl"),
-            read_scenes(seed_dir / "scenes_test.jsonl"), None)
         if pct == 100:
             mixed, questioner = human, base
         else:
@@ -269,8 +276,73 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inp
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
     log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
-             time.perf_counter() - start, "main" if inputs else f"worker {os.getpid()}")
+             time.perf_counter() - start, where)
     return rows
+
+
+# the replicate-seed stream of each length mode's self-play corpus
+_SELFPLAY_STREAMS = ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
+
+
+def _deal_cells(specs: list[MixSpec], n_procs: int) -> list[tuple[list[int], list[str]]]:
+    """(cells, length modes whose corpus it writes) per process, the calling
+    process first. Retrain cells go round-robin and the 100% cell to the last
+    process. A mode's corpus is written by the owner of its first retrain
+    cell, or by the calling process if no cell uses it."""
+    cells: list[list[int]] = [[] for _ in range(n_procs)]
+    retrain = [j for j, spec in enumerate(specs) if spec.pct_human != 100]
+    for k, j in enumerate(retrain):
+        cells[k % n_procs].append(j)
+    cells[-1] += [j for j, spec in enumerate(specs) if spec.pct_human == 100]
+    owner = {j: p for p, own in enumerate(cells) for j in own}
+    writes: list[list[str]] = [[] for _ in range(n_procs)]
+    for _, mode in _SELFPLAY_STREAMS:
+        users = [j for j in retrain if specs[j].length_mode == mode]
+        writes[owner[users[0]] if users else 0].append(mode)
+    return [(sorted(own), modes) for own, modes in zip(cells, writes)]
+
+
+def _run_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, cells: list[int],
+               writes: list[str], inputs=None):
+    """A process's share of a replicate once the base model is saved: play
+    the self-play corpora its `cells` use or it `writes`, writing the latter,
+    then run the cells; returns {j: rows}. `inputs` is (human, train scenes,
+    test scenes, base, player); a worker passes none and reads them once from
+    the replicate's files."""
+    where = "main" if inputs else f"worker {os.getpid()}"
+    specs = cfg.mix_specs()
+    rep_seed = derive_seed(cfg["experiment.seed"], replicate)
+    plays = [(stream, mode) for stream, mode in _SELFPLAY_STREAMS
+             if mode in writes or any(specs[j].length_mode == mode for j in cells)]
+    stage = "inputs"
+    try:
+        if inputs is None:
+            ckpt = seed_dir / "model_100.ckpt"
+            base = (model.load_checkpoint(ckpt) if any(specs[j].pct_human == 100 for j in cells)
+                    else None)
+            player = None
+            if plays:
+                player = (model.load_checkpoint(best_val_path(ckpt))
+                          if cfg["selfplay.checkpoint"] == "best_val"
+                          else base or model.load_checkpoint(ckpt))
+            inputs = (read_dialogues(seed_dir / "human.jsonl"),
+                      read_scenes(seed_dir / "scenes_train.jsonl"),
+                      read_scenes(seed_dir / "scenes_test.jsonl"), base, player)
+        human, train_scenes, test_scenes, base, player = inputs
+        stage = "selfplay"
+        generated = {}
+        for stream, mode in plays:
+            start = time.perf_counter()
+            out = seed_dir / f"generated_{mode}.jsonl" if mode in writes else None
+            generated[mode] = stage_selfplay(player, train_scenes, cfg, mode, human,
+                                             derive_seed(rep_seed, stream), out)
+            log.info("self-play %s corpus of replicate %d: %.2f s in %s%s", mode, replicate,
+                     time.perf_counter() - start, where, ", written" if out else "")
+    except Exception as exc:
+        raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
+    return {j: _run_cell(cfg, replicate, seed_dir, j,
+                         (human, generated, train_scenes, test_scenes, base), where)
+            for j in cells}
 
 
 def _start_worker():
@@ -284,7 +356,7 @@ def _start_worker():
 
 
 def _serve_cells(parent: int, log_level: int) -> None:
-    """A worker: `_run_cell` jobs pickled on stdin, replies on stdout, until
+    """A worker: `_run_share` jobs pickled on stdin, replies on stdout, until
     stdin closes; it exits if `parent` dies, whose lock its writes rely on."""
     logging.basicConfig(level=log_level, format=_LOG_FORMAT)
 
@@ -296,7 +368,7 @@ def _serve_cells(parent: int, log_level: int) -> None:
     threading.Thread(target=exit_with_parent, daemon=True).start()
     while True:
         try:
-            reply = _run_cell(*pickle.load(sys.stdin.buffer))
+            reply = _run_share(*pickle.load(sys.stdin.buffer))
         except EOFError:
             return
         except StageError as exc:
@@ -337,32 +409,22 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, workers):
         )
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
-        stage = "selfplay"
-        generated = {
-            mode: stage_selfplay(player, train_scenes, cfg, mode, human,
-                                 derive_seed(rep_seed, stream),
-                                 seed_dir / f"generated_{mode}.jsonl")
-            for stream, mode in ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
-        }
-
-        # retrain cells go round-robin to this process (slot 0) and the workers
+        # the checkpoints are saved: hand each worker its share, then run ours
         specs = cfg.mix_specs()
-        retrain = [j for j, spec in enumerate(specs) if spec.pct_human != 100]
-        owner = {j: workers[k % (len(workers) + 1) - 1]
-                 for k, j in enumerate(retrain) if k % (len(workers) + 1)}
-        for j, proc in owner.items():
+        (cells, writes), *shares = _deal_cells(specs, len(workers) + 1)
+        for proc, share in zip(workers, shares):
             stage = f"worker {proc.pid}"
-            pickle.dump((cfg, replicate, seed_dir, j), proc.stdin)
+            pickle.dump((cfg, replicate, seed_dir, *share), proc.stdin)
             proc.stdin.flush()
-        cells = {j: _run_cell(cfg, replicate, seed_dir, j,
-                              (human, generated, train_scenes, test_scenes, base))
-                 for j in range(len(specs)) if j not in owner}
-        for j, proc in owner.items():
+        rows = _run_share(cfg, replicate, seed_dir, cells, writes,
+                          (human, train_scenes, test_scenes, base, player))
+        for proc in workers:
             stage = f"worker {proc.pid}"
-            cells[j] = pickle.load(proc.stdout)
-            if isinstance(cells[j], str):
-                raise StageError(cells[j])
-        stats_rows, report_rows = zip(*(cells[j] for j in range(len(specs))))
+            reply = pickle.load(proc.stdout)
+            if isinstance(reply, str):
+                raise StageError(reply)
+            rows.update(reply)
+        stats_rows, report_rows = zip(*(rows[j] for j in range(len(specs))))
 
         stage = "report"
         _write_tables(seed_dir, "", stats_rows, report_rows)
@@ -513,10 +575,13 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
 def _cmd_report(args, cfg: ExperimentConfig) -> None:
     rows = [row for path in args.rows
             for row in read_jsonl(path, _report_row_from_record, "report row")]
-    metrics.write_report_csv(args.out_csv, rows)
+    out_csv = Path(args.out_csv)
+    ablation_csv = out_csv.with_name(f"{out_csv.stem}_ablation.csv")
+    n_ablation = _write_report_csvs(out_csv, ablation_csv, rows)
     if args.out_md:
         stage_report_md(rows, cfg, args.out_md)
-    print(f"wrote {len(rows)} rows to {args.out_csv}")
+    print(f"wrote {len(rows) - n_ablation} rows to {out_csv}"
+          + (f" and {n_ablation} to {ablation_csv}" if n_ablation else ""))
 
 
 def _cmd_run(args, cfg: ExperimentConfig) -> None:
@@ -600,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown",
                 ("evaluate.turns",), seed=None)
     p.add_argument("--rows", nargs="+", required=True)
-    p.add_argument("--out-csv", required=True)
+    p.add_argument("--out-csv", required=True,
+                   help="rows with 0%% human data go to <stem>_ablation.csv beside it")
     p.add_argument("--out-md")
 
     p = command("run", _cmd_run, "run the full two-step experiment from a config file", SCHEMA,

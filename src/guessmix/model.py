@@ -30,14 +30,18 @@ its loops hold one matmul per step, and the weight gradients are formed
 after them from the stacked step gradients. `gradient_check` verifies it
 against central finite differences entry by entry.
 
-Play runs one game at a time. `encode_turn` and `decode_question` gather
-rows of the input projection W_in e(x) + b of the whole vocabulary, so a
-step is a row gather, one matvec and one tanh. The decoder stacks W_out
-over W_h, so that one matvec gives both a step's logits and the next step's
-recurrent term. A `Questioner` makes its parameter arrays read-only and
-computes these two tables once, on its `ModelParams`. Parameters outside a
-Questioner, which training and tests update in place, get them computed
-afresh on every call.
+Play comes in two forms. `encode_turn` and `decode_question` advance one
+game: they gather rows of the input projection W_in e(x) + b of the whole
+vocabulary, so a step is a row gather, one matvec and one tanh. The decoder
+stacks W_out over W_h, so that one matvec gives both a step's logits and
+the next step's recurrent term. `encode_turns` and `decode_questions`
+advance many games in lockstep: the same step over the games still asking
+or encoding is one matrix product, and each game draws from its own
+generator in the single-game order. Self-play runs the single-game form,
+evaluation the lockstep one. A `Questioner` makes its parameter arrays
+read-only and computes the two tables once, on its `ModelParams`.
+Parameters outside a Questioner, which training and tests update in place,
+get them computed afresh on every call.
 """
 
 from __future__ import annotations
@@ -305,6 +309,79 @@ def decode_question(
         question.append(words[nxt])
         prev = nxt
     return question
+
+
+def encode_turns(
+    params: ModelParams,
+    vocab: Vocabulary,
+    states: np.ndarray,
+    questions: list[list[str]],
+    answers: list[str],
+) -> np.ndarray:
+    """`encode_turn` for every row of the (G, H) `states` at once: one
+    (rows, H) @ (H, H) product per token position over the rows whose turn
+    (question tokens, then answer) is still that long."""
+    ids = [[vocab.token_id(tok) for tok in q] + [vocab.answer_id(a)]
+           for q, a in zip(questions, answers)]
+    proj, _ = _decode_tables(params)
+    w_h_t = params.w_h.T
+    h = np.array(states, dtype=float)
+    lengths = np.array([len(row) for row in ids])
+    for pos in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > pos)
+        h[rows] = np.tanh(proj[[ids[g][pos] for g in rows]] + h[rows] @ w_h_t)
+    return h
+
+
+def decode_questions(
+    params: ModelParams,
+    vocab: Vocabulary,
+    states: np.ndarray,
+    mode: str = DECODE_GREEDY,
+    max_len: int = 10,
+    rngs: list[np.random.Generator] | None = None,
+) -> list[list[str]]:
+    """`decode_question` for every row of the (G, H) `states` at once, row g
+    drawing from `rngs[g]` as `decode_question` draws from its rng.
+
+    Each step is one (rows, H) @ (H, V + H) product over the rows still
+    asking, giving their logits and next recurrent terms. A sampled token is
+    the count of cumulative masses at or below the draw times the total,
+    which is where `searchsorted(side="right")` lands in `decode_question`.
+    """
+    if mode == DECODE_SAMPLE and rngs is None:
+        raise ValueError("sample decoding requires an rng per row")
+    greedy = mode == DECODE_GREEDY
+    proj, out_rec = _decode_tables(params)
+    n_words = proj.shape[0]
+    last, eoq, words = n_words - 1, vocab.eoq_id, vocab.words
+    out_rec_t = out_rec.T
+    rec = np.asarray(states, dtype=float) @ params.w_h.T
+    asking = np.arange(len(rec))
+    prev = np.full(len(rec), vocab.soq_id)
+    questions: list[list[str]] = [[] for _ in asking]
+    for step in range(max_len):
+        out = np.tanh(proj[prev] + rec) @ out_rec_t
+        logits, rec = out[:, :n_words], out[:, n_words:]
+        if step == 0:
+            logits[:, eoq] = -np.inf
+        if greedy:
+            nxt = logits.argmax(axis=1)
+        else:
+            cdf = np.exp(logits - logits.max(axis=1, keepdims=True))
+            np.cumsum(cdf, axis=1, out=cdf)
+            total = cdf[:, last]
+            if not np.isfinite(total).all():
+                raise ValueError("cannot sample from non-finite logits")
+            u = np.array([rngs[g].random() for g in asking.tolist()]) * total
+            nxt = np.minimum((cdf <= u[:, None]).sum(axis=1), last)
+        go_on = nxt != eoq
+        for g, tok in zip(asking[go_on].tolist(), nxt[go_on].tolist()):
+            questions[g].append(words[tok])
+        asking, prev, rec = asking[go_on], nxt[go_on], rec[go_on]
+        if not len(asking):
+            break
+    return questions
 
 
 def guesser_scores(params: ModelParams, state: np.ndarray, scene: Scene) -> np.ndarray:

@@ -4,6 +4,12 @@ Each game alternates question generation, Oracle answering and dialogue
 state updates for a commanded number of turns, then guesses. Everything the
 model says is recorded verbatim, including repeated and malformed questions;
 no success filter is applied to generated corpora.
+
+Every game draws from its own (seed, scene_id) random stream. `play_games`,
+which evaluation calls, plays its games in lockstep: one batched decode and
+one batched encode per turn over all of them. Self-play corpora are played
+one game at a time by `play_game`, which is also the reference the lockstep
+games are tested against.
 """
 
 from __future__ import annotations
@@ -50,26 +56,8 @@ class PlayedGame:
     scene_id: int
 
 
-def play_game(
-    questioner: m.Questioner,
-    scene: Scene,
-    oracle_cfg: oracle.OracleConfig,
-    turns: int,
-    rng: np.random.Generator,
-) -> PlayedGame:
-    if turns < 1:
-        raise ValueError(f"turn budget must be >= 1, got {turns}")
-    params, vocab, cfg = questioner.params, questioner.vocab, questioner.config
-    state = m.initial_state(params, scene)
-    recorded: list[Turn] = []
-    for _ in range(turns):
-        question = m.decode_question(
-            params, vocab, state, mode=cfg.decode_mode,
-            max_len=cfg.max_question_len, rng=rng,
-        )
-        answer = oracle.answer(scene, question, oracle_cfg, rng)
-        recorded.append(Turn(question=tuple(question), answer=answer))
-        state = m.encode_turn(params, vocab, state, question, answer)
+def _played(params: m.ModelParams, scene: Scene, recorded: list[Turn],
+            state: np.ndarray) -> PlayedGame:
     guess = m.guess_object(params, state, scene)
     success = guess == scene.target_index
     dialogue = Dialogue(
@@ -83,6 +71,31 @@ def play_game(
     return PlayedGame(dialogue=dialogue, guess=guess, success=success, scene_id=scene.scene_id)
 
 
+def play_game(
+    questioner: m.Questioner,
+    scene: Scene,
+    oracle_cfg: oracle.OracleConfig,
+    turns: int,
+    rng: np.random.Generator,
+) -> PlayedGame:
+    """One game on its own: the path self-play takes, and the reference
+    `play_games` is tested against."""
+    if turns < 1:
+        raise ValueError(f"turn budget must be >= 1, got {turns}")
+    params, vocab, cfg = questioner.params, questioner.vocab, questioner.config
+    state = m.initial_state(params, scene)
+    recorded: list[Turn] = []
+    for _ in range(turns):
+        question = m.decode_question(
+            params, vocab, state, mode=cfg.decode_mode,
+            max_len=cfg.max_question_len, rng=rng,
+        )
+        answer = oracle.answer(scene, question, oracle_cfg, rng)
+        recorded.append(Turn(question=tuple(question), answer=answer))
+        state = m.encode_turn(params, vocab, state, question, answer)
+    return _played(params, scene, recorded, state)
+
+
 def play_games(
     questioner: m.Questioner,
     scenes: list[Scene],
@@ -90,11 +103,33 @@ def play_games(
     turns: int,
     seed: int,
 ) -> list[PlayedGame]:
-    """One game per scene on independent (seed, scene_id) random streams."""
-    return [
-        play_game(questioner, sc, oracle_cfg, turns, np.random.default_rng([seed, sc.scene_id]))
-        for sc in scenes
-    ]
+    """One game per scene on independent (seed, scene_id) random streams,
+    played in lockstep: each turn is one batched decode and one batched
+    encode over all games, between which every game's oracle answers.
+
+    Each game draws from its stream in `play_game`'s order (one draw per
+    sampled token, then the oracle's noise draw), so the games equal
+    `play_game`'s on the same streams, unless a last-bit difference in the
+    states tips a draw or an argmax: a matrix product over the games
+    replaces one matrix-vector product per game.
+    """
+    if turns < 1:
+        raise ValueError(f"turn budget must be >= 1, got {turns}")
+    if not scenes:
+        return []
+    params, vocab, cfg = questioner.params, questioner.vocab, questioner.config
+    rngs = [np.random.default_rng([seed, sc.scene_id]) for sc in scenes]
+    states = np.array([m.initial_state(params, sc) for sc in scenes])
+    recorded: list[list[Turn]] = [[] for _ in scenes]
+    for _ in range(turns):
+        questions = m.decode_questions(params, vocab, states, cfg.decode_mode,
+                                       cfg.max_question_len, rngs)
+        answers = [oracle.answer(sc, q, oracle_cfg, rng)
+                   for sc, q, rng in zip(scenes, questions, rngs)]
+        for game, question, answer in zip(recorded, questions, answers):
+            game.append(Turn(question=tuple(question), answer=answer))
+        states = m.encode_turns(params, vocab, states, questions, answers)
+    return [_played(params, sc, game, state) for sc, game, state in zip(scenes, recorded, states)]
 
 
 def generate_selfplay_corpus(

@@ -935,8 +935,9 @@ class TestRunExperiment:
         assert rc == cli.EXIT_RUNTIME
 
     def test_report_rebuilds_the_run_report_md(self, tmp_path, capsys):
-        # `report --out-md` moves the 0%-human rows to the ablation table,
-        # as `run` does, so the evaluated rows of a run rebuild its report.md
+        # `report` moves the 0%-human rows to the ablation table and CSV, as
+        # `run` does, so the evaluated rows of a run rebuild its report.md,
+        # report.csv and report_ablation.csv
         specs = ["100:-", "50:fixed", "0:fixed"]
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
@@ -959,6 +960,20 @@ class TestRunExperiment:
         want = (tmp_path / "run" / "report.md").read_bytes()
         assert b"Generated-only training (ablation)" in want
         assert (tmp_path / "report.md").read_bytes() == want
+        for name in ("report.csv", "report_ablation.csv"):
+            assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes(), name
+        assert (f"wrote 2 rows to {tmp_path / 'report.csv'} and 1 to "
+                f"{tmp_path / 'report_ablation.csv'}") in capsys.readouterr().out
+
+    def test_module_run_logs_as_guessmix_cli(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
+        proc = subprocess.run([sys.executable, "-m", "guessmix.cli", "-v", "run", "--config",
+                               str(path)], capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert "INFO guessmix.cli: === replicate 1 of 1 ===" in proc.stderr
+        assert "__main__" not in proc.stderr
 
 
 PINNED_BLAS = {name: "1" for name in
@@ -1013,30 +1028,77 @@ class TestCellWorkers:
         assert rule(4, PINNED_BLAS) == min(4, len(os.sched_getaffinity(0)))
         assert rule(4, {}) == 1
 
-    def test_same_outputs_on_one_and_two_cpus(self, tmp_path):
-        # fresh interpreters with one BLAS thread each, on one usable CPU
-        # (one cell process) and on two (a worker besides the calling process)
+    @staticmethod
+    def _run_on_one_and_two_cpus(tmp_path, specs):
+        """Fresh interpreters with one BLAS thread each, run with `-v` on one
+        usable CPU (one cell process) and on two (a worker besides the calling
+        process); returns each run's stderr, after checking that every digest
+        but config.txt's is the same on both."""
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)
         usable = sorted(os.sched_getaffinity(0))
-        manifests = []
+        logs, manifests = [], []
         for cpus in ({usable[0]}, set(usable[:2])):
             out = tmp_path / f"cpus_{len(cpus)}"
             code = (f"import os, sys; os.sched_setaffinity(0, {cpus}); "
                     "from guessmix import cli; sys.exit(cli.main(sys.argv[1:]))")
             proc = subprocess.run(
                 [sys.executable, "-c", code, "-v", "run", "--config", str(path),
-                 "--experiment.output_dir", str(out), "--experiment.mix_specs", CELL_SPECS],
+                 "--experiment.output_dir", str(out), "--experiment.mix_specs", specs],
                 capture_output=True, text=True, timeout=300,
                 env={**os.environ, **PINNED_BLAS, "PYTHONPATH": str(SRC)})
             assert proc.returncode == 0, proc.stderr
-            workers = re.findall(r"cell (\S+) of replicate 0: [\d.]+ s in worker \d+", proc.stderr)
-            assert workers == (["50_variable"] if len(cpus) == 2 else []), proc.stderr
+            logs.append(proc.stderr)
             manifests.append(json.loads((out / "manifest.json").read_text()))
             assert manifests[-1]["environment"]["cell_processes"] == len(cpus)
         one, two = (m["files"] for m in manifests)
         assert one.keys() == two.keys()
         assert [name for name in one if one[name] != two[name]] == ["config.txt"]
+        return logs
+
+    @staticmethod
+    def _worker_cells(log):
+        return re.findall(r"cell (\S+) of replicate 0: [\d.]+ s in worker \d+", log)
+
+    @staticmethod
+    def _self_play(log):
+        """(length mode, process, written) of each self-play corpus played."""
+        return sorted(re.findall(r"self-play (\w+) corpus of replicate 0: [\d.]+ s in "
+                                 r"(main|worker) ?\d*(, written)?", log))
+
+    def test_same_outputs_on_one_and_two_cpus(self, tmp_path):
+        # the worker gets the 100% cell and the retrain cells dealt to it, and
+        # plays the one corpus they use
+        serial, pooled = self._run_on_one_and_two_cpus(tmp_path, CELL_SPECS)
+        assert self._worker_cells(serial) == []
+        assert self._worker_cells(pooled) == ["100", "50_variable"], pooled
+        assert self._self_play(serial) == [("fixed", "main", ", written"),
+                                           ("variable", "main", ", written")]
+        assert self._self_play(pooled) == [("fixed", "main", ", written"),
+                                           ("variable", "worker", ", written")], pooled
+
+    def test_corpus_no_cell_uses_is_played_by_the_calling_process(self, tmp_path):
+        # both processes retrain on the variable corpus and only the owner of
+        # its first cell writes it; no cell uses the fixed corpus, so the
+        # calling process plays and writes it
+        serial, pooled = self._run_on_one_and_two_cpus(tmp_path, "100:-,75:variable,50:variable")
+        assert self._worker_cells(pooled) == ["100", "50_variable"], pooled
+        assert self._self_play(serial) == [("fixed", "main", ", written"),
+                                           ("variable", "main", ", written")]
+        assert self._self_play(pooled) == [("fixed", "main", ", written"),
+                                           ("variable", "main", ", written"),
+                                           ("variable", "worker", "")], pooled
+
+    def test_shares_of_a_replicate(self):
+        specs = [MixSpec(pct, mode) for pct, mode in
+                 ((100, "-"), (75, "fixed"), (75, "variable"), (50, "fixed"), (50, "variable"))]
+        assert cli._deal_cells(specs, 1) == [([0, 1, 2, 3, 4], ["fixed", "variable"])]
+        assert cli._deal_cells(specs, 2) == [([1, 3], ["fixed"]), ([0, 2, 4], ["variable"])]
+        assert cli._deal_cells(specs, 3) == [([1, 4], ["fixed"]), ([2], ["variable"]),
+                                             ([0, 3], [])]
+        # no 100% cell; a mode no cell uses is the calling process's to write
+        assert cli._deal_cells(specs[2:3] + specs[4:], 2) == [([0], ["fixed", "variable"]),
+                                                              ([1], [])]
 
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ class TestPlayGame:
         with pytest.raises(ValueError):
             selfplay.play_game(questioner, small_scenes[0], oracle.OracleConfig(0.0),
                                0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            selfplay.play_games(questioner, small_scenes, oracle.OracleConfig(0.0), 0, seed=0)
 
     def test_untrained_model_hits_chance_rate(self):
         from guessmix import scene as scene_mod
@@ -60,6 +63,24 @@ class TestPlayGame:
         expected = float(np.mean([1.0 / len(s.objects) for s in scenes]))
         sigma = float(np.sqrt(expected * (1 - expected) / len(games)))
         assert abs(got - expected) < 3.5 * sigma
+
+
+class TestPlayGames:
+    @pytest.mark.parametrize("decode", ["greedy", "sample"])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_lockstep_equals_one_play_game_per_scene(self, questioner, small_scenes,
+                                                     decode, noise):
+        q = model.Questioner(questioner.params, questioner.vocab,
+                             replace(questioner.config, decode_mode=decode))
+        cfg = oracle.OracleConfig(noise)
+        assert len({len(s.objects) for s in small_scenes}) > 1
+        for scenes in (small_scenes, small_scenes[3:4]):  # every scene, and a single game
+            games = selfplay.play_games(q, scenes, cfg, 5, seed=17)
+            assert games == [selfplay.play_game(q, sc, cfg, 5,
+                                                np.random.default_rng([17, sc.scene_id]))
+                             for sc in scenes]
+            if len(scenes) > 1:  # questions of different lengths end at different steps
+                assert len({len(t.question) for g in games for t in g.dialogue.turns}) > 1
 
 
 class TestGenerateCorpus:

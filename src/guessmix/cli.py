@@ -9,7 +9,8 @@ function that writes its files and returns what it wrote; `run` calls them
 in sequence, and each step subcommand reads its input files and calls one.
 A replicate's mix cells (mix, retrain and evaluate per mix spec) are
 independent once its base model is saved, so `run` then shares them, with
-the self-play they need, between itself and a worker per spare core.
+the self-play they need, between itself and a child it forks per spare
+core; a child works on the inputs it inherits and pipes back its rows.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import logging
 import os
 import pickle
 import platform
+import signal
 import sys
 import threading
 import time
@@ -60,7 +62,6 @@ def _pair_with_scenes(dialogues, scenes):
 
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"
 
 
 def cell_processes(retrain_cells: int, environ=os.environ, cpus: int | None = None) -> int:
@@ -303,34 +304,18 @@ def _deal_cells(specs: list[MixSpec], n_procs: int) -> list[tuple[list[int], lis
 
 
 def _run_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, cells: list[int],
-               writes: list[str], inputs=None):
+               writes: list[str], inputs, where: str = "main"):
     """A process's share of a replicate once the base model is saved: play
     the self-play corpora its `cells` use or it `writes`, writing the latter,
     then run the cells; returns {j: rows}. `inputs` is (human, train scenes,
-    test scenes, base, player); a worker passes none and reads them once from
-    the replicate's files."""
-    where = "main" if inputs else f"worker {os.getpid()}"
+    test scenes, base, player); `where` names this process in the log."""
     specs = cfg.mix_specs()
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
+    human, train_scenes, test_scenes, base, player = inputs
     plays = [(stream, mode) for stream, mode in _SELFPLAY_STREAMS
              if mode in writes or any(specs[j].length_mode == mode for j in cells)]
-    stage = "inputs"
+    generated = {}
     try:
-        if inputs is None:
-            ckpt = seed_dir / "model_100.ckpt"
-            base = (model.load_checkpoint(ckpt) if any(specs[j].pct_human == 100 for j in cells)
-                    else None)
-            player = None
-            if plays:
-                player = (model.load_checkpoint(best_val_path(ckpt))
-                          if cfg["selfplay.checkpoint"] == "best_val"
-                          else base or model.load_checkpoint(ckpt))
-            inputs = (read_dialogues(seed_dir / "human.jsonl"),
-                      read_scenes(seed_dir / "scenes_train.jsonl"),
-                      read_scenes(seed_dir / "scenes_test.jsonl"), base, player)
-        human, train_scenes, test_scenes, base, player = inputs
-        stage = "selfplay"
-        generated = {}
         for stream, mode in plays:
             start = time.perf_counter()
             out = seed_dir / f"generated_{mode}.jsonl" if mode in writes else None
@@ -339,52 +324,69 @@ def _run_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, cells: lis
             log.info("self-play %s corpus of replicate %d: %.2f s in %s%s", mode, replicate,
                      time.perf_counter() - start, where, ", written" if out else "")
     except Exception as exc:
-        raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
+        raise StageError(f"stage 'selfplay' failed for replicate {replicate}: {exc}") from exc
     return {j: _run_cell(cfg, replicate, seed_dir, j,
                          (human, generated, train_scenes, test_scenes, base), where)
             for j in cells}
 
 
-def _start_worker():
-    """A child interpreter serving `_serve_cells`, in this process's environment."""
-    import subprocess  # imported here so that only a run with workers pays for it
-    path = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parents[1]),
-                                         os.environ.get("PYTHONPATH"))))
-    code = f"import guessmix.cli as c; c._serve_cells({os.getpid()}, {log.getEffectiveLevel()})"
-    return subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+def _exit_with_parent(parent: int) -> None:
+    """Poll until `parent` is gone, then end this process: a child's writes
+    rely on the run's lock, which an orphan would outlive."""
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(EXIT_RUNTIME)
 
 
-def _serve_cells(parent: int, log_level: int) -> None:
-    """A worker: `_run_share` jobs pickled on stdin, replies on stdout, until
-    stdin closes; it exits if `parent` dies, whose lock its writes rely on."""
-    logging.basicConfig(level=log_level, format=_LOG_FORMAT)
-
-    def exit_with_parent():
-        while os.getppid() == parent:
-            time.sleep(0.2)
-        os._exit(EXIT_RUNTIME)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-    while True:
+def _fork_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, share,
+                inputs) -> tuple[int, int]:
+    """Fork a child that runs `share`, a (cells, writes) pair, on the `inputs`
+    it inherits and pickles its {j: rows}, or its StageError's message, into
+    a pipe; returns (child pid, read end). The child never returns here."""
+    parent = os.getpid()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    try:
+        threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
         try:
-            reply = _run_share(*pickle.load(sys.stdin.buffer))
-        except EOFError:
-            return
+            reply = _run_share(cfg, replicate, seed_dir, *share, inputs, f"worker {os.getpid()}")
         except StageError as exc:
             reply = str(exc)
-        pickle.dump(reply, sys.stdout.buffer)
-        sys.stdout.flush()
+        with open(write, "wb") as pipe:
+            pickle.dump(reply, pipe)
+        os._exit(EXIT_OK)
+    finally:  # whatever else the share raised
+        os._exit(EXIT_RUNTIME)
 
 
-def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, workers):
-    """One full pipeline pass, sharing its cells with `workers`; returns its
-    (stats_rows, report_rows) in spec order."""
+def _reply_of(pid: int, read: int) -> dict:
+    """The {j: rows} that child `pid` sends on `read`; a StageError if it
+    sends one, or its wait status if it ends without a reply. The child is
+    left to its parent to reap."""
+    with open(read, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if not data:
+        end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        raise RuntimeError(f"exited with {end.si_status}" if end.si_code == os.CLD_EXITED
+                           else f"killed by signal {end.si_status}")
+    reply = pickle.loads(data)
+    if isinstance(reply, str):
+        raise StageError(reply)
+    return reply
+
+
+def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: int):
+    """One full pipeline pass, sharing its cells with `n_procs - 1` forked
+    children; returns its (stats_rows, report_rows) in spec order."""
     log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
     n_val = cfg["experiment.n_val_scenes"]
     stage = "scenes"
+    children = []
     try:
         splits = [(seed_dir / "scenes_train.jsonl", cfg["experiment.n_train_scenes"]),
                   (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
@@ -409,21 +411,17 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, workers):
         )
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
-        # the checkpoints are saved: hand each worker its share, then run ours
+        # the checkpoints are saved: fork a child per share past ours, then run ours
         specs = cfg.mix_specs()
-        (cells, writes), *shares = _deal_cells(specs, len(workers) + 1)
-        for proc, share in zip(workers, shares):
-            stage = f"worker {proc.pid}"
-            pickle.dump((cfg, replicate, seed_dir, *share), proc.stdin)
-            proc.stdin.flush()
-        rows = _run_share(cfg, replicate, seed_dir, cells, writes,
-                          (human, train_scenes, test_scenes, base, player))
-        for proc in workers:
-            stage = f"worker {proc.pid}"
-            reply = pickle.load(proc.stdout)
-            if isinstance(reply, str):
-                raise StageError(reply)
-            rows.update(reply)
+        inputs = (human, train_scenes, test_scenes, base, player)
+        (cells, writes), *shares = _deal_cells(specs, n_procs)
+        stage = "fork"
+        for share in shares:
+            children.append(_fork_share(cfg, replicate, seed_dir, share, inputs))
+        rows = _run_share(cfg, replicate, seed_dir, cells, writes, inputs)
+        for pid, read in children:
+            stage = f"worker {pid}"
+            rows.update(_reply_of(pid, read))
         stats_rows, report_rows = zip(*(rows[j] for j in range(len(specs))))
 
         stage = "report"
@@ -433,6 +431,11 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, workers):
         raise
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
+    finally:
+        for pid, read in children:  # each is still unreaped, so no other process has its pid
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
 
 
 def _acquire_lock(lock: Path) -> int:
@@ -461,13 +464,10 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
     n_procs = cell_processes(sum(spec.pct_human != 100 for spec in cfg.mix_specs()))
-    workers = []
     try:
-        for _ in range(n_procs - 1):  # start-up overlaps the stages before the cells
-            workers.append(_start_worker())
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
-        per_seed = [_run_seed(cfg, r, out / f"seed_{r}", workers) for r in range(n_rep)]
+        per_seed = [_run_seed(cfg, r, out / f"seed_{r}", n_procs) for r in range(n_rep)]
         stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
         _write_tables(out, "_mean", stats, reports)
         stage_report_md(reports, cfg, out / "report.md")
@@ -486,9 +486,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
     finally:
-        for proc in workers:
-            proc.kill()
-            proc.communicate()  # closes its pipes, whatever is left unsent, and reaps it
         os.close(lock_fd)
     log.info("experiment complete: %s", out)
     return out
@@ -683,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
-        format=_LOG_FORMAT,
+        format="%(levelname)s %(name)s: %(message)s",
     )
     try:
         flags = {key: value for key, value in vars(args).items()

@@ -4,6 +4,7 @@ import os
 import platform
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -1029,25 +1030,29 @@ class TestCellWorkers:
         assert rule(4, {}) == 1
 
     @staticmethod
-    def _run_on_one_and_two_cpus(tmp_path, specs):
+    def _run_on_one_and_two_cpus(tmp_path, specs, *flags):
         """Fresh interpreters with one BLAS thread each, run with `-v` on one
-        usable CPU (one cell process) and on two (a worker besides the calling
-        process); returns each run's stderr, after checking that every digest
-        but config.txt's is the same on both."""
+        usable CPU (one cell process) and on two (a forked child besides the
+        calling process); returns each run's stderr, after checking that the
+        run left no child process and that every digest but config.txt's is
+        the same on both."""
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)
         usable = sorted(os.sched_getaffinity(0))
         logs, manifests = [], []
         for cpus in ({usable[0]}, set(usable[:2])):
             out = tmp_path / f"cpus_{len(cpus)}"
-            code = (f"import os, sys; os.sched_setaffinity(0, {cpus}); "
-                    "from guessmix import cli; sys.exit(cli.main(sys.argv[1:]))")
+            code = (f"import os, sys\nos.sched_setaffinity(0, {cpus})\n"
+                    "from guessmix import cli\nrc = cli.main(sys.argv[1:])\n"
+                    "try:\n    os.waitpid(-1, os.WNOHANG)\n    print('a child is left')\n"
+                    "except ChildProcessError:\n    sys.exit(rc)\n")
             proc = subprocess.run(
                 [sys.executable, "-c", code, "-v", "run", "--config", str(path),
-                 "--experiment.output_dir", str(out), "--experiment.mix_specs", specs],
+                 "--experiment.output_dir", str(out), "--experiment.mix_specs", specs, *flags],
                 capture_output=True, text=True, timeout=300,
                 env={**os.environ, **PINNED_BLAS, "PYTHONPATH": str(SRC)})
             assert proc.returncode == 0, proc.stderr
+            assert "a child is left" not in proc.stdout
             logs.append(proc.stderr)
             manifests.append(json.loads((out / "manifest.json").read_text()))
             assert manifests[-1]["environment"]["cell_processes"] == len(cpus)
@@ -1057,25 +1062,28 @@ class TestCellWorkers:
         return logs
 
     @staticmethod
-    def _worker_cells(log):
-        return re.findall(r"cell (\S+) of replicate 0: [\d.]+ s in worker \d+", log)
+    def _worker_cells(log, replicate=0):
+        return re.findall(rf"cell (\S+) of replicate {replicate}: [\d.]+ s in worker \d+", log)
 
     @staticmethod
-    def _self_play(log):
+    def _self_play(log, replicate=0):
         """(length mode, process, written) of each self-play corpus played."""
-        return sorted(re.findall(r"self-play (\w+) corpus of replicate 0: [\d.]+ s in "
-                                 r"(main|worker) ?\d*(, written)?", log))
+        return sorted(re.findall(rf"self-play (\w+) corpus of replicate {replicate}: [\d.]+ s "
+                                 r"in (main|worker) ?\d*(, written)?", log))
 
     def test_same_outputs_on_one_and_two_cpus(self, tmp_path):
-        # the worker gets the 100% cell and the retrain cells dealt to it, and
-        # plays the one corpus they use
-        serial, pooled = self._run_on_one_and_two_cpus(tmp_path, CELL_SPECS)
-        assert self._worker_cells(serial) == []
-        assert self._worker_cells(pooled) == ["100", "50_variable"], pooled
-        assert self._self_play(serial) == [("fixed", "main", ", written"),
-                                           ("variable", "main", ", written")]
-        assert self._self_play(pooled) == [("fixed", "main", ", written"),
-                                           ("variable", "worker", ", written")], pooled
+        # each replicate forks its own child, which gets the 100% cell and the
+        # retrain cells dealt to it, and plays the one corpus they use
+        serial, pooled = self._run_on_one_and_two_cpus(tmp_path, CELL_SPECS,
+                                                       "--experiment.replicate_seeds", "2")
+        for replicate in (0, 1):
+            assert self._worker_cells(serial, replicate) == []
+            assert self._worker_cells(pooled, replicate) == ["100", "50_variable"], pooled
+            assert self._self_play(serial, replicate) == [("fixed", "main", ", written"),
+                                                          ("variable", "main", ", written")]
+            assert self._self_play(pooled, replicate) == [("fixed", "main", ", written"),
+                                                          ("variable", "worker", ", written")]
+        assert len(set(re.findall(r"in worker (\d+)", pooled))) == 2, pooled
 
     def test_corpus_no_cell_uses_is_played_by_the_calling_process(self, tmp_path):
         # both processes retrain on the variable corpus and only the owner of
@@ -1103,11 +1111,11 @@ class TestCellWorkers:
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
         started = []
-        start_worker = cli._start_worker
-        monkeypatch.setattr(cli, "_start_worker",
-                            lambda: started.append(start_worker()) or started[-1])
+        fork_share = cli._fork_share
+        monkeypatch.setattr(cli, "_fork_share",
+                            lambda *args: started.append(fork_share(*args)) or started[-1])
         out = tmp_path / "run"
-        # a directory where the worker's cell saves its checkpoint
+        # a directory where the child's cell saves its checkpoint
         (out / "seed_0" / "model_50_variable.ckpt").mkdir(parents=True)
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
@@ -1115,33 +1123,78 @@ class TestCellWorkers:
         rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])
         assert rc == cli.EXIT_RUNTIME
         assert "stage 'train-50_variable' failed for replicate 0" in capsys.readouterr().err
-        [worker] = started
-        assert worker.returncode is not None  # killed and reaped
+        [(child, _)] = started
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(child, os.WNOHANG)
         assert _children(os.getpid()) <= before
         assert not (out / "manifest.json").exists()
+        os.close(cli._acquire_lock(out / ".lock"))
 
     def test_worker_gone_before_its_job_is_a_stage_error(self, tmp_path, monkeypatch):
-        # the run fails naming the worker, and leaves the output directory
-        # unlocked and no child process behind
+        # a child that ends without replying fails the run with its wait
+        # status, and the run closes its pipe, reaps it, writes no manifest
+        # and leaves the output directory unlocked and no child behind
         monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
         started = []
-
-        def start_dead_worker():
-            started.append(subprocess.Popen([sys.executable, "-c", "pass"],
-                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE))
-            started[-1].wait(timeout=60)
-            return started[-1]
-
-        monkeypatch.setattr(cli, "_start_worker", start_dead_worker)
-        out = tmp_path / "run"
+        fork_share = cli._fork_share
+        monkeypatch.setattr(cli, "_fork_share",
+                            lambda *args: started.append(fork_share(*args)) or started[-1])
+        run_share, test_pid = cli._run_share, os.getpid()
+        before = _children(test_pid)
         path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
-        with pytest.raises(cli.StageError, match=r"stage 'worker \d+' failed for replicate 0"):
-            cli.run_experiment(load_config(path, {"experiment.mix_specs": CELL_SPECS}))
-        os.close(cli._acquire_lock(out / ".lock"))
-        [worker] = started
-        assert worker.stdin.closed and worker.stdout.closed
-        assert worker.pid not in _children(os.getpid())
+        path.write_text(TINY_CONFIG)
+        for end, status in ((lambda: os._exit(3), "exited with 3"),
+                            (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")):
+            def share(*args, end=end):  # patched before the fork, so the child runs it too
+                if os.getpid() != test_pid:
+                    end()
+                return run_share(*args)
+
+            monkeypatch.setattr(cli, "_run_share", share)
+            out = tmp_path / status.replace(" ", "_")
+            with pytest.raises(cli.StageError,
+                               match=rf"^stage 'worker \d+' failed for replicate 0: {status}$"):
+                cli.run_experiment(load_config(path, {"experiment.mix_specs": CELL_SPECS,
+                                                      "experiment.output_dir": str(out)}))
+            child, read = started.pop()
+            with pytest.raises(OSError):  # its pipe is closed
+                os.fstat(read)
+            with pytest.raises(ChildProcessError):  # reaped
+                os.waitpid(child, os.WNOHANG)
+            assert _children(test_pid) <= before
+            assert not (out / "manifest.json").exists()
+            os.close(cli._acquire_lock(out / ".lock"))
+
+    def test_child_never_returns_into_the_caller(self, tmp_path, monkeypatch):
+        # a child whose share raises past StageError still ends in
+        # `_fork_share`, so the rest of this test runs once, in this process
+        monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
+        run_share, test_pid = cli._run_share, os.getpid()
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG)
+        after_run = tmp_path / "after_run.txt"
+        for exc in (KeyboardInterrupt, SystemExit):
+            def share(*args, exc=exc):
+                if os.getpid() != test_pid:
+                    raise exc()
+                return run_share(*args)
+
+            monkeypatch.setattr(cli, "_run_share", share)
+            outcome = None
+            try:
+                cli.run_experiment(load_config(path, {
+                    "experiment.mix_specs": CELL_SPECS,
+                    "experiment.output_dir": str(tmp_path / exc.__name__)}))
+            except BaseException as caught:  # noqa: BLE001 - a child would catch its own here
+                outcome = caught
+            with after_run.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+            if os.getpid() != test_pid:
+                os._exit(0)  # a child got here: keep it out of the rest of the suite
+            assert isinstance(outcome, cli.StageError), outcome
+            assert re.fullmatch(rf"stage 'worker \d+' failed for replicate 0: "
+                                rf"exited with {cli.EXIT_RUNTIME}", str(outcome))
+        assert after_run.read_text() == f"{test_pid}\n" * 2
 
     def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
         path = tmp_path / "exp.cfg"

@@ -121,9 +121,11 @@ def best_val_path(out) -> Path:
     return Path(out).with_name(f"{Path(out).stem}_best_val.ckpt")
 
 
-def stage_train(dialogues, scenes, cfg: ExperimentConfig, init_seed: int, train_seed: int,
-                out, val_pairs=None, vocab_out=None):
-    """Train a fresh Questioner on `dialogues` and save it to `out`.
+def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pairs=None,
+                vocab_out=None):
+    """Train a fresh Questioner on `dialogues` and save it to `out`; it
+    initialises from `derive_seed(seed, 4)` and orders its batches from
+    `derive_seed(seed, 5)`, so a run's models share both streams.
 
     Returns (questioner, best_val, train_log). With `val_pairs`, `best_val`
     holds the parameters of the epoch with the lowest validation NLL and is
@@ -133,9 +135,9 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, init_seed: int, train_
     vocab = lang.build_vocabulary(dialogues, cfg["corpus.min_count"])
     if vocab_out:
         lang.write_vocabulary(vocab_out, vocab)
-    params = model.init_params(model_cfg, vocab, init_seed)
+    params = model.init_params(model_cfg, vocab, derive_seed(seed, 4))
     result = model.train(params, vocab, _pair_with_scenes(dialogues, scenes), model_cfg,
-                         train_seed, val_dataset=val_pairs)
+                         derive_seed(seed, 5), val_dataset=val_pairs)
     questioner = model.Questioner(result.params, vocab, model_cfg)
     model.save_checkpoint(out, questioner)
     best_val = None
@@ -250,8 +252,11 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inp
               where: str):
     """Cell j of a replicate: mix spec j's corpus and model (the base model
     for 100%, else mixed and retrained), then its (stats_row, report_row).
-    `inputs` is (human, generated by length mode, train scenes, test scenes,
-    base); `where` names this process in the log."""
+    Every model of a replicate trains and plays on the base model's streams,
+    so cells differ only by their training data, and retraining the 100%
+    corpus would give the base model again. `inputs` is (human, generated by
+    length mode, train scenes, test scenes, base); `where` names this
+    process in the log."""
     start = time.perf_counter()
     spec = cfg.mix_specs()[j]
     pct, mode = spec.pct_human, spec.length_mode
@@ -266,14 +271,12 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inp
             mixed = stage_mix(human, generated[mode], replace(spec, seed=derive_seed(rep_seed, 8)),
                               seed_dir / f"mixed_{tag}.jsonl")
             stage = f"train-{tag}"
-            questioner, _, _ = stage_train(
-                mixed, train_scenes, cfg, derive_seed(rep_seed, 30 + j),
-                derive_seed(rep_seed, 60 + j), seed_dir / f"model_{tag}.ckpt",
-            )
+            questioner, _, _ = stage_train(mixed, train_scenes, cfg, rep_seed,
+                                           seed_dir / f"model_{tag}.ckpt")
             stage = f"evaluate-{tag}"
         rows = (stage_stats(mixed, cfg, spec),
                 stage_evaluate(questioner, mixed, test_scenes, cfg, spec,
-                               derive_seed(rep_seed, 90 + j)))
+                               derive_seed(rep_seed, 90)))
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
     log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
@@ -404,11 +407,9 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: in
             val_pairs = _pair_with_scenes(val, val_scenes)
 
         stage = "base-train"
-        base, best_val, _ = stage_train(
-            human, train_scenes, cfg, derive_seed(rep_seed, 4), derive_seed(rep_seed, 5),
-            seed_dir / "model_100.ckpt", val_pairs=val_pairs,
-            vocab_out=seed_dir / "vocab_100.jsonl",
-        )
+        base, best_val, _ = stage_train(human, train_scenes, cfg, rep_seed,
+                                        seed_dir / "model_100.ckpt", val_pairs=val_pairs,
+                                        vocab_out=seed_dir / "vocab_100.jsonl")
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
         # the checkpoints are saved: fork a child per share past ours, then run ours
@@ -524,10 +525,8 @@ def _cmd_train(args, cfg: ExperimentConfig) -> None:
     if args.val_dialogues:
         val_pairs = _pair_with_scenes(read_dialogues(args.val_dialogues),
                                       read_scenes(args.val_scenes))
-    _, best_val, train_log = stage_train(
-        dialogues, scenes, cfg, derive_seed(args.seed, 0), derive_seed(args.seed, 1), args.out,
-        val_pairs=val_pairs,
-    )
+    _, best_val, train_log = stage_train(dialogues, scenes, cfg, args.seed, args.out,
+                                         val_pairs=val_pairs)
     if train_log.epochs:
         print(f"trained {len(train_log.epochs)} epochs, "
               f"final question NLL {train_log.final_qgen_nll:.4f}")
@@ -618,9 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, "train a questioner on a dialogue corpus",
                 ("corpus.min_count", *(key for key in SCHEMA if key.startswith("model."))), seed=(
-        "S: initialise with derive_seed(S, 0) and train with derive_seed(S, 1). A run "
-        "uses derive_seed(R, 4) and (R, 5) for its base model and (R, 30 + j) and "
-        "(R, 60 + j) for mix j, with R the replicate seed, so no S gives a run's checkpoint"))
+        "R: initialise with derive_seed(R, 4) and train with derive_seed(R, 5), as a run "
+        "does for every model of the replicate with seed R"))
     p.add_argument("--dialogues", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--val-dialogues")

@@ -181,24 +181,31 @@ def test_criterion_7_directional_replication(tmp_path):
     out = cli.run_experiment(cfg)
     elapsed = time.perf_counter() - t0
 
-    rows = {}
-    lines = (out / "report_mean.csv").read_text().splitlines()
-    assert lines[0] == metrics.REPORT_HEADER
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows[(parts[0], parts[2])] = {
-            "acc": float(parts[3]), "grq": float(parts[4]), "mo": float(parts[5]),
-        }
-    base = rows[("100", "-")]
-    mixed = rows[("50", "fixed")]
+    def rows(path):  # {(pct_human, length_mode): {metric: value}} of a report CSV
+        lines = path.read_text().splitlines()
+        assert lines[0] == metrics.REPORT_HEADER
+        return {(p[0], p[2]): {"acc": float(p[3]), "grq": float(p[4]), "mo": float(p[5])}
+                for p in (line.split(",") for line in lines[1:])}
+
+    means = rows(out / "report_mean.csv")
+    base = means[("100", "-")]
+    mixed = means[("50", "fixed")]
     assert mixed["grq"] < base["grq"], (mixed, base)
     assert mixed["mo"] < base["mo"], (mixed, base)
     assert mixed["acc"] >= base["acc"] - 2.0, (mixed, base)
     assert elapsed < 900.0
+    # the spread behind the means: each replicate's 50:fixed - 100% differences
+    diffs = []
+    for r in range(3):
+        seed = rows(out / f"seed_{r}" / "report.csv")
+        b, m = seed[("100", "-")], seed[("50", "fixed")]
+        diffs.append(f"{m['acc'] - b['acc']:+.2f}/{m['grq'] - b['grq']:+.2f}/"
+                     f"{m['mo'] - b['mo']:+.4f}")
     _report(7, f"GRQ {base['grq']:.1f} -> {mixed['grq']:.1f}, "
                f"MO {base['mo']:.3f} -> {mixed['mo']:.3f}, "
                f"ACC {base['acc']:.1f} -> {mixed['acc']:.1f} "
-               f"(3-seed means), grid in {elapsed:.0f}s")
+               f"(3-seed means), grid in {elapsed:.0f}s; per replicate "
+               f"50:fixed - 100% ACC/GRQ/MO {', '.join(diffs)}")
 
 
 def test_criterion_8_deterministic_reports(tmp_path):

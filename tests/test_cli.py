@@ -792,17 +792,23 @@ class TestRunExperiment:
         stats_lines = (seed_dir / "stats.csv").read_text().splitlines()
         report_lines = (seed_dir / "report.csv").read_text().splitlines()
         # mix j of TINY_CONFIG: (corpus, checkpoint); the labels come from
-        # the corpus's manifest, or for human.jsonl, which has none, from its share
+        # the corpus's manifest, or for human.jsonl, which has none, from its share.
+        # Every model of the replicate trains on seed R and plays on stream 90
         mixes = [("human.jsonl", "model_100.ckpt"),
                  ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt")]
         for j, (corpus, ckpt) in enumerate(mixes):
+            assert run("train", "--dialogues", seed_dir / corpus,
+                       "--scenes", seed_dir / "scenes_train.jsonl", "--seed", rep_seed,
+                       "--model.embed_dim", 8, "--model.hidden_dim", 12, "--model.epochs", 2,
+                       "--model.batch_size", 8, "--out", tmp_path / ckpt) == 0
+            assert (tmp_path / ckpt).read_bytes() == (seed_dir / ckpt).read_bytes(), ckpt
             capsys.readouterr()
             assert run("stats", seed_dir / corpus) == 0
             assert capsys.readouterr().out.strip() == stats_lines[1 + j]
             assert run("evaluate", "--model", seed_dir / ckpt,
                        "--scenes", seed_dir / "scenes_test.jsonl",
                        "--train-dialogues", seed_dir / corpus,
-                       "--seed", derive_seed(rep_seed, 90 + j)) == 0
+                       "--seed", derive_seed(rep_seed, 90)) == 0
             assert capsys.readouterr().out.strip() == report_lines[1 + j]
 
     def test_replicate_means(self, tmp_path):
@@ -926,6 +932,17 @@ class TestRunExperiment:
                          "--out", str(tmp_path / "generated_fixed.jsonl")]) == 0
         assert ((tmp_path / "generated_fixed.jsonl").read_bytes()
                 == (seed_dir / "generated_fixed.jsonl").read_bytes())
+        # and `train` with the validation data reproduces both base checkpoints
+        assert cli.main(["train", "--dialogues", str(seed_dir / "human.jsonl"),
+                         "--scenes", str(seed_dir / "scenes_train.jsonl"),
+                         "--seed", str(derive_seed(0, 0)),
+                         "--val-dialogues", str(seed_dir / "val.jsonl"),
+                         "--val-scenes", str(seed_dir / "scenes_val.jsonl"),
+                         "--model.embed_dim", "8", "--model.hidden_dim", "12",
+                         "--model.epochs", "3", "--model.batch_size", "8",
+                         "--out", str(tmp_path / "model_100.ckpt")]) == 0
+        for name in ("model_100.ckpt", "model_100_best_val.ckpt"):
+            assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes(), name
 
     def test_unwritable_output_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "outdir"
@@ -953,7 +970,7 @@ class TestRunExperiment:
             assert cli.main(["evaluate", "--model", str(seed_dir / f"model_{tag}.ckpt"),
                              "--scenes", str(seed_dir / "scenes_test.jsonl"),
                              "--train-dialogues", str(seed_dir / corpus),
-                             "--seed", str(derive_seed(derive_seed(1, 0), 90 + j)),
+                             "--seed", str(derive_seed(derive_seed(1, 0), 90)),
                              "--out", str(rows[-1])]) == cli.EXIT_OK
         assert cli.main(["report", "--rows", *map(str, rows), "--out-csv",
                          str(tmp_path / "report.csv"), "--out-md",
@@ -1096,6 +1113,35 @@ class TestCellWorkers:
         assert self._self_play(pooled) == [("fixed", "main", ", written"),
                                            ("variable", "main", ", written"),
                                            ("variable", "worker", "")], pooled
+
+    def test_a_mix_does_not_depend_on_where_its_spec_sits(self, tmp_path):
+        # every model trains and plays on the base model's streams, so a mix
+        # gets the same corpus, checkpoint and report row wherever it is
+        # listed and whichever process runs it
+        orders = {"fixed_first": "100:-,50:fixed,50:variable",
+                  "variable_first": "100:-,50:variable,50:fixed"}
+        seen = {}
+        for name, specs in orders.items():
+            (tmp_path / name).mkdir()
+            seen[name] = self._worker_cells(self._run_on_one_and_two_cpus(tmp_path / name,
+                                                                          specs)[1])
+        # the deal differs: the child gets whichever mix is listed second
+        assert seen == {"fixed_first": ["100", "50_variable"],
+                        "variable_first": ["100", "50_fixed"]}
+        labels = {"100": "100,0,-,", "50_fixed": "50,50,fixed,",
+                  "50_variable": "50,50,variable,"}
+        outputs = {tag: set() for tag in labels}
+        for name in orders:
+            for cpus in ("cpus_1", "cpus_2"):
+                out = tmp_path / name / cpus
+                digests = json.loads((out / "manifest.json").read_text())["files"]
+                rows = (out / "seed_0" / "report.csv").read_text().splitlines()
+                for tag, label in labels.items():
+                    [row] = [r for r in rows if r.startswith(label)]
+                    files = [f"model_{tag}.ckpt"] + ([] if tag == "100" else [
+                        f"mixed_{tag}.jsonl", f"mixed_{tag}.manifest.json"])
+                    outputs[tag].add((row, *(digests[f"seed_0/{f}"] for f in files)))
+        assert all(len(runs) == 1 for runs in outputs.values()), outputs
 
     def test_shares_of_a_replicate(self):
         specs = [MixSpec(pct, mode) for pct, mode in

@@ -7,10 +7,12 @@ datasets, retrain a fresh model per dataset, and evaluate everything on the
 test scenes with the fixed-question protocol. Each step is one `stage_*`
 function that writes its files and returns what it wrote; `run` calls them
 in sequence, and each step subcommand reads its input files and calls one.
-A replicate's mix cells (mix, retrain and evaluate per mix spec) are
-independent once its base model is saved, so `run` then shares them, with
-the self-play they need, between itself and a child it forks per spare
-core; a child works on the inputs it inherits and pipes back its rows.
+Once a replicate's base model is saved, `run` plays both self-play
+corpora, each game dealt to one of `parallel.processes` processes, and
+writes them. Then the mix cells (mix, retrain and evaluate per mix spec),
+which are independent, are dealt between the calling process and a child
+it forks per spare core; a child works on the inputs it inherits and pipes
+back its rows.
 """
 
 from __future__ import annotations
@@ -21,11 +23,8 @@ import hashlib
 import json
 import logging
 import os
-import pickle
 import platform
-import signal
 import sys
-import threading
 import time
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -33,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus as corpus_mod
-from . import lang, metrics, model, selfplay, teacher
+from . import lang, metrics, model, parallel, selfplay, teacher
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE, MixSpec
 from .dialogue import GameAlignmentError, read_dialogues, write_dialogues
@@ -61,28 +60,13 @@ def _pair_with_scenes(dialogues, scenes):
     return [(d, by_id[d.scene_id]) for d in dialogues]
 
 
-_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def cell_processes(retrain_cells: int, environ=os.environ, cpus: int | None = None) -> int:
-    """How many processes run a replicate's retrain cells: usable CPUs over
-    BLAS threads, which are the first BLAS variable set in `environ` or, when
-    none is, one per usable CPU (OpenBLAS's default), so unset variables give
-    1. Never more than `retrain_cells`: the calling process keeps one."""
-    cpus = cpus or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count())
-    value = next((environ[name] for name in _BLAS_THREAD_VARIABLES if environ.get(name)), "")
-    threads = int(value) if value.isdigit() and int(value) > 0 else cpus
-    return max(1, min(retrain_cells, cpus // threads))
-
-
 def _numeric_environment(cell_procs: int) -> dict:
     """For `manifest.json`: the Python and numpy versions and what sets the
     BLAS thread count, which checkpoint bits depend on, and the cell processes."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
+        "blas_threads": {name: os.environ.get(name) for name in parallel.BLAS_THREAD_VARIABLES},
         "cpu_count": os.cpu_count(),
         "cell_processes": cell_procs,
     }
@@ -288,97 +272,22 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inp
 _SELFPLAY_STREAMS = ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
 
 
-def _deal_cells(specs: list[MixSpec], n_procs: int) -> list[tuple[list[int], list[str]]]:
-    """(cells, length modes whose corpus it writes) per process, the calling
-    process first. Retrain cells go round-robin and the 100% cell to the last
-    process. A mode's corpus is written by the owner of its first retrain
-    cell, or by the calling process if no cell uses it."""
-    cells: list[list[int]] = [[] for _ in range(n_procs)]
+def _deal_cells(specs: list[MixSpec], n_procs: int) -> list[list[int]]:
+    """The cells of each process, the calling process first: retrain cells
+    go round-robin and the 100% cell to the last process."""
     retrain = [j for j, spec in enumerate(specs) if spec.pct_human != 100]
-    for k, j in enumerate(retrain):
-        cells[k % n_procs].append(j)
-    cells[-1] += [j for j, spec in enumerate(specs) if spec.pct_human == 100]
-    owner = {j: p for p, own in enumerate(cells) for j in own}
-    writes: list[list[str]] = [[] for _ in range(n_procs)]
-    for _, mode in _SELFPLAY_STREAMS:
-        users = [j for j in retrain if specs[j].length_mode == mode]
-        writes[owner[users[0]] if users else 0].append(mode)
-    return [(sorted(own), modes) for own, modes in zip(cells, writes)]
+    cells = [retrain[k::n_procs] for k in range(n_procs)]
+    cells[-1] = sorted(cells[-1] + [j for j, spec in enumerate(specs) if spec.pct_human == 100])
+    return cells
 
 
 def _run_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, cells: list[int],
-               writes: list[str], inputs, where: str = "main"):
-    """A process's share of a replicate once the base model is saved: play
-    the self-play corpora its `cells` use or it `writes`, writing the latter,
-    then run the cells; returns {j: rows}. `inputs` is (human, train scenes,
-    test scenes, base, player); `where` names this process in the log."""
-    specs = cfg.mix_specs()
-    rep_seed = derive_seed(cfg["experiment.seed"], replicate)
-    human, train_scenes, test_scenes, base, player = inputs
-    plays = [(stream, mode) for stream, mode in _SELFPLAY_STREAMS
-             if mode in writes or any(specs[j].length_mode == mode for j in cells)]
-    generated = {}
-    try:
-        for stream, mode in plays:
-            start = time.perf_counter()
-            out = seed_dir / f"generated_{mode}.jsonl" if mode in writes else None
-            generated[mode] = stage_selfplay(player, train_scenes, cfg, mode, human,
-                                             derive_seed(rep_seed, stream), out)
-            log.info("self-play %s corpus of replicate %d: %.2f s in %s%s", mode, replicate,
-                     time.perf_counter() - start, where, ", written" if out else "")
-    except Exception as exc:
-        raise StageError(f"stage 'selfplay' failed for replicate {replicate}: {exc}") from exc
-    return {j: _run_cell(cfg, replicate, seed_dir, j,
-                         (human, generated, train_scenes, test_scenes, base), where)
-            for j in cells}
-
-
-def _exit_with_parent(parent: int) -> None:
-    """Poll until `parent` is gone, then end this process: a child's writes
-    rely on the run's lock, which an orphan would outlive."""
-    while os.getppid() == parent:
-        time.sleep(0.2)
-    os._exit(EXIT_RUNTIME)
-
-
-def _fork_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, share,
-                inputs) -> tuple[int, int]:
-    """Fork a child that runs `share`, a (cells, writes) pair, on the `inputs`
-    it inherits and pickles its {j: rows}, or its StageError's message, into
-    a pipe; returns (child pid, read end). The child never returns here."""
-    parent = os.getpid()
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write)
-        return pid, read
-    try:
-        threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
-        try:
-            reply = _run_share(cfg, replicate, seed_dir, *share, inputs, f"worker {os.getpid()}")
-        except StageError as exc:
-            reply = str(exc)
-        with open(write, "wb") as pipe:
-            pickle.dump(reply, pipe)
-        os._exit(EXIT_OK)
-    finally:  # whatever else the share raised
-        os._exit(EXIT_RUNTIME)
-
-
-def _reply_of(pid: int, read: int) -> dict:
-    """The {j: rows} that child `pid` sends on `read`; a StageError if it
-    sends one, or its wait status if it ends without a reply. The child is
-    left to its parent to reap."""
-    with open(read, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    if not data:
-        end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        raise RuntimeError(f"exited with {end.si_status}" if end.si_code == os.CLD_EXITED
-                           else f"killed by signal {end.si_status}")
-    reply = pickle.loads(data)
-    if isinstance(reply, str):
-        raise StageError(reply)
-    return reply
+               inputs, caller: int):
+    """A process's share of a replicate's cells; returns {j: rows}. `inputs`
+    is `_run_cell`'s; the log names process `caller`, which deals the cells,
+    `main` and each other `worker <pid>`."""
+    where = "main" if os.getpid() == caller else f"worker {os.getpid()}"
+    return {j: _run_cell(cfg, replicate, seed_dir, j, inputs, where) for j in cells}
 
 
 def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: int):
@@ -389,7 +298,6 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: in
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
     n_val = cfg["experiment.n_val_scenes"]
     stage = "scenes"
-    children = []
     try:
         splits = [(seed_dir / "scenes_train.jsonl", cfg["experiment.n_train_scenes"]),
                   (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
@@ -412,17 +320,28 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: in
                                         vocab_out=seed_dir / "vocab_100.jsonl")
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
-        # the checkpoints are saved: fork a child per share past ours, then run ours
-        specs = cfg.mix_specs()
-        inputs = (human, train_scenes, test_scenes, base, player)
-        (cells, writes), *shares = _deal_cells(specs, n_procs)
+        stage = "selfplay"
+        generated = {}
+        for stream, mode in _SELFPLAY_STREAMS:
+            start = time.perf_counter()
+            generated[mode] = stage_selfplay(player, train_scenes, cfg, mode, human,
+                                             derive_seed(rep_seed, stream),
+                                             seed_dir / f"generated_{mode}.jsonl")
+            log.info("self-play %s corpus of replicate %d: %.2f s on %d processes", mode,
+                     replicate, time.perf_counter() - start, parallel.processes(len(human)))
+
+        # the corpora are written: deal the cells to this process and a child per spare core
         stage = "fork"
-        for share in shares:
-            children.append(_fork_share(cfg, replicate, seed_dir, share, inputs))
-        rows = _run_share(cfg, replicate, seed_dir, cells, writes, inputs)
-        for pid, read in children:
-            stage = f"worker {pid}"
-            rows.update(_reply_of(pid, read))
+        specs, caller = cfg.mix_specs(), os.getpid()
+        inputs = (human, generated, train_scenes, test_scenes, base)
+        try:
+            shares = parallel.run_shares(
+                lambda cells: _run_share(cfg, replicate, seed_dir, cells, inputs, caller),
+                _deal_cells(specs, n_procs))
+        except parallel.ChildError as exc:
+            stage = f"worker {exc.pid}"
+            raise
+        rows = {j: share[j] for share in shares for j in share}
         stats_rows, report_rows = zip(*(rows[j] for j in range(len(specs))))
 
         stage = "report"
@@ -432,11 +351,6 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: in
         raise
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
-    finally:
-        for pid, read in children:  # each is still unreaped, so no other process has its pid
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
 
 
 def _acquire_lock(lock: Path) -> int:
@@ -464,7 +378,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
-    n_procs = cell_processes(sum(spec.pct_human != 100 for spec in cfg.mix_specs()))
+    n_procs = parallel.processes(sum(spec.pct_human != 100 for spec in cfg.mix_specs()))
     try:
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
@@ -526,11 +440,13 @@ def _cmd_train(args, cfg: ExperimentConfig) -> None:
         val_pairs = _pair_with_scenes(read_dialogues(args.val_dialogues),
                                       read_scenes(args.val_scenes))
     _, best_val, train_log = stage_train(dialogues, scenes, cfg, args.seed, args.out,
-                                         val_pairs=val_pairs)
+                                         val_pairs=val_pairs, vocab_out=args.vocab_out)
     if train_log.epochs:
         print(f"trained {len(train_log.epochs)} epochs, "
               f"final question NLL {train_log.final_qgen_nll:.4f}")
     print(f"wrote checkpoint to {args.out}")
+    if args.vocab_out:
+        print(f"wrote vocabulary to {args.vocab_out}")
     if best_val is not None:
         print(f"wrote best-validation checkpoint to {best_val_path(args.out)}")
 
@@ -625,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-scenes")
     p.add_argument("--out", required=True,
                    help="checkpoint; with validation data, also <stem>_best_val.ckpt")
+    p.add_argument("--vocab-out", help="also write the vocabulary the model was built on")
 
     p = command("selfplay", _cmd_selfplay,
                 "let a trained model replay the games of a teacher corpus against the oracle",

@@ -7,9 +7,12 @@ no success filter is applied to generated corpora.
 
 Every game draws from its own (seed, scene_id) random stream. `play_games`,
 which evaluation calls, plays its games in lockstep: one batched decode and
-one batched encode per turn over all of them. Self-play corpora are played
-one game at a time by `play_game`, which is also the reference the lockstep
-games are tested against.
+one batched encode per turn over all of them. A self-play corpus deals its
+games round-robin over `parallel.processes` processes, the calling one and
+forked children, and each plays its games one at a time with `play_game`,
+which is also the reference the lockstep games are tested against. The
+games come back in scene order, so a corpus is the same on any number of
+processes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as m
-from . import lang, oracle
+from . import lang, oracle, parallel
 from .dialogue import Dialogue, GameAlignmentError, SOURCE_GENERATED, Turn
 from .scene import Scene
 
@@ -139,7 +142,8 @@ def generate_selfplay_corpus(
     policy: LengthPolicy,
     seed: int,
 ) -> list[Dialogue]:
-    """Play every scene under the length policy; keep all dialogues."""
+    """Play every scene under the length policy; keep all dialogues, in
+    scene order. Game k goes to share k mod n of the n processes."""
     if isinstance(policy, MatchHuman):
         missing = [sc.scene_id for sc in scenes if sc.scene_id not in policy.turns_by_game]
         if missing:
@@ -147,11 +151,18 @@ def generate_selfplay_corpus(
                 f"length policy has no turn count for game ids {missing[:10]}"
                 + ("..." if len(missing) > 10 else "")
             )
-    corpus = []
-    for sc in scenes:
-        turns = policy.turns if isinstance(policy, FixedLength) else policy.turns_by_game[sc.scene_id]
-        game = play_game(questioner, sc, oracle_cfg, turns, np.random.default_rng([seed, sc.scene_id]))
-        corpus.append(game.dialogue)
+
+    def play(share: list[Scene]) -> list[Dialogue]:
+        return [play_game(questioner, sc, oracle_cfg,
+                          policy.turns if isinstance(policy, FixedLength)
+                          else policy.turns_by_game[sc.scene_id],
+                          np.random.default_rng([seed, sc.scene_id])).dialogue
+                for sc in share]
+
+    n = parallel.processes(len(scenes))
+    corpus = [None] * len(scenes)
+    for k, share in enumerate(parallel.run_shares(play, [scenes[k::n] for k in range(n)])):
+        corpus[k::n] = share
     if log.isEnabledFor(logging.INFO):
         n_success = sum(1 for d in corpus if d.success)
         questions = [q for d in corpus for q in d.questions()]

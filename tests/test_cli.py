@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guessmix import cli, config, dialogue, metrics, scene
+from guessmix import cli, config, dialogue, metrics, parallel, scene, selfplay
 from guessmix.config import ConfigError, ExperimentConfig, load_config
 from guessmix.corpus import MixSpec
 from guessmix.model import ModelConfig
@@ -793,15 +793,18 @@ class TestRunExperiment:
         report_lines = (seed_dir / "report.csv").read_text().splitlines()
         # mix j of TINY_CONFIG: (corpus, checkpoint); the labels come from
         # the corpus's manifest, or for human.jsonl, which has none, from its share.
-        # Every model of the replicate trains on seed R and plays on stream 90
-        mixes = [("human.jsonl", "model_100.ckpt"),
-                 ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt")]
-        for j, (corpus, ckpt) in enumerate(mixes):
+        # Every model of the replicate trains on seed R and plays on stream 90;
+        # the base model's vocabulary is saved beside it
+        mixes = [("human.jsonl", "model_100.ckpt", "vocab_100.jsonl"),
+                 ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt", None)]
+        for j, (corpus, ckpt, vocab) in enumerate(mixes):
             assert run("train", "--dialogues", seed_dir / corpus,
                        "--scenes", seed_dir / "scenes_train.jsonl", "--seed", rep_seed,
                        "--model.embed_dim", 8, "--model.hidden_dim", 12, "--model.epochs", 2,
-                       "--model.batch_size", 8, "--out", tmp_path / ckpt) == 0
-            assert (tmp_path / ckpt).read_bytes() == (seed_dir / ckpt).read_bytes(), ckpt
+                       "--model.batch_size", 8, "--out", tmp_path / ckpt,
+                       *(("--vocab-out", tmp_path / vocab) if vocab else ())) == 0
+            for name in filter(None, (ckpt, vocab)):
+                assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes(), name
             capsys.readouterr()
             assert run("stats", seed_dir / corpus) == 0
             assert capsys.readouterr().out.strip() == stats_lines[1 + j]
@@ -998,10 +1001,10 @@ PINNED_BLAS = {name: "1" for name in
                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 # three retrain cells: with two processes a worker runs 50_variable
 CELL_SPECS = "100:-,50:fixed,50:variable,0:fixed"
-# start of a `python -c` program whose runs use two cell processes,
-# however many CPUs this host has
-TWO_CELL_PROCESSES = ("import sys; from guessmix import cli; "
-                      "cli.cell_processes = lambda retrain_cells: 2; ")
+# start of a `python -c` program whose runs use two processes, for the
+# cells and for self-play, however many CPUs this host has
+TWO_CELL_PROCESSES = ("import sys; from guessmix import cli, parallel; "
+                      "parallel.processes = lambda tasks: 2; ")
 
 
 def _children(pid: int) -> set[int]:
@@ -1027,13 +1030,13 @@ def _gone(pid: int) -> bool:
 
 class TestCellWorkers:
     def test_process_count_rule(self):
-        rule = cli.cell_processes
+        rule = parallel.processes
         assert rule(4, {}, cpus=2) == 1  # unset: BLAS runs a thread per CPU
         assert rule(4, {"OPENBLAS_NUM_THREADS": "1"}, cpus=2) == 2
         assert rule(4, {"OMP_NUM_THREADS": "2"}, cpus=2) == 1
         assert rule(4, {"MKL_NUM_THREADS": "2"}, cpus=8) == 4
         assert rule(4, {"OPENBLAS_NUM_THREADS": "3"}, cpus=2) == 1
-        # never more than the retrain cells, and at least the calling process
+        # never more than the tasks, and at least the calling process
         assert rule(3, PINNED_BLAS, cpus=16) == 3
         assert rule(1, PINNED_BLAS, cpus=16) == 1
         assert rule(0, PINNED_BLAS, cpus=16) == 1
@@ -1084,35 +1087,31 @@ class TestCellWorkers:
 
     @staticmethod
     def _self_play(log, replicate=0):
-        """(length mode, process, written) of each self-play corpus played."""
-        return sorted(re.findall(rf"self-play (\w+) corpus of replicate {replicate}: [\d.]+ s "
-                                 r"in (main|worker) ?\d*(, written)?", log))
+        """(length mode, processes) of each self-play corpus played, in order."""
+        return re.findall(rf"self-play (\w+) corpus of replicate {replicate}: [\d.]+ s "
+                          r"on (\d+) processes", log)
 
     def test_same_outputs_on_one_and_two_cpus(self, tmp_path):
-        # each replicate forks its own child, which gets the 100% cell and the
-        # retrain cells dealt to it, and plays the one corpus they use
+        # each replicate plays both corpora over every process, then forks
+        # its own child for the cells, which gets the 100% cell and the
+        # retrain cells dealt to it
         serial, pooled = self._run_on_one_and_two_cpus(tmp_path, CELL_SPECS,
                                                        "--experiment.replicate_seeds", "2")
         for replicate in (0, 1):
             assert self._worker_cells(serial, replicate) == []
             assert self._worker_cells(pooled, replicate) == ["100", "50_variable"], pooled
-            assert self._self_play(serial, replicate) == [("fixed", "main", ", written"),
-                                                          ("variable", "main", ", written")]
-            assert self._self_play(pooled, replicate) == [("fixed", "main", ", written"),
-                                                          ("variable", "worker", ", written")]
+            assert self._self_play(serial, replicate) == [("fixed", "1"), ("variable", "1")]
+            assert self._self_play(pooled, replicate) == [("fixed", "2"), ("variable", "2")]
         assert len(set(re.findall(r"in worker (\d+)", pooled))) == 2, pooled
 
     def test_corpus_no_cell_uses_is_played_by_the_calling_process(self, tmp_path):
-        # both processes retrain on the variable corpus and only the owner of
-        # its first cell writes it; no cell uses the fixed corpus, so the
-        # calling process plays and writes it
+        # both processes retrain on the variable corpus, and no cell uses the
+        # fixed one: the calling process still plays each corpus once, with
+        # the child's help, and writes it before the cells are dealt
         serial, pooled = self._run_on_one_and_two_cpus(tmp_path, "100:-,75:variable,50:variable")
         assert self._worker_cells(pooled) == ["100", "50_variable"], pooled
-        assert self._self_play(serial) == [("fixed", "main", ", written"),
-                                           ("variable", "main", ", written")]
-        assert self._self_play(pooled) == [("fixed", "main", ", written"),
-                                           ("variable", "main", ", written"),
-                                           ("variable", "worker", "")], pooled
+        assert self._self_play(serial) == [("fixed", "1"), ("variable", "1")]
+        assert self._self_play(pooled) == [("fixed", "2"), ("variable", "2")], pooled
 
     def test_a_mix_does_not_depend_on_where_its_spec_sits(self, tmp_path):
         # every model trains and plays on the base model's streams, so a mix
@@ -1146,20 +1145,18 @@ class TestCellWorkers:
     def test_shares_of_a_replicate(self):
         specs = [MixSpec(pct, mode) for pct, mode in
                  ((100, "-"), (75, "fixed"), (75, "variable"), (50, "fixed"), (50, "variable"))]
-        assert cli._deal_cells(specs, 1) == [([0, 1, 2, 3, 4], ["fixed", "variable"])]
-        assert cli._deal_cells(specs, 2) == [([1, 3], ["fixed"]), ([0, 2, 4], ["variable"])]
-        assert cli._deal_cells(specs, 3) == [([1, 4], ["fixed"]), ([2], ["variable"]),
-                                             ([0, 3], [])]
-        # no 100% cell; a mode no cell uses is the calling process's to write
-        assert cli._deal_cells(specs[2:3] + specs[4:], 2) == [([0], ["fixed", "variable"]),
-                                                              ([1], [])]
+        assert cli._deal_cells(specs, 1) == [[0, 1, 2, 3, 4]]
+        assert cli._deal_cells(specs, 2) == [[1, 3], [0, 2, 4]]
+        assert cli._deal_cells(specs, 3) == [[1, 4], [2], [0, 3]]
+        # no 100% cell
+        assert cli._deal_cells(specs[2:3] + specs[4:], 2) == [[0], [1]]
 
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
         started = []
-        fork_share = cli._fork_share
-        monkeypatch.setattr(cli, "_fork_share",
-                            lambda *args: started.append(fork_share(*args)) or started[-1])
+        fork = parallel._fork
+        monkeypatch.setattr(parallel, "_fork",
+                            lambda *args: started.append(fork(*args)) or started[-1])
         out = tmp_path / "run"
         # a directory where the child's cell saves its checkpoint
         (out / "seed_0" / "model_50_variable.ckpt").mkdir(parents=True)
@@ -1169,9 +1166,10 @@ class TestCellWorkers:
         rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])
         assert rc == cli.EXIT_RUNTIME
         assert "stage 'train-50_variable' failed for replicate 0" in capsys.readouterr().err
-        [(child, _)] = started
-        with pytest.raises(ChildProcessError):  # reaped
-            os.waitpid(child, os.WNOHANG)
+        assert len(started) == 3  # one per self-play corpus, then the cells' child
+        for child, _ in started:
+            with pytest.raises(ChildProcessError):  # reaped
+                os.waitpid(child, os.WNOHANG)
         assert _children(os.getpid()) <= before
         assert not (out / "manifest.json").exists()
         os.close(cli._acquire_lock(out / ".lock"))
@@ -1180,11 +1178,11 @@ class TestCellWorkers:
         # a child that ends without replying fails the run with its wait
         # status, and the run closes its pipe, reaps it, writes no manifest
         # and leaves the output directory unlocked and no child behind
-        monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
         started = []
-        fork_share = cli._fork_share
-        monkeypatch.setattr(cli, "_fork_share",
-                            lambda *args: started.append(fork_share(*args)) or started[-1])
+        fork = parallel._fork
+        monkeypatch.setattr(parallel, "_fork",
+                            lambda *args: started.append(fork(*args)) or started[-1])
         run_share, test_pid = cli._run_share, os.getpid()
         before = _children(test_pid)
         path = tmp_path / "exp.cfg"
@@ -1202,19 +1200,51 @@ class TestCellWorkers:
                                match=rf"^stage 'worker \d+' failed for replicate 0: {status}$"):
                 cli.run_experiment(load_config(path, {"experiment.mix_specs": CELL_SPECS,
                                                       "experiment.output_dir": str(out)}))
-            child, read = started.pop()
-            with pytest.raises(OSError):  # its pipe is closed
-                os.fstat(read)
-            with pytest.raises(ChildProcessError):  # reaped
-                os.waitpid(child, os.WNOHANG)
+            assert len(started) == 3  # one per self-play corpus, then the cells' child
+            for child, read in started:
+                with pytest.raises(OSError):  # its pipe is closed
+                    os.fstat(read)
+                with pytest.raises(ChildProcessError):  # reaped
+                    os.waitpid(child, os.WNOHANG)
+            started.clear()
             assert _children(test_pid) <= before
             assert not (out / "manifest.json").exists()
             os.close(cli._acquire_lock(out / ".lock"))
 
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(3), "exited with 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=("exit_3", "sigkill"))
+    def test_self_play_child_gone_is_a_stage_error(self, tmp_path, monkeypatch, capsys,
+                                                   end, status):
+        # a self-play child that ends without its games fails the run in the
+        # selfplay stage, before any corpus is written or any cell dealt
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        play_game, test_pid = selfplay.play_game, os.getpid()
+
+        def dies_in_a_child(*args):  # patched before the fork, so the child runs it too
+            if os.getpid() != test_pid:
+                end()
+            return play_game(*args)
+
+        monkeypatch.setattr(selfplay, "play_game", dies_in_a_child)
+        before = _children(test_pid)
+        out = tmp_path / "run"
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_RUNTIME
+        assert (f"error: stage 'selfplay' failed for replicate 0: {status}\n"
+                == capsys.readouterr().err)
+        assert (out / "seed_0" / "model_100.ckpt").exists()
+        assert not list(out.rglob("generated_*.jsonl"))
+        assert not (out / "manifest.json").exists()
+        assert _children(test_pid) <= before
+        os.close(cli._acquire_lock(out / ".lock"))
+
     def test_child_never_returns_into_the_caller(self, tmp_path, monkeypatch):
         # a child whose share raises past StageError still ends in
-        # `_fork_share`, so the rest of this test runs once, in this process
-        monkeypatch.setattr(cli, "cell_processes", lambda retrain_cells: 2)
+        # `parallel._fork`, so the rest of this test runs once, in this process
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
         run_share, test_pid = cli._run_share, os.getpid()
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)

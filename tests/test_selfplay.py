@@ -1,11 +1,13 @@
 import logging
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from guessmix import lang, metrics, model, oracle, selfplay
-from guessmix.dialogue import GameAlignmentError
+from guessmix import lang, metrics, model, oracle, parallel, selfplay
+from guessmix.dialogue import GameAlignmentError, write_dialogues
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,84 @@ class TestGenerateCorpus:
                                           oracle.OracleConfig(0.0),
                                           selfplay.FixedLength(3), seed=2)
         assert "33.3% of 30 questions malformed" in caplog.text
+
+    @pytest.mark.parametrize("policy", ["fixed", "match_human"])
+    def test_same_corpus_on_any_number_of_processes(self, questioner, small_scenes,
+                                                    small_teacher_corpus, policy, tmp_path,
+                                                    monkeypatch):
+        # game k goes to share k mod n, every game on its own stream, and the
+        # dialogues come back in scene order: the same corpus, to the byte,
+        # as one play_game per scene, however many processes play it
+        turn_map = {d.game_id: len(d.turns) for d in small_teacher_corpus}
+        assert len(set(turn_map.values())) > 1
+        length = selfplay.FixedLength(5) if policy == "fixed" else selfplay.MatchHuman(turn_map)
+        scenes = [s for s in small_scenes if s.scene_id in turn_map]
+        cfg = oracle.OracleConfig(0.1)
+        forked = []
+        fork = parallel._fork
+        monkeypatch.setattr(parallel, "_fork", lambda *a: forked.append(None) or fork(*a))
+        for games in (scenes, scenes[:2]):  # every scene, and fewer games than processes
+            want = [selfplay.play_game(questioner, sc, cfg,
+                                       5 if policy == "fixed" else turn_map[sc.scene_id],
+                                       np.random.default_rng([3, sc.scene_id])).dialogue
+                    for sc in games]
+            write_dialogues(tmp_path / "want.jsonl", want)
+            for n in (1, 2, 3):
+                monkeypatch.setattr(parallel, "processes", lambda tasks: n)
+                forked.clear()
+                got = selfplay.generate_selfplay_corpus(questioner, games, cfg, length, seed=3)
+                assert len(forked) == n - 1
+                assert got == want, (len(games), n)
+                write_dialogues(tmp_path / "got.jsonl", got)
+                assert ((tmp_path / "got.jsonl").read_bytes()
+                        == (tmp_path / "want.jsonl").read_bytes())
+
+    @pytest.mark.parametrize("end, status", [
+        (lambda: os._exit(3), "exited with 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
+    ], ids=("exit_3", "sigkill"))
+    def test_child_without_reply_raises_its_wait_status(self, questioner, small_scenes,
+                                                        monkeypatch, end, status):
+        # the call raises with the status of the child that sent no corpus,
+        # and closes the pipe of, and reaps, every child it forked
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 3)
+        started = []
+        fork = parallel._fork
+        monkeypatch.setattr(parallel, "_fork",
+                            lambda *args: started.append(fork(*args)) or started[-1])
+        play_game, caller = selfplay.play_game, os.getpid()
+
+        def dies_in_a_child(*args):  # patched before the fork, so the children run it too
+            if os.getpid() != caller:
+                end()
+            return play_game(*args)
+
+        monkeypatch.setattr(selfplay, "play_game", dies_in_a_child)
+        with pytest.raises(parallel.ChildError, match=f"^{status}$") as raised:
+            selfplay.generate_selfplay_corpus(questioner, small_scenes, oracle.OracleConfig(0.1),
+                                              selfplay.FixedLength(2), seed=1)
+        assert len(started) == 2
+        assert raised.value.pid == started[0][0]  # the first child's reply is read first
+        for child, read in started:
+            with pytest.raises(OSError):  # its pipe is closed
+                os.fstat(read)
+            with pytest.raises(ChildProcessError):  # reaped
+                os.waitpid(child, os.WNOHANG)
+
+    def test_exception_in_a_child_is_raised_by_the_call(self, questioner, small_scenes,
+                                                        monkeypatch):
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        play_game, caller = selfplay.play_game, os.getpid()
+
+        def fails_in_the_child(*args):
+            if os.getpid() != caller:
+                raise OSError(28, "No space left on device")
+            return play_game(*args)
+
+        monkeypatch.setattr(selfplay, "play_game", fails_in_the_child)
+        with pytest.raises(OSError, match="No space left on device"):
+            selfplay.generate_selfplay_corpus(questioner, small_scenes, oracle.OracleConfig(0.1),
+                                              selfplay.FixedLength(2), seed=1)
 
     def test_fixed_length_validated(self):
         with pytest.raises(ValueError):

@@ -9,4 +9,6 @@ data at several proportions, retrains, and measures task accuracy together
 with linguistic quality of the generated dialogues.
 """
 
+from . import parallel  # noqa: F401 - sets one BLAS thread before any matrix product
+
 __version__ = "0.1.0"

@@ -61,12 +61,13 @@ def _pair_with_scenes(dialogues, scenes):
 
 
 def _numeric_environment(cell_procs: int) -> dict:
-    """For `manifest.json`: the Python and numpy versions and what sets the
-    BLAS thread count, which checkpoint bits depend on, and the cell processes."""
+    """For `manifest.json`: the Python and numpy versions, the BLAS thread
+    count set (None if none could be), which checkpoint bits depend on, and
+    the cell processes."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas_threads": {name: os.environ.get(name) for name in parallel.BLAS_THREAD_VARIABLES},
+        "blas_threads": parallel.BLAS_THREADS,
         "cpu_count": os.cpu_count(),
         "cell_processes": cell_procs,
     }
@@ -135,7 +136,17 @@ def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, 
                    seed: int, out=None):
     """Let the questioner replay the game of every `human` dialogue on its
     scene, for selfplay.turns turns (fixed length) or as many as that
-    dialogue (variable length); writes the dialogues to `out` unless it is None."""
+    dialogue (variable length); writes the dialogues to `out` unless it is None.
+    A replayed game takes its scene's id, so each human game id must be its
+    scene id, once."""
+    seen = set()
+    for d in human:
+        if d.game_id != d.scene_id:
+            raise GameAlignmentError(f"human game id {d.game_id} is not its scene id "
+                                     f"{d.scene_id}")
+        if d.game_id in seen:
+            raise GameAlignmentError(f"human game id {d.game_id} repeats")
+        seen.add(d.game_id)
     if length_mode == LENGTH_FIXED:
         policy: selfplay.LengthPolicy = selfplay.FixedLength(cfg["selfplay.turns"])
     else:
@@ -233,14 +244,14 @@ def _write_tables(out: Path, suffix: str, stats_rows, report_rows) -> None:
 
 
 def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inputs,
-              where: str):
+              caller: int):
     """Cell j of a replicate: mix spec j's corpus and model (the base model
     for 100%, else mixed and retrained), then its (stats_row, report_row).
     Every model of a replicate trains and plays on the base model's streams,
     so cells differ only by their training data, and retraining the 100%
     corpus would give the base model again. `inputs` is (human, generated by
-    length mode, train scenes, test scenes, base); `where` names this
-    process in the log."""
+    length mode, train scenes, test scenes, base). The log names process
+    `caller`, which deals the cells, `main` and each other `worker <pid>`."""
     start = time.perf_counter()
     spec = cfg.mix_specs()[j]
     pct, mode = spec.pct_human, spec.length_mode
@@ -264,7 +275,8 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inp
     except Exception as exc:
         raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
     log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
-             time.perf_counter() - start, where)
+             time.perf_counter() - start,
+             "main" if os.getpid() == caller else f"worker {os.getpid()}")
     return rows
 
 
@@ -279,15 +291,6 @@ def _deal_cells(specs: list[MixSpec], n_procs: int) -> list[list[int]]:
     cells = [retrain[k::n_procs] for k in range(n_procs)]
     cells[-1] = sorted(cells[-1] + [j for j, spec in enumerate(specs) if spec.pct_human == 100])
     return cells
-
-
-def _run_share(cfg: ExperimentConfig, replicate: int, seed_dir: Path, cells: list[int],
-               inputs, caller: int):
-    """A process's share of a replicate's cells; returns {j: rows}. `inputs`
-    is `_run_cell`'s; the log names process `caller`, which deals the cells,
-    `main` and each other `worker <pid>`."""
-    where = "main" if os.getpid() == caller else f"worker {os.getpid()}"
-    return {j: _run_cell(cfg, replicate, seed_dir, j, inputs, where) for j in cells}
 
 
 def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: int):
@@ -336,7 +339,8 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: in
         inputs = (human, generated, train_scenes, test_scenes, base)
         try:
             shares = parallel.run_shares(
-                lambda cells: _run_share(cfg, replicate, seed_dir, cells, inputs, caller),
+                lambda cells: {j: _run_cell(cfg, replicate, seed_dir, j, inputs, caller)
+                               for j in cells},
                 _deal_cells(specs, n_procs))
         except parallel.ChildError as exc:
             stage = f"worker {exc.pid}"

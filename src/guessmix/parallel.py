@@ -5,19 +5,31 @@ each other share in a child forked for it. A child inherits everything the
 caller holds at the fork, module attributes a test has patched included, so
 nothing is sent to it and no worker interpreter imports the package again.
 It pipes back its result, or the exception it raised, and ends without ever
-returning into the caller's code. `processes` is how many shares the work
-gets. Self-play deals its games this way and `run` its replicate's cells.
-"""
+returning into the caller's code. Self-play deals its games this way and
+`run` its replicate's cells.
+
+Importing this module, which the package does first, sets the BLAS library
+numpy loaded to one thread, so that each process sums its matrix products
+on one core, the same way in every process. `processes`, how many shares
+the work gets, is then one per usable CPU. Where no known thread setter is
+found, two processes could each spread their products over every core, so
+everything stays in the calling process."""
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
 import threading
 import time
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+from numpy.linalg import _umath_linalg
+
+# the thread-count setters of OpenBLAS as numpy's wheels bundle it (64-bit
+# integers, prefixed or not), of a system OpenBLAS, and of MKL
+_BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads", "MKL_Set_Num_Threads")
 
 # what a child exits with when its work raised past `Exception`, or when its
 # parent died; a failed run exits with the same status
@@ -32,16 +44,36 @@ class ChildError(RuntimeError):
         self.pid = pid
 
 
-def processes(tasks: int, environ=os.environ, cpus: int | None = None) -> int:
-    """How many processes share `tasks` independent tasks: usable CPUs over
-    BLAS threads, which are the first BLAS variable set in `environ` or, when
-    none is, one per usable CPU (OpenBLAS's default), so unset variables give
-    1. Never more than `tasks`, and at least the calling process."""
+def _one_blas_thread() -> int | None:
+    """Set the BLAS library numpy loaded to one thread; returns the count
+    set, 1, or None when that library has none of `_BLAS_SETTERS`
+    (Accelerate, say)."""
+    # a symbol lookup through numpy's extension (at this path in numpy 1 and
+    # 2) also searches the libraries it links, so it finds the copy numpy uses
+    numpy_ext = ctypes.CDLL(_umath_linalg.__file__)
+    setter = next((getattr(numpy_ext, name) for name in _BLAS_SETTERS
+                   if hasattr(numpy_ext, name)), None)
+    if setter is None:
+        return None
+    setter.argtypes, setter.restype = (ctypes.c_int,), None
+    setter(1)
+    return 1
+
+
+# BLAS threads per process, as `_one_blas_thread` set them at import
+BLAS_THREADS = _one_blas_thread()
+
+
+def processes(tasks: int, cpus: int | None = None) -> int:
+    """How many processes share `tasks` independent tasks: one per usable
+    CPU (`cpus`, by default those of this process's affinity mask) when each
+    runs one BLAS thread, else 1. Never more than `tasks`, and at least the
+    calling process."""
+    if BLAS_THREADS is None:
+        return 1
     cpus = cpus or (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count())
-    value = next((environ[name] for name in BLAS_THREAD_VARIABLES if environ.get(name)), "")
-    threads = int(value) if value.isdigit() and int(value) > 0 else cpus
-    return max(1, min(tasks, cpus // threads))
+    return max(1, min(tasks, cpus))
 
 
 def _exit_with_parent(parent: int) -> None:

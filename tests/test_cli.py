@@ -488,6 +488,24 @@ class TestDerivedInputs:
     """`stats` and `evaluate` label rows from a corpus's mix manifest, and
     `train` names its best-validation checkpoint after `--out`."""
 
+    @pytest.mark.parametrize("length", ["fixed", "variable"])
+    def test_selfplay_needs_each_game_id_to_be_its_scene_id(self, mixed_chain, tmp_path, capsys,
+                                                            length):
+        # a replayed game takes its scene's id, so other game ids would give
+        # a corpus that `mix` cannot match with the teacher's
+        human = dialogue.read_dialogues(mixed_chain / "human.jsonl")
+        first, path, out = human[0], tmp_path / "human.jsonl", tmp_path / "generated.jsonl"
+        for corpus, error in (
+                ([replace(d, game_id=d.game_id + 1000) for d in human],
+                 f"human game id {first.game_id + 1000} is not its scene id {first.scene_id}"),
+                (human + [first], f"human game id {first.game_id} repeats")):
+            dialogue.write_dialogues(path, corpus)
+            assert cli.main(["selfplay", "--model", str(mixed_chain / "base.ckpt"),
+                             "--scenes", str(mixed_chain / "scenes.jsonl"), "--human", str(path),
+                             "--length", length, "--out", str(out)]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err == f"error: {error}\n"
+            assert not out.exists()
+
     @staticmethod
     def rows(capsys, d, corpus):
         """The stats and evaluate rows of `corpus`, printed without label flags."""
@@ -629,8 +647,7 @@ class TestRunExperiment:
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "blas_threads": {name: os.environ.get(name) for name in
-                             ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "blas_threads": 1,  # set on the OpenBLAS of numpy's wheels, whatever the environment
             "cpu_count": os.cpu_count(),
             "cell_processes": 1,  # TINY_CONFIG has one retrain cell, and this process keeps it
         }
@@ -997,8 +1014,7 @@ class TestRunExperiment:
         assert "__main__" not in proc.stderr
 
 
-PINNED_BLAS = {name: "1" for name in
-               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # three retrain cells: with two processes a worker runs 50_variable
 CELL_SPECS = "100:-,50:fixed,50:variable,0:fixed"
 # start of a `python -c` program whose runs use two processes, for the
@@ -1029,33 +1045,64 @@ def _gone(pid: int) -> bool:
 
 
 class TestCellWorkers:
-    def test_process_count_rule(self):
+    def test_process_count_rule(self, monkeypatch):
         rule = parallel.processes
-        assert rule(4, {}, cpus=2) == 1  # unset: BLAS runs a thread per CPU
-        assert rule(4, {"OPENBLAS_NUM_THREADS": "1"}, cpus=2) == 2
-        assert rule(4, {"OMP_NUM_THREADS": "2"}, cpus=2) == 1
-        assert rule(4, {"MKL_NUM_THREADS": "2"}, cpus=8) == 4
-        assert rule(4, {"OPENBLAS_NUM_THREADS": "3"}, cpus=2) == 1
+        assert rule(4, cpus=2) == 2
         # never more than the tasks, and at least the calling process
-        assert rule(3, PINNED_BLAS, cpus=16) == 3
-        assert rule(1, PINNED_BLAS, cpus=16) == 1
-        assert rule(0, PINNED_BLAS, cpus=16) == 1
-        # the first variable set counts; one that is not a positive count is unset
-        assert rule(4, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, cpus=4) == 4
-        assert rule(4, {"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, cpus=4) == 2
-        assert rule(4, {"OPENBLAS_NUM_THREADS": "0"}, cpus=4) == 1
-        assert rule(4, {"OPENBLAS_NUM_THREADS": "four"}, cpus=4) == 1
-        # by default the usable CPUs of this process and its environment
-        assert rule(4, PINNED_BLAS) == min(4, len(os.sched_getaffinity(0)))
-        assert rule(4, {}) == 1
+        assert rule(3, cpus=16) == 3
+        assert rule(1, cpus=16) == 1
+        assert rule(0, cpus=16) == 1
+        # by default the usable CPUs of this process
+        assert rule(4) == min(4, len(os.sched_getaffinity(0)))
+        # numpy's BLAS without a known thread setter could spread each
+        # process's products over every core: the work stays in this process
+        assert parallel.BLAS_THREADS == 1
+        monkeypatch.setattr(parallel, "_BLAS_SETTERS", ("no_such_setter",))
+        assert parallel._one_blas_thread() is None
+        monkeypatch.setattr(parallel, "BLAS_THREADS", None)
+        assert rule(4, cpus=2) == 1
+        assert rule(4) == 1
+
+    def test_blas_variables_move_no_byte(self, tmp_path):
+        # guessmix sets one BLAS thread itself, so a run with the variables
+        # unset writes every byte, checkpoints included, as one with them
+        # pinned to 1, and shares its cells over every usable CPU
+        unset = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        # numpy's own OpenBLAS, a thread per CPU by default, runs one once
+        # guessmix is imported
+        getters = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads")
+        code = ("import ctypes; from numpy.linalg import _umath_linalg\n"
+                "lib = ctypes.CDLL(_umath_linalg.__file__)\n"
+                f"get = next(getattr(lib, name) for name in {getters} if hasattr(lib, name))\n"
+                "before = get()\nimport guessmix\nprint(before, get())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**unset, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(len(os.sched_getaffinity(0))), "1"]
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
+        manifests = []
+        for env in (unset, {**unset, **dict.fromkeys(BLAS_VARIABLES, "1")}):
+            proc = subprocess.run([sys.executable, "-m", "guessmix.cli", "run", "--config",
+                                   str(path), "--experiment.mix_specs", CELL_SPECS],
+                                  capture_output=True, text=True, timeout=300,
+                                  env={**env, "PYTHONPATH": str(SRC)})
+            assert proc.returncode == 0, proc.stderr
+            manifests.append(json.loads((tmp_path / "run" / "manifest.json").read_text()))
+        assert manifests[0]["files"] == manifests[1]["files"]
+        assert "seed_0/model_50_fixed.ckpt" in manifests[0]["files"]
+        for manifest in manifests:
+            assert manifest["environment"]["blas_threads"] == 1
+            assert manifest["environment"]["cell_processes"] == min(
+                3, len(os.sched_getaffinity(0)))
 
     @staticmethod
     def _run_on_one_and_two_cpus(tmp_path, specs, *flags):
-        """Fresh interpreters with one BLAS thread each, run with `-v` on one
-        usable CPU (one cell process) and on two (a forked child besides the
-        calling process); returns each run's stderr, after checking that the
-        run left no child process and that every digest but config.txt's is
-        the same on both."""
+        """Fresh interpreters, run with `-v` on one usable CPU (one cell
+        process) and on two (a forked child besides the calling process);
+        returns each run's stderr, after checking that the run left no child
+        process and that every digest but config.txt's is the same on both."""
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)
         usable = sorted(os.sched_getaffinity(0))
@@ -1070,7 +1117,7 @@ class TestCellWorkers:
                 [sys.executable, "-c", code, "-v", "run", "--config", str(path),
                  "--experiment.output_dir", str(out), "--experiment.mix_specs", specs, *flags],
                 capture_output=True, text=True, timeout=300,
-                env={**os.environ, **PINNED_BLAS, "PYTHONPATH": str(SRC)})
+                env={**os.environ, "PYTHONPATH": str(SRC)})
             assert proc.returncode == 0, proc.stderr
             assert "a child is left" not in proc.stdout
             logs.append(proc.stderr)
@@ -1183,18 +1230,18 @@ class TestCellWorkers:
         fork = parallel._fork
         monkeypatch.setattr(parallel, "_fork",
                             lambda *args: started.append(fork(*args)) or started[-1])
-        run_share, test_pid = cli._run_share, os.getpid()
+        run_cell, test_pid = cli._run_cell, os.getpid()
         before = _children(test_pid)
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)
         for end, status in ((lambda: os._exit(3), "exited with 3"),
                             (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")):
-            def share(*args, end=end):  # patched before the fork, so the child runs it too
+            def cell(*args, end=end):  # patched before the fork, so the child runs it too
                 if os.getpid() != test_pid:
                     end()
-                return run_share(*args)
+                return run_cell(*args)
 
-            monkeypatch.setattr(cli, "_run_share", share)
+            monkeypatch.setattr(cli, "_run_cell", cell)
             out = tmp_path / status.replace(" ", "_")
             with pytest.raises(cli.StageError,
                                match=rf"^stage 'worker \d+' failed for replicate 0: {status}$"):
@@ -1245,17 +1292,17 @@ class TestCellWorkers:
         # a child whose share raises past StageError still ends in
         # `parallel._fork`, so the rest of this test runs once, in this process
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
-        run_share, test_pid = cli._run_share, os.getpid()
+        run_cell, test_pid = cli._run_cell, os.getpid()
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG)
         after_run = tmp_path / "after_run.txt"
         for exc in (KeyboardInterrupt, SystemExit):
-            def share(*args, exc=exc):
+            def cell(*args, exc=exc):
                 if os.getpid() != test_pid:
                     raise exc()
-                return run_share(*args)
+                return run_cell(*args)
 
-            monkeypatch.setattr(cli, "_run_share", share)
+            monkeypatch.setattr(cli, "_run_cell", cell)
             outcome = None
             try:
                 cli.run_experiment(load_config(path, {
@@ -1282,7 +1329,7 @@ class TestCellWorkers:
              "run", "--config", str(path), "--experiment.output_dir", str(out),
              "--experiment.mix_specs", CELL_SPECS, "--model.epochs", "1000"],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            env={**os.environ, **PINNED_BLAS, "PYTHONPATH": str(SRC)})
+            env={**os.environ, "PYTHONPATH": str(SRC)})
         try:
             deadline = time.monotonic() + 120
             while not (out / "seed_0" / "mixed_50_variable.jsonl").exists():

@@ -1054,9 +1054,9 @@ class TestCellWorkers:
         assert rule(0, cpus=16) == 1
         # by default the usable CPUs of this process
         assert rule(4) == min(4, len(os.sched_getaffinity(0)))
+        assert parallel.BLAS_THREADS == 1  # numpy's wheels bundle OpenBLAS, which has a setter
         # numpy's BLAS without a known thread setter could spread each
         # process's products over every core: the work stays in this process
-        assert parallel.BLAS_THREADS == 1
         monkeypatch.setattr(parallel, "_BLAS_SETTERS", ("no_such_setter",))
         assert parallel._one_blas_thread() is None
         monkeypatch.setattr(parallel, "BLAS_THREADS", None)

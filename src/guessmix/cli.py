@@ -8,11 +8,11 @@ test scenes with the fixed-question protocol. Each step is one `stage_*`
 function that writes its files and returns what it wrote; `run` calls them
 in sequence, and each step subcommand reads its input files and calls one.
 Once a replicate's base model is saved, `run` plays both self-play
-corpora, each game dealt to one of `parallel.processes` processes, and
-writes them. Then the mix cells (mix, retrain and evaluate per mix spec),
-which are independent, are dealt between the calling process and a child
-it forks per spare core; a child works on the inputs it inherits and pipes
-back its rows.
+corpora and writes them, then runs the mix cells (mix, retrain and
+evaluate per mix spec). Games and cells are independent, and each is dealt
+by `parallel.deal` between the calling process and a child it forks per
+spare core; a child works on the inputs it inherits and pipes back its
+dialogues or rows.
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
 
 
 def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, human,
-                   seed: int, out=None):
+                   seed: int, out):
     """Let the questioner replay the game of every `human` dialogue on its
     scene, for selfplay.turns turns (fixed length) or as many as that
-    dialogue (variable length); writes the dialogues to `out` unless it is None.
+    dialogue (variable length); writes the dialogues to `out`.
     A replayed game takes its scene's id, so each human game id must be its
     scene id, once."""
     seen = set()
@@ -155,8 +155,7 @@ def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, 
         questioner, [s for _, s in _pair_with_scenes(human, scenes)],
         OracleConfig(cfg["selfplay.noise"]), policy, seed=seed,
     )
-    if out is not None:
-        write_dialogues(out, dialogues)
+    write_dialogues(out, dialogues)
     return dialogues
 
 
@@ -284,18 +283,9 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inp
 _SELFPLAY_STREAMS = ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
 
 
-def _deal_cells(specs: list[MixSpec], n_procs: int) -> list[list[int]]:
-    """The cells of each process, the calling process first: retrain cells
-    go round-robin and the 100% cell to the last process."""
-    retrain = [j for j, spec in enumerate(specs) if spec.pct_human != 100]
-    cells = [retrain[k::n_procs] for k in range(n_procs)]
-    cells[-1] = sorted(cells[-1] + [j for j, spec in enumerate(specs) if spec.pct_human == 100])
-    return cells
-
-
-def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: int):
-    """One full pipeline pass, sharing its cells with `n_procs - 1` forked
-    children; returns its (stats_rows, report_rows) in spec order."""
+def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
+    """One full pipeline pass, its games and cells dealt over processes;
+    returns its (stats_rows, report_rows) in spec order."""
     log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
@@ -335,18 +325,15 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path, n_procs: in
 
         # the corpora are written: deal the cells to this process and a child per spare core
         stage = "fork"
-        specs, caller = cfg.mix_specs(), os.getpid()
+        caller = os.getpid()
         inputs = (human, generated, train_scenes, test_scenes, base)
         try:
-            shares = parallel.run_shares(
-                lambda cells: {j: _run_cell(cfg, replicate, seed_dir, j, inputs, caller)
-                               for j in cells},
-                _deal_cells(specs, n_procs))
+            stats_rows, report_rows = zip(*parallel.deal(
+                lambda j: _run_cell(cfg, replicate, seed_dir, j, inputs, caller),
+                range(len(cfg.mix_specs()))))
         except parallel.ChildError as exc:
             stage = f"worker {exc.pid}"
             raise
-        rows = {j: share[j] for share in shares for j in share}
-        stats_rows, report_rows = zip(*(rows[j] for j in range(len(specs))))
 
         stage = "report"
         _write_tables(seed_dir, "", stats_rows, report_rows)
@@ -382,11 +369,11 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
-    n_procs = parallel.processes(sum(spec.pct_human != 100 for spec in cfg.mix_specs()))
+    cell_procs = parallel.processes(len(cfg.mix_specs()))
     try:
         (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
-        per_seed = [_run_seed(cfg, r, out / f"seed_{r}", n_procs) for r in range(n_rep)]
+        per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
         stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
         _write_tables(out, "_mean", stats, reports)
         stage_report_md(reports, cfg, out / "report.md")
@@ -396,7 +383,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         )
         manifest = {
             "config": cfg.values,
-            "environment": _numeric_environment(n_procs),
+            "environment": _numeric_environment(cell_procs),
             "replicate_seeds": [derive_seed(cfg["experiment.seed"], r) for r in range(n_rep)],
             "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                       for p in files},
@@ -506,6 +493,13 @@ def _cmd_run(args, cfg: ExperimentConfig) -> None:
     print(f"report: {out / 'report_mean.csv'}")
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="guessmix",
@@ -519,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         reads; a flag left out keeps the key's default."""
         p = sub.add_parser(name, help=help_text)
         if seed:
-            p.add_argument("--seed", type=int, default=0, help=seed)
+            p.add_argument("--seed", type=_seed, default=0, help=seed)
         for key in keys:
             p.add_argument(f"--{key}", dest=key, metavar="V", help=SCHEMA[key][2])
         p.set_defaults(func=func, config=None)

@@ -84,8 +84,9 @@ class ExperimentConfig:
                     "evaluate.turns", "corpus.min_count"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if self["experiment.n_val_scenes"] < 0:
-            raise ConfigError("experiment.n_val_scenes must be >= 0")
+        for key in ("experiment.seed", "experiment.n_val_scenes"):
+            if self[key] < 0:
+                raise ConfigError(f"{key} must be >= 0")
         if self["selfplay.checkpoint"] not in CHECKPOINT_CHOICES:
             raise ConfigError(f"selfplay.checkpoint must be one of {CHECKPOINT_CHOICES}")
         if self["selfplay.checkpoint"] == "best_val" and (

@@ -160,9 +160,6 @@ class Vocabulary:
     def answer_id(self, answer: str) -> int:
         return self._ids[YES_TOKEN] if answer == "yes" else self._ids[NO_TOKEN]
 
-    def word(self, idx: int) -> str:
-        return self.words[idx]
-
 
 def build_vocabulary(corpus: list[Dialogue], min_count: int = 3) -> Vocabulary:
     """Count question tokens across the corpus and keep those above threshold.

@@ -104,10 +104,10 @@ class ModelConfig:
     def validate(self) -> None:
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ValueError("embed_dim and hidden_dim must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.grad_clip <= 0:
-            raise ValueError("grad_clip must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip > 0):
+            raise ValueError(f"grad_clip must be finite and > 0, got {self.grad_clip}")
         if self.modulo_n < 1:
             raise ValueError("modulo_n must be >= 1")
         if self.epochs < 0:
@@ -120,7 +120,7 @@ class ModelConfig:
             raise ValueError("max_question_len must be >= 3")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     embeddings: np.ndarray  # (V, E)
     w_scene: np.ndarray     # (H, FEATURE_DIM)
@@ -130,13 +130,8 @@ class ModelParams:
     w_out: np.ndarray       # (V, H)
     w_obj: np.ndarray       # (H, FEATURE_DIM)
     # a Questioner's (proj, out_rec) decode tables, set once its arrays are
-    # read-only; None while the arrays may still change
+    # read-only; None while the arrays may still change in place
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name in PARAM_FIELDS:  # a replaced array makes the tables stale
-            super().__setattr__("_tables", None)
 
     def copy(self) -> "ModelParams":
         return ModelParams(**{name: getattr(self, name).copy() for name in PARAM_FIELDS})
@@ -842,7 +837,7 @@ class Questioner:
         tables = _decode_tables(p)
         for a in (*p.arrays().values(), *tables):
             a.flags.writeable = False
-        p._tables = tables
+        object.__setattr__(p, "_tables", tables)
 
 
 def save_checkpoint(path: str | Path, questioner: Questioner) -> None:

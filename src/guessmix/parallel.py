@@ -1,12 +1,14 @@
-"""Independent work shared between the calling process and forked children.
+"""Independent work dealt between the calling process and forked children.
 
-`run_shares` runs the first share of some work in the calling process and
-each other share in a child forked for it. A child inherits everything the
-caller holds at the fork, module attributes a test has patched included, so
+`deal(work, items)` is `[work(x) for x in items]` spread over `processes`
+processes: item k goes to share k mod n, the calling process works on the
+last share and a child forked for each other share works on it, and the
+results come back in item order. A child inherits everything the caller
+holds at the fork, module attributes a test has patched included, so
 nothing is sent to it and no worker interpreter imports the package again.
-It pipes back its result, or the exception it raised, and ends without ever
-returning into the caller's code. Self-play deals its games this way and
-`run` its replicate's cells.
+It pipes back its results, or the exception it raised, and ends without
+ever returning into the caller's code. Self-play deals its games this way
+and `run` its replicate's cells.
 
 Importing this module, which the package does first, sets the BLAS library
 numpy loaded to one thread, so that each process sums its matrix products
@@ -123,16 +125,19 @@ def _reply_of(pid: int, read: int):
     return result
 
 
-def run_shares(work, shares: list) -> list:
-    """[work(share) for share in shares], the first share run in the calling
-    process and each other in a child forked for it, all at once. Every
-    child is killed and reaped before this returns or raises."""
-    children = []
+def deal(work, items) -> list:
+    """[work(x) for x in items], item k worked in share k mod n of the n =
+    `processes(len(items))` shares, all at once: the last share in the
+    calling process, each other in a child forked for it. Every child is
+    killed and reaped before this returns or raises."""
+    n, children = processes(len(items)), []
     try:
-        for share in shares[1:]:
-            children.append(_fork(work, share))
-        results = [work(shares[0])]
-        results += [_reply_of(pid, read) for pid, read in children]
+        for k in range(n - 1):
+            children.append(_fork(lambda share: [work(x) for x in share], items[k::n]))
+        results = [None] * len(items)
+        results[n - 1::n] = [work(x) for x in items[n - 1::n]]
+        for k, (pid, read) in enumerate(children):
+            results[k::n] = _reply_of(pid, read)
         return results
     finally:
         for pid, read in children:  # each is still unreaped, so no other process has its pid

@@ -434,6 +434,44 @@ class TestSubcommands:
         assert rc == cli.EXIT_VALIDATION
         assert "argmax" in capsys.readouterr().err
 
+    def test_negative_seed_is_refused_by_every_command(self, tmp_path, capsys, monkeypatch):
+        # numpy's generators take no negative seed: refused before a file is
+        # read or written, naming the flag or the key
+        monkeypatch.chdir(tmp_path)  # where the relative paths of REQUIRED_ARGS point
+        [commands] = [a.choices for a in cli.build_parser()._actions if a.dest == "command"]
+        seeded = [name for name, sub in commands.items() if "--seed" in sub._option_string_actions]
+        assert set(seeded) == set(REQUIRED_ARGS) - {"stats", "report", "run"}
+        for name in seeded:
+            argv = [name, *REQUIRED_ARGS[name]]
+            assert cli.main([*argv, "--seed", "-5"]) == cli.EXIT_VALIDATION, name
+            assert "argument --seed: want an integer >= 0, got '-5'" in capsys.readouterr().err
+            assert cli.main([*argv, "--seed", "x"]) == cli.EXIT_VALIDATION, name
+            assert "got 'x'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ConfigError, match="experiment.seed must be >= 0"):
+            ExperimentConfig({"experiment.seed": -1})
+        out = tmp_path / "run"
+        assert cli.main(["run", "--experiment.seed", "-1",
+                         "--experiment.output_dir", str(out)]) == cli.EXIT_VALIDATION
+        assert "experiment.seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("model.learning_rate", "nan"),
+                                            ("model.learning_rate", "inf"),
+                                            ("model.grad_clip", "nan"),
+                                            ("model.grad_clip", "inf")])
+    def test_non_finite_step_or_clip_is_refused(self, tmp_path, capsys, monkeypatch, key,
+                                                value):
+        # a nan clip would switch clipping off (norm > nan is never true) and
+        # a non-finite step would fail in training after the first stages wrote
+        # their files: both are validation errors before any write
+        monkeypatch.chdir(tmp_path)
+        for argv in (["run", "--experiment.output_dir", "run"],
+                     ["train", *REQUIRED_ARGS["train"]]):
+            assert cli.main([*argv, f"--{key}", value]) == cli.EXIT_VALIDATION, argv
+            assert f"{key.split('.')[1]} must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_readme_step_by_step_commands_parse(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Step-by-step pipeline")[1].split("```sh\n")[1].split("```")[0]
@@ -649,7 +687,8 @@ class TestRunExperiment:
             "numpy": np.__version__,
             "blas_threads": 1,  # set on the OpenBLAS of numpy's wheels, whatever the environment
             "cpu_count": os.cpu_count(),
-            "cell_processes": 1,  # TINY_CONFIG has one retrain cell, and this process keeps it
+            # one process per cell of TINY_CONFIG's two, as far as there are usable CPUs
+            "cell_processes": min(2, len(os.sched_getaffinity(0))),
         }
 
     def test_reports_match_committed_pin(self, tiny_run):
@@ -1095,7 +1134,7 @@ class TestCellWorkers:
         for manifest in manifests:
             assert manifest["environment"]["blas_threads"] == 1
             assert manifest["environment"]["cell_processes"] == min(
-                3, len(os.sched_getaffinity(0)))
+                4, len(os.sched_getaffinity(0)))
 
     @staticmethod
     def _run_on_one_and_two_cpus(tmp_path, specs, *flags):
@@ -1140,8 +1179,8 @@ class TestCellWorkers:
 
     def test_same_outputs_on_one_and_two_cpus(self, tmp_path):
         # each replicate plays both corpora over every process, then forks
-        # its own child for the cells, which gets the 100% cell and the
-        # retrain cells dealt to it
+        # its own child for the cells, which gets every other cell from the
+        # first, the 100% one included
         serial, pooled = self._run_on_one_and_two_cpus(tmp_path, CELL_SPECS,
                                                        "--experiment.replicate_seeds", "2")
         for replicate in (0, 1):
@@ -1189,14 +1228,39 @@ class TestCellWorkers:
                     outputs[tag].add((row, *(digests[f"seed_0/{f}"] for f in files)))
         assert all(len(runs) == 1 for runs in outputs.values()), outputs
 
-    def test_shares_of_a_replicate(self):
-        specs = [MixSpec(pct, mode) for pct, mode in
-                 ((100, "-"), (75, "fixed"), (75, "variable"), (50, "fixed"), (50, "variable"))]
-        assert cli._deal_cells(specs, 1) == [[0, 1, 2, 3, 4]]
-        assert cli._deal_cells(specs, 2) == [[1, 3], [0, 2, 4]]
-        assert cli._deal_cells(specs, 3) == [[1, 4], [2], [0, 3]]
-        # no 100% cell
-        assert cli._deal_cells(specs[2:3] + specs[4:], 2) == [[0], [1]]
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_deal_returns_results_in_item_order(self, monkeypatch, n):
+        monkeypatch.setattr(parallel, "processes", lambda tasks: n)
+        before = _children(os.getpid())
+        for items in ([], ["a"], list("abcdefghij"), range(7)):
+            assert parallel.deal(lambda x: x * 2, items) == [x * 2 for x in items], (n, items)
+        assert _children(os.getpid()) <= before
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_deal_works_the_last_share_in_the_calling_process(self, monkeypatch, n):
+        # item k goes to share k mod n: the last share is worked here, each
+        # other in a child of its own
+        monkeypatch.setattr(parallel, "processes", lambda tasks: n)
+        pids = parallel.deal(lambda x: os.getpid(), range(3 * n + 1))
+        assert [pid == os.getpid() for pid in pids] == [k % n == n - 1 for k in range(len(pids))]
+        assert all(pid == pids[k % n] for k, pid in enumerate(pids))
+        assert len(set(pids)) == n
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_deal_raises_a_childs_exception_with_its_type(self, monkeypatch, n):
+        monkeypatch.setattr(parallel, "processes", lambda tasks: n)
+        caller = os.getpid()
+        before = _children(caller)
+
+        def work(x):
+            if os.getpid() != caller and x == n - 2:  # the last child's first item
+                raise OSError(28, "No space left on device")
+            return x
+
+        with pytest.raises(OSError) as raised:
+            parallel.deal(work, range(2 * n))
+        assert type(raised.value) is OSError and raised.value.errno == 28
+        assert _children(caller) <= before
 
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)

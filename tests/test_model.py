@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -231,7 +231,7 @@ def _reference_decode(params, vocab, state, mode, max_len, rng=None):
             break
         out.append(nxt)
         prev = nxt
-    return [vocab.word(i) for i in out]
+    return [vocab.words[i] for i in out]
 
 
 class TestDecodeContract:
@@ -288,7 +288,7 @@ class TestDecodeContract:
 
     def test_sampled_frequencies_match_softmax(self):
         params, vocab = self._model(7)
-        params.w_out *= 6.0  # a peaked distribution with some rare tokens
+        params.w_out[...] *= 6.0  # a peaked distribution with some rare tokens
         state = np.linspace(-0.6, 0.6, 12)
         logits = params.w_out @ _reference_cell(params, vocab.soq_id, state)
         logits[vocab.eoq_id] = -np.inf
@@ -600,17 +600,15 @@ class TestQuestionerTables:
         assert not np.array_equal(result.params.w_out, before.w_out)
         result.params.w_out[0, 0] = 0.0  # what train returns stays writeable
 
-    def test_replacing_an_array_drops_the_tables(self, world):
+    def test_replacing_an_array_raises(self, world):
+        # training updates the arrays in place and a Questioner makes its
+        # tables once, so no array is ever replaced
         q, _ = self._questioner(world)
-        q.params.w_out = q.params.w_out * 3.0
-        assert q.params._tables is None
-        state = np.linspace(-0.5, 0.5, 12)
-        a_rng, b_rng = np.random.default_rng(0), np.random.default_rng(0)
-        got = [model.decode_question(q.params, q.vocab, state, "sample", 10, a_rng)
-               for _ in range(20)]
-        want = [model.decode_question(q.params.copy(), q.vocab, state, "sample", 10, b_rng)
-                for _ in range(20)]
-        assert got == want
+        tables = q.params._tables
+        for params in (q.params, q.params.copy()):
+            with pytest.raises(FrozenInstanceError):
+                params.w_out = params.w_out * 3.0
+        assert q.params._tables is tables
 
 
 class TestTrain:
@@ -707,6 +705,11 @@ class TestConfigValidation:
             model.ModelConfig(embed_dim=0).validate()
         with pytest.raises(ValueError):
             model.ModelConfig(learning_rate=-1.0).validate()
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="learning_rate must be finite"):
+                model.ModelConfig(learning_rate=bad).validate()
+            with pytest.raises(ValueError, match="grad_clip must be finite"):
+                model.ModelConfig(grad_clip=bad).validate()
         with pytest.raises(ValueError):
             model.ModelConfig(modulo_n=0).validate()
         with pytest.raises(ValueError):

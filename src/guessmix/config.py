@@ -142,6 +142,7 @@ def parse_value(key: str, text: str):
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     values: dict = {}
+    line_of: dict[str, int] = {}
     if path is not None:
         try:
             text = Path(path).read_text(encoding="utf-8")
@@ -155,6 +156,9 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = line.partition("=")
             key = key.strip()
+            if key in line_of:
+                raise ConfigError(f"{path}:{lineno}: {key} is already set on line {line_of[key]}")
+            line_of[key] = lineno
             values[key] = parse_value(key, raw.strip())
     for key, raw in (overrides or {}).items():
         values[key] = parse_value(key, raw) if isinstance(raw, str) else raw

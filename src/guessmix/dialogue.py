@@ -2,6 +2,8 @@
 
 The same format is shared by the teacher (human-proxy) corpus and the
 self-play (generated) corpora; files differ only in the "source" field.
+Dialogues and turns are slotted records: a run holds every dialogue of its
+corpora in every process.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ class GameAlignmentError(ValueError):
     """Two corpora that must be aligned by game id fail to cover each other."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     question: tuple[str, ...]
     answer: str  # YES or NO
 
 
-@dataclass
+@dataclass(slots=True)
 class Dialogue:
     game_id: int
     scene_id: int

@@ -89,12 +89,20 @@ def mutual_overlap_dialogue(dialogue: Dialogue) -> float:
     is the largest count among the other questions, which is the top count
     unless the candidate holds it, and then the runner-up.
     """
-    questions = dialogue.questions()
+    return _mutual_overlap(dialogue.questions(), {})
+
+
+def _mutual_overlap(questions: list[Tokens], orders_of: dict[Tokens, list[Counter]]) -> float:
+    """`mutual_overlap_dialogue` of `questions`, taking each question's
+    n-gram counts from `orders_of` and adding those it lacks."""
     if len(questions) < 2:
         return 0.0
     if not all(questions):
         raise ValueError("bleu4 candidate must be non-empty")
-    orders = [_ngram_orders(q) for q in questions]
+    for q in questions:
+        if q not in orders_of:
+            orders_of[q] = _ngram_orders(q)
+    orders = [orders_of[q] for q in questions]
     top: dict[Tokens, list[int]] = {}   # gram -> [top count, its question, runner-up]
     for i, per_order in enumerate(orders):
         for counts in per_order:
@@ -123,10 +131,25 @@ def mutual_overlap_dialogue(dialogue: Dialogue) -> float:
 
 
 def corpus_mo(corpus: list[Dialogue]) -> float:
-    """Unweighted mean of the per-dialogue mutual overlap."""
+    """Unweighted mean of the per-dialogue mutual overlap.
+
+    A corpus repeats its questions many times over, so each distinct
+    question's n-gram counts are made at its first use in the call and
+    dropped after its last, which keeps only the counts still to be read.
+    """
     if not corpus:
         raise ValueError("empty corpus")
-    return sum(mutual_overlap_dialogue(d) for d in corpus) / len(corpus)
+    uses_left = Counter(q for d in corpus for q in d.questions())
+    orders_of: dict[Tokens, list[Counter]] = {}
+    scores = []
+    for d in corpus:
+        questions = d.questions()
+        scores.append(_mutual_overlap(questions, orders_of))
+        for q in questions:
+            uses_left[q] -= 1
+            if not uses_left[q]:
+                orders_of.pop(q, None)
+    return sum(scores) / len(corpus)
 
 
 def grq(corpus: list[Dialogue]) -> float:

@@ -88,7 +88,8 @@ def _exit_with_parent(parent: int) -> None:
 
 def _fork(work, share) -> tuple[int, int]:
     """Fork a child that pickles (work(share), None), or (None, the
-    exception it raised), into a pipe; returns (child pid, read end)."""
+    exception it raised), into a pipe; returns (child pid, read end). A
+    reply that cannot be pickled is sent as a PicklingError naming why."""
     parent = os.getpid()
     read, write = os.pipe()
     pid = os.fork()
@@ -101,7 +102,12 @@ def _fork(work, share) -> tuple[int, int]:
             reply = (work(share), None)
         except Exception as exc:  # noqa: BLE001 - the caller re-raises it
             reply = (None, exc)
-        data = pickle.dumps(reply)
+        try:
+            data = pickle.dumps(reply)
+        except Exception as exc:  # noqa: BLE001 - sent in place of the reply
+            what = "result" if reply[1] is None else f"exception {reply[1]!r}"
+            data = pickle.dumps((None, pickle.PicklingError(
+                f"cannot send a child's {what}: {type(exc).__name__}: {exc}")))
         with open(write, "wb") as pipe:
             pipe.write(data)
         os._exit(0)

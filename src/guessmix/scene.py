@@ -3,7 +3,8 @@
 A scene stands in for an annotated image: a handful of objects, each with
 a category, a color, a size and a cell on a 5x5 grid, plus a secret target
 index the Questioner has to identify. Attribute inventories are fixed so
-the question grammar stays closed and parseable.
+the question grammar stays closed and parseable. Scenes and their objects
+are slotted records: a run holds thousands of them in every process.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SceneConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneObject:
     id: int
     category: str
@@ -66,7 +67,7 @@ class SceneObject:
         return (self.category, self.color, self.size, self.cell_x, self.cell_y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scene:
     scene_id: int
     objects: tuple[SceneObject, ...]

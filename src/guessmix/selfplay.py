@@ -50,7 +50,7 @@ class MatchHuman:
 LengthPolicy = FixedLength | MatchHuman
 
 
-@dataclass
+@dataclass(slots=True)
 class PlayedGame:
     dialogue: Dialogue
     guess: int

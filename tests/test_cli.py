@@ -1,6 +1,7 @@
 import fcntl
 import json
 import os
+import pickle
 import platform
 import re
 import shlex
@@ -74,6 +75,21 @@ class TestConfig:
         path.write_text("model.epochs = banana\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_repeated_key_rejected_before_any_write(self, tmp_path, capsys):
+        # the second value used to win silently; flags still override the file
+        path = tmp_path / "exp.cfg"
+        path.write_text("model.epochs = 3\n# comment\nmodel.epochs = 7\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: model.epochs "
+                                              r"is already set on line 1$"):
+            load_config(path, {"model.epochs": "5"})
+        out = tmp_path / "run"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\nexperiment.seed = 2\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert "experiment.seed is already set on line 3" in capsys.readouterr().err
+        assert not out.exists()
+        path.write_text("model.epochs = 3\n")
+        assert load_config(path, {"model.epochs": "5"})["model.epochs"] == 5
 
     def test_bad_line_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -1260,6 +1276,25 @@ class TestCellWorkers:
         with pytest.raises(OSError) as raised:
             parallel.deal(work, range(2 * n))
         assert type(raised.value) is OSError and raised.value.errno == 28
+        assert _children(caller) <= before
+
+    @pytest.mark.parametrize("reply", ["result", "exception"])
+    def test_deal_names_a_childs_reply_that_cannot_be_pickled(self, monkeypatch, reply):
+        # the child used to exit with status 2 and the caller raise a bare
+        # ChildError('exited with 2')
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        caller = os.getpid()
+        before = _children(caller)
+
+        def work(x):
+            if reply == "exception" and os.getpid() != caller:
+                raise ValueError(lambda: x)
+            return lambda: x
+
+        with pytest.raises(pickle.PicklingError,
+                           match=rf"cannot send a child's {reply}\b.*: .*lambda") as raised:
+            parallel.deal(work, [1, 2])
+        assert type(raised.value) is pickle.PicklingError
         assert _children(caller) <= before
 
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):

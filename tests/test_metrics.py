@@ -139,6 +139,9 @@ class TestMutualOverlapExact:
     def assert_bitwise(self, dialogues):
         for d in dialogues:
             assert metrics.mutual_overlap_dialogue(d).hex() == self.per_candidate(d).hex()
+        # corpus_mo reuses a question's counts across the dialogues that repeat it
+        mean = sum(self.per_candidate(d) for d in dialogues) / len(dialogues)
+        assert metrics.corpus_mo(dialogues).hex() == mean.hex()
 
     def test_teacher_dialogues(self, small_teacher_corpus):
         self.assert_bitwise(small_teacher_corpus)
@@ -182,6 +185,8 @@ class TestMutualOverlapExact:
     def test_empty_question_rejected_like_bleu4(self):
         with pytest.raises(ValueError):
             metrics.mutual_overlap_dialogue(make_dialogue(["a b", ""]))
+        with pytest.raises(ValueError):
+            metrics.corpus_mo([make_dialogue(["a b", "a b"]), make_dialogue(["a b", ""])])
 
 
 class TestGrq:

@@ -1,11 +1,13 @@
 import logging
 import os
+import pickle
 import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import make_dialogue
 from guessmix import lang, metrics, model, oracle, parallel, selfplay
 from guessmix.dialogue import GameAlignmentError, write_dialogues
 
@@ -231,3 +233,27 @@ class TestGenerateCorpus:
     def test_fixed_length_validated(self):
         with pytest.raises(ValueError):
             selfplay.FixedLength(0)
+
+
+@pytest.mark.parametrize("kind", ["SceneObject", "Scene", "Turn", "Dialogue", "PlayedGame"])
+def test_records_are_slotted_and_cross_processes(small_scenes, monkeypatch, kind):
+    # a run holds these by the thousand in every process, so they carry no
+    # per-instance __dict__; and a forked child still sends them back whole
+    sc = small_scenes[0]
+    dialogue = make_dialogue(["is it red", "is it a cat"], game_id=sc.scene_id,
+                             scene_id=sc.scene_id, source="generated", answers=["yes", "no"],
+                             guess=1, success=sc.target_index == 1)
+    record = {"SceneObject": sc.objects[0], "Scene": sc, "Turn": dialogue.turns[1],
+              "Dialogue": dialogue,
+              "PlayedGame": selfplay.PlayedGame(dialogue, dialogue.guess, dialogue.success,
+                                                sc.scene_id)}[kind]
+    assert type(record).__name__ == kind
+    assert not hasattr(record, "__dict__")
+    # a frozen slotted class raises TypeError here (Python 3.10-3.12): its
+    # generated __setattr__ calls super() with the class slots=True replaced
+    with pytest.raises((AttributeError, TypeError)):
+        record.note = "unknown"
+    assert pickle.loads(pickle.dumps(record)) == record
+    monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+    got = parallel.deal(lambda x: x, [record, record])  # the first comes from a child
+    assert got == [record, record] and got[0] is not record

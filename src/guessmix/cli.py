@@ -18,6 +18,7 @@ dialogues or rows.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fcntl
 import hashlib
 import json
@@ -50,6 +51,19 @@ EXIT_RUNTIME = 2
 
 class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
+
+
+@contextlib.contextmanager
+def _stage(name: str, replicate: int):
+    """Raise any exception of the block as a StageError naming stage `name`
+    of `replicate`; a StageError, such as one a cell's child sent back,
+    passes unchanged."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(f"stage {name!r} failed for replicate {replicate}: {exc}") from exc
 
 
 def _pair_with_scenes(dialogues, scenes):
@@ -188,18 +202,22 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
     )
 
 
-def _split_ablation(rows):  # (rows, generated-only ablation rows, which have 0% human data)
-    return [r for r in rows if r.pct_human != 0], [r for r in rows if r.pct_human == 0]
-
-
-def stage_report_md(rows, cfg: ExperimentConfig, out) -> None:
-    """Write the markdown report to `out`: the test-protocol table, then the
-    generated-only ablation's if there are such rows."""
-    rows, ablation_rows = _split_ablation(rows)
-    md = metrics.report_markdown(rows, f"Test set, {cfg['evaluate.turns']}-question protocol")
-    if ablation_rows:
-        md += "\n" + metrics.report_markdown(ablation_rows, "Generated-only training (ablation)")
-    Path(out).write_text(md, encoding="utf-8")
+def stage_report(rows, cfg: ExperimentConfig, csv_path, ablation_path, md_path=None) -> int:
+    """Write the report rows to `csv_path`, the generated-only ablation's,
+    which have 0% human data, to `ablation_path` if there are any, and with
+    `md_path` the markdown report: the test-protocol table, then the
+    ablation's. Returns how many ablation rows there are."""
+    ablation = [r for r in rows if r.pct_human == 0]
+    rows = [r for r in rows if r.pct_human != 0]
+    metrics.write_report_csv(csv_path, rows)
+    if ablation:
+        metrics.write_report_csv(ablation_path, ablation)
+    if md_path:
+        md = metrics.report_markdown(rows, f"Test set, {cfg['evaluate.turns']}-question protocol")
+        if ablation:
+            md += "\n" + metrics.report_markdown(ablation, "Generated-only training (ablation)")
+        Path(md_path).write_text(md, encoding="utf-8")
+    return len(ablation)
 
 
 # ---------------------------------------------------------------------------
@@ -226,53 +244,33 @@ def _mean_rows(rows_by_seed: list[list]) -> list:
     return out
 
 
-def _write_report_csvs(path: Path, ablation_path: Path, rows) -> int:
-    """The report rows to `path`, the generated-only ones to `ablation_path`
-    if there are any; returns how many of those there are."""
-    rows, ablation_rows = _split_ablation(rows)
-    metrics.write_report_csv(path, rows)
-    if ablation_rows:
-        metrics.write_report_csv(ablation_path, ablation_rows)
-    return len(ablation_rows)
-
-
-def _write_tables(out: Path, suffix: str, stats_rows, report_rows) -> None:
-    corpus_mod.write_stats_csv(out / f"stats{suffix}.csv", stats_rows)
-    _write_report_csvs(out / f"report{suffix}.csv", out / f"report_ablation{suffix}.csv",
-                       report_rows)
-
-
-def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, j: int, inputs,
+def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, spec: MixSpec, inputs,
               caller: int):
-    """Cell j of a replicate: mix spec j's corpus and model (the base model
-    for 100%, else mixed and retrained), then its (stats_row, report_row).
+    """The cell of `spec` in a replicate: its corpus and model (the base
+    model for 100%, else mixed and retrained), then its (stats_row, report_row).
     Every model of a replicate trains and plays on the base model's streams,
     so cells differ only by their training data, and retraining the 100%
     corpus would give the base model again. `inputs` is (human, generated by
     length mode, train scenes, test scenes, base). The log names process
     `caller`, which deals the cells, `main` and each other `worker <pid>`."""
     start = time.perf_counter()
-    spec = cfg.mix_specs()[j]
     pct, mode = spec.pct_human, spec.length_mode
     tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
     human, generated, train_scenes, test_scenes, base = inputs
-    stage = f"evaluate-{tag}" if pct == 100 else f"mix-{tag}"
-    try:
-        if pct == 100:
-            mixed, questioner = human, base
-        else:
+    if pct == 100:
+        mixed, questioner = human, base
+    else:
+        with _stage(f"mix-{tag}", replicate):
             mixed = stage_mix(human, generated[mode], replace(spec, seed=derive_seed(rep_seed, 8)),
                               seed_dir / f"mixed_{tag}.jsonl")
-            stage = f"train-{tag}"
+        with _stage(f"train-{tag}", replicate):
             questioner, _, _ = stage_train(mixed, train_scenes, cfg, rep_seed,
                                            seed_dir / f"model_{tag}.ckpt")
-            stage = f"evaluate-{tag}"
+    with _stage(f"evaluate-{tag}", replicate):
         rows = (stage_stats(mixed, cfg, spec),
                 stage_evaluate(questioner, mixed, test_scenes, cfg, spec,
                                derive_seed(rep_seed, 90)))
-    except Exception as exc:
-        raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
     log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
              time.perf_counter() - start,
              "main" if os.getpid() == caller else f"worker {os.getpid()}")
@@ -290,8 +288,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
     seed_dir.mkdir(parents=True, exist_ok=True)
     rep_seed = derive_seed(cfg["experiment.seed"], replicate)
     n_val = cfg["experiment.n_val_scenes"]
-    stage = "scenes"
-    try:
+    with _stage("scenes", replicate):
         splits = [(seed_dir / "scenes_train.jsonl", cfg["experiment.n_train_scenes"]),
                   (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
         if n_val:
@@ -299,7 +296,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
         train_scenes, test_scenes, *val_split = stage_scenes(splits, cfg,
                                                              derive_seed(rep_seed, 1))
 
-        stage = "teacher"
+    with _stage("teacher", replicate):
         human = stage_collect(train_scenes, cfg, derive_seed(rep_seed, 2), seed_dir / "human.jsonl")
         val_pairs = None
         if n_val:
@@ -307,13 +304,13 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
             val = stage_collect(val_scenes, cfg, derive_seed(rep_seed, 3), seed_dir / "val.jsonl")
             val_pairs = _pair_with_scenes(val, val_scenes)
 
-        stage = "base-train"
+    with _stage("base-train", replicate):
         base, best_val, _ = stage_train(human, train_scenes, cfg, rep_seed,
                                         seed_dir / "model_100.ckpt", val_pairs=val_pairs,
                                         vocab_out=seed_dir / "vocab_100.jsonl")
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
-        stage = "selfplay"
+    with _stage("selfplay", replicate):
         generated = {}
         for stream, mode in _SELFPLAY_STREAMS:
             start = time.perf_counter()
@@ -323,25 +320,18 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
             log.info("self-play %s corpus of replicate %d: %.2f s on %d processes", mode,
                      replicate, time.perf_counter() - start, parallel.processes(len(human)))
 
-        # the corpora are written: deal the cells to this process and a child per spare core
-        stage = "fork"
+    # the corpora are written: deal the cells to this process and a child per spare core
+    with _stage("cells", replicate):
         caller = os.getpid()
         inputs = (human, generated, train_scenes, test_scenes, base)
-        try:
-            stats_rows, report_rows = zip(*parallel.deal(
-                lambda j: _run_cell(cfg, replicate, seed_dir, j, inputs, caller),
-                range(len(cfg.mix_specs()))))
-        except parallel.ChildError as exc:
-            stage = f"worker {exc.pid}"
-            raise
+        stats_rows, report_rows = zip(*parallel.deal(
+            lambda spec: _run_cell(cfg, replicate, seed_dir, spec, inputs, caller),
+            cfg.mix_specs()))
 
-        stage = "report"
-        _write_tables(seed_dir, "", stats_rows, report_rows)
-        return stats_rows, report_rows
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(f"stage {stage!r} failed for replicate {replicate}: {exc}") from exc
+    with _stage("report", replicate):
+        corpus_mod.write_stats_csv(seed_dir / "stats.csv", stats_rows)
+        stage_report(report_rows, cfg, seed_dir / "report.csv", seed_dir / "report_ablation.csv")
+    return stats_rows, report_rows
 
 
 def _acquire_lock(lock: Path) -> int:
@@ -375,8 +365,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         n_rep = cfg["experiment.replicate_seeds"]
         per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
         stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
-        _write_tables(out, "_mean", stats, reports)
-        stage_report_md(reports, cfg, out / "report.md")
+        corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
+        stage_report(reports, cfg, out / "report_mean.csv", out / "report_ablation_mean.csv",
+                     out / "report.md")
         files = sorted(
             p for p in out.rglob("*")
             if p.is_file() and p.name not in (".lock", "manifest.json")
@@ -480,9 +471,7 @@ def _cmd_report(args, cfg: ExperimentConfig) -> None:
             for row in read_jsonl(path, _report_row_from_record, "report row")]
     out_csv = Path(args.out_csv)
     ablation_csv = out_csv.with_name(f"{out_csv.stem}_ablation.csv")
-    n_ablation = _write_report_csvs(out_csv, ablation_csv, rows)
-    if args.out_md:
-        stage_report_md(rows, cfg, args.out_md)
+    n_ablation = stage_report(rows, cfg, out_csv, ablation_csv, args.out_md)
     print(f"wrote {len(rows) - n_ablation} rows to {out_csv}"
           + (f" and {n_ablation} to {ablation_csv}" if n_ablation else ""))
 

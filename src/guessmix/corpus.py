@@ -95,8 +95,6 @@ def mix_corpora(human: list[Dialogue], generated: list[Dialogue], spec: MixSpec)
     human corpus, in the same order; source tags distinguish the substituted
     dialogues.
     """
-    if spec.pct_human == 100:
-        return list(human)
     by_game = {d.game_id: d for d in generated}
     n_replace = (100 - spec.pct_human) * len(human) // 100
     ranking = np.random.default_rng(spec.seed).permutation(

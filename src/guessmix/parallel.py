@@ -39,11 +39,7 @@ _EXIT_FAILED = 2
 
 
 class ChildError(RuntimeError):
-    """A child ended without a reply; the message is its wait status."""
-
-    def __init__(self, pid: int, status: str):
-        super().__init__(status)
-        self.pid = pid
+    """A child ended without a reply; the message names it and its wait status."""
 
 
 def _one_blas_thread() -> int | None:
@@ -89,7 +85,8 @@ def _exit_with_parent(parent: int) -> None:
 def _fork(work, share) -> tuple[int, int]:
     """Fork a child that pickles (work(share), None), or (None, the
     exception it raised), into a pipe; returns (child pid, read end). A
-    reply that cannot be pickled is sent as a PicklingError naming why."""
+    reply that cannot be pickled, or an exception that cannot be rebuilt
+    from its pickle, is sent as a PicklingError naming why."""
     parent = os.getpid()
     read, write = os.pipe()
     pid = os.fork()
@@ -104,6 +101,8 @@ def _fork(work, share) -> tuple[int, int]:
             reply = (None, exc)
         try:
             data = pickle.dumps(reply)
+            if reply[1] is not None:  # an exception can pickle and still not rebuild
+                pickle.loads(data)
         except Exception as exc:  # noqa: BLE001 - sent in place of the reply
             what = "result" if reply[1] is None else f"exception {reply[1]!r}"
             data = pickle.dumps((None, pickle.PicklingError(
@@ -123,8 +122,8 @@ def _reply_of(pid: int, read: int):
         data = pipe.read()
     if not data:
         end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-        raise ChildError(pid, f"exited with {end.si_status}" if end.si_code == os.CLD_EXITED
-                         else f"killed by signal {end.si_status}")
+        how = "exited with" if end.si_code == os.CLD_EXITED else "killed by signal"
+        raise ChildError(f"child {pid} {how} {end.si_status}")
     result, error = pickle.loads(data)
     if error is not None:
         raise error

@@ -1078,6 +1078,13 @@ TWO_CELL_PROCESSES = ("import sys; from guessmix import cli, parallel; "
                       "parallel.processes = lambda tasks: 2; ")
 
 
+class Odd(Exception):
+    """Pickles, but cannot be rebuilt: its pickle calls Odd('1/2')."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
 def _children(pid: int) -> set[int]:
     """The processes whose parent is `pid`, zombies included."""
     kids = set()
@@ -1297,6 +1304,65 @@ class TestCellWorkers:
         assert type(raised.value) is pickle.PicklingError
         assert _children(caller) <= before
 
+    def test_deal_names_a_childs_exception_that_cannot_be_rebuilt(self, monkeypatch):
+        # an exception that pickles but cannot be rebuilt reaches the caller
+        # by its type and message, not as the TypeError its rebuilding raises
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        caller = os.getpid()
+        before = _children(caller)
+
+        def work(x):
+            if os.getpid() != caller:
+                raise Odd(1, 2)
+            return x
+
+        with pytest.raises(pickle.PicklingError,
+                           match=r"^cannot send a child's exception Odd\('1/2'\): TypeError: "
+                                 r".*missing 1 required positional argument: 'b'$"):
+            parallel.deal(work, [1, 2])
+        assert _children(caller) <= before
+
+    # each stage label of a run, and the function `cli` calls in that stage
+    # with a test of its arguments for the call to fail
+    STAGE_FAILURES = {
+        "scenes": ("stage_scenes", lambda *args: True),
+        "teacher": ("stage_collect", lambda *args: True),
+        "base-train": ("stage_train", lambda *args: Path(args[4]).name == "model_100.ckpt"),
+        "selfplay": ("stage_selfplay", lambda *args: True),
+        "mix-50_fixed": ("stage_mix", lambda *args: Path(args[3]).name == "mixed_50_fixed.jsonl"),
+        "train-50_fixed": ("stage_train",
+                           lambda *args: Path(args[4]).name == "model_50_fixed.ckpt"),
+        "evaluate-100": ("stage_evaluate", lambda *args: args[4].pct_human == 100),
+        "evaluate-50_fixed": ("stage_evaluate", lambda *args: args[4] == MixSpec(50, "fixed")),
+        "cells": ("_run_cell", lambda *args: True),
+        "report": ("stage_report", lambda *args: True),
+    }
+
+    @pytest.mark.parametrize("label", STAGE_FAILURES)
+    def test_every_stage_names_itself(self, tmp_path, monkeypatch, capsys, label):
+        # a failure in the calling process or in a cell's child is reported
+        # by the stage it happened in, under the one message format
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        name, fails = self.STAGE_FAILURES[label]
+        stage = getattr(cli, name)
+
+        def failing(*args, **kwargs):  # patched before the fork, so a child runs it too
+            if fails(*args):
+                raise RuntimeError("out of disk")
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, failing)
+        before = _children(os.getpid())
+        out = tmp_path / "run"
+        path = tmp_path / "exp.cfg"
+        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])
+        assert rc == cli.EXIT_RUNTIME
+        assert (capsys.readouterr().err
+                == f"error: stage '{label}' failed for replicate 0: out of disk\n")
+        assert not (out / "manifest.json").exists()
+        assert _children(os.getpid()) <= before
+
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
         started = []
@@ -1342,11 +1408,12 @@ class TestCellWorkers:
 
             monkeypatch.setattr(cli, "_run_cell", cell)
             out = tmp_path / status.replace(" ", "_")
-            with pytest.raises(cli.StageError,
-                               match=rf"^stage 'worker \d+' failed for replicate 0: {status}$"):
+            with pytest.raises(cli.StageError) as raised:
                 cli.run_experiment(load_config(path, {"experiment.mix_specs": CELL_SPECS,
                                                       "experiment.output_dir": str(out)}))
             assert len(started) == 3  # one per self-play corpus, then the cells' child
+            assert str(raised.value) == (f"stage 'cells' failed for replicate 0: "
+                                         f"child {started[2][0]} {status}")
             for child, read in started:
                 with pytest.raises(OSError):  # its pipe is closed
                     os.fstat(read)
@@ -1379,8 +1446,8 @@ class TestCellWorkers:
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_RUNTIME
-        assert (f"error: stage 'selfplay' failed for replicate 0: {status}\n"
-                == capsys.readouterr().err)
+        assert re.fullmatch(rf"error: stage 'selfplay' failed for replicate 0: "
+                            rf"child \d+ {status}\n", capsys.readouterr().err)
         assert (out / "seed_0" / "model_100.ckpt").exists()
         assert not list(out.rglob("generated_*.jsonl"))
         assert not (out / "manifest.json").exists()
@@ -1414,8 +1481,8 @@ class TestCellWorkers:
             if os.getpid() != test_pid:
                 os._exit(0)  # a child got here: keep it out of the rest of the suite
             assert isinstance(outcome, cli.StageError), outcome
-            assert re.fullmatch(rf"stage 'worker \d+' failed for replicate 0: "
-                                rf"exited with {cli.EXIT_RUNTIME}", str(outcome))
+            assert re.fullmatch(rf"stage 'cells' failed for replicate 0: "
+                                rf"child \d+ exited with {cli.EXIT_RUNTIME}", str(outcome))
         assert after_run.read_text() == f"{test_pid}\n" * 2
 
     def test_worker_exits_when_its_parent_is_killed(self, tmp_path):

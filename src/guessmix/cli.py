@@ -74,19 +74,6 @@ def _pair_with_scenes(dialogues, scenes):
     return [(d, by_id[d.scene_id]) for d in dialogues]
 
 
-def _numeric_environment(cell_procs: int) -> dict:
-    """For `manifest.json`: the Python and numpy versions, the BLAS thread
-    count set (None if none could be), which checkpoint bits depend on, and
-    the cell processes."""
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_threads": parallel.BLAS_THREADS,
-        "cpu_count": os.cpu_count(),
-        "cell_processes": cell_procs,
-    }
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages, shared by `run` and the subcommands
 
@@ -355,29 +342,35 @@ def _acquire_lock(lock: Path) -> int:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute every replicate and write aggregate reports; returns the
     output directory. Re-running with the same configuration reproduces all
-    report files byte for byte, however many processes run the cells."""
+    report files byte for byte, however many processes run the cells. A
+    directory that holds a run of another configuration is refused before
+    anything is written, so that no file of that run enters this manifest."""
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
-    cell_procs = parallel.processes(len(cfg.mix_specs()))
     try:
-        (out / "config.txt").write_text(cfg.echo(), encoding="utf-8")
+        echo = out / "config.txt"
+        if echo.exists() and echo.read_text(encoding="utf-8") != cfg.echo():
+            raise ConfigError(f"output directory {out} holds a run of another "
+                              "configuration (its config.txt differs); choose a new one")
+        echo.write_text(cfg.echo(), encoding="utf-8")
         n_rep = cfg["experiment.replicate_seeds"]
         per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
         stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
         corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
         stage_report(reports, cfg, out / "report_mean.csv", out / "report_ablation_mean.csv",
                      out / "report.md")
-        files = sorted(
-            p for p in out.rglob("*")
-            if p.is_file() and p.name not in (".lock", "manifest.json")
-        )
         manifest = {
             "config": cfg.values,
-            "environment": _numeric_environment(cell_procs),
+            # the Python and numpy versions and the BLAS thread count set (None
+            # if none could be), which checkpoint bits depend on
+            "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                            "blas_threads": parallel.BLAS_THREADS, "cpu_count": os.cpu_count(),
+                            "cell_processes": parallel.processes(len(cfg.mix_specs()))},
             "replicate_seeds": [derive_seed(cfg["experiment.seed"], r) for r in range(n_rep)],
             "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-                      for p in files},
+                      for p in sorted(out.rglob("*"))
+                      if p.is_file() and p.name not in (".lock", "manifest.json")},
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"

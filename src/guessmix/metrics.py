@@ -78,23 +78,16 @@ def bleu4(candidate, references) -> float:
     return _bleu_from_clipped(clipped, c, _closest_length(c, (len(r) for r in references)))
 
 
-def mutual_overlap_dialogue(dialogue: Dialogue) -> float:
-    """Mean BLEU-4 of each question against the dialogue's other questions.
-
-    Dialogues with fewer than two questions have no comparison partners and
-    score 0 by convention.
-
-    Equal to averaging `bleu4(q, others)` over the questions, computed from
-    one count per n-gram and question: a candidate's clip count for a gram
-    is the largest count among the other questions, which is the top count
-    unless the candidate holds it, and then the runner-up.
-    """
-    return _mutual_overlap(dialogue.questions(), {})
-
-
 def _mutual_overlap(questions: list[Tokens], orders_of: dict[Tokens, list[Counter]]) -> float:
-    """`mutual_overlap_dialogue` of `questions`, taking each question's
-    n-gram counts from `orders_of` and adding those it lacks."""
+    """Mean BLEU-4 of each of `questions` against the others, taking each
+    question's n-gram counts from `orders_of` and adding those it lacks.
+
+    Fewer than two questions have no comparison partners and score 0 by
+    convention. Equal to averaging `bleu4(q, others)` over the questions,
+    computed from one count per n-gram and question: a candidate's clip
+    count for a gram is the largest count among the other questions, which
+    is the top count unless the candidate holds it, and then the runner-up.
+    """
     if len(questions) < 2:
         return 0.0
     if not all(questions):

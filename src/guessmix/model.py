@@ -27,8 +27,8 @@ padded to the longest question. Each step is a row gather from the input
 projection, computed once per batch for the whole vocabulary, plus one
 (rows, H) @ (H, H) matmul. The backward pass mirrors the forward exactly:
 its loops hold one matmul per step, and the weight gradients are formed
-after them from the stacked step gradients. `gradient_check` verifies it
-against central finite differences entry by entry.
+after them from the stacked step gradients. tests/model_reference.py
+checks it against central finite differences entry by entry.
 
 Play comes in two forms. `encode_turn` and `decode_question` advance one
 game: they gather rows of the input projection W_in e(x) + b of the whole
@@ -55,8 +55,8 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus
-from .dialogue import SOURCE_HUMAN, Dialogue
-from .lang import SPECIAL_TOKENS, Vocabulary
+from .dialogue import Dialogue
+from .lang import Vocabulary
 from .scene import CATEGORIES, COLORS, GRID_SIZE, SIZES, Scene, SceneObject
 from .seeding import derive_seed
 
@@ -189,12 +189,6 @@ def object_feature_matrix(objects: tuple[SceneObject, ...] | list[SceneObject]) 
 
 def scene_features(scene: Scene) -> np.ndarray:
     return object_feature_matrix(scene.objects).mean(axis=0)
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -748,71 +742,6 @@ def train(
                 best_params = params.copy()
         log.epochs.append(entry)
     return TrainResult(params=params, log=log, best_val_params=best_params)
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-def gradient_check(
-    cfg: ModelConfig | None = None, seed: int = 0, delta: float = 1e-5
-) -> float:
-    """Compare analytic gradients with central finite differences.
-
-    Builds a tiny model and a small random joint-phase batch of 1-, 2- and
-    3-turn dialogues with 1- to 4-token questions, perturbs every
-    parameter entry by +-delta and returns the maximum relative error
-    |analytic - numeric| / max(|analytic| + |numeric|, 1e-8).
-    """
-    from .dialogue import NO, Turn, YES
-    from .scene import SceneConfig, generate_scene_set
-
-    cfg = cfg or ModelConfig(embed_dim=4, hidden_dim=6, batch_size=4)
-    rng = np.random.default_rng(seed)
-    n_learnable = 20 - len(SPECIAL_TOKENS)
-    words = [f"w{i:02d}" for i in range(n_learnable)]
-    vocab = Vocabulary(
-        words=list(SPECIAL_TOKENS) + words,
-        counts={w: 3 for w in words},
-        min_count=1,
-    )
-    scenes = generate_scene_set(3, seed, SceneConfig(3, 6))
-    batch = []
-    n_turns = 0
-    for i, sc in enumerate(scenes):
-        # 1, 2 and 3 turns with question lengths cycling 1..4, so that stream
-        # padding, decoder padding and turn-start offsets all differ per row
-        turns = []
-        for _ in range(i + 1):
-            qlen = 1 + n_turns % 4
-            n_turns += 1
-            q = tuple(words[int(rng.integers(len(words)))] for _ in range(qlen))
-            turns.append(Turn(question=q, answer=YES if rng.random() < 0.5 else NO))
-        batch.append((
-            Dialogue(game_id=i, scene_id=sc.scene_id, source=SOURCE_HUMAN,
-                     turns=tuple(turns), guess=0, success=True),
-            sc,
-        ))
-    params = init_params(cfg, vocab, seed)
-    _, grads, _ = loss_and_grads(params, vocab, batch, PHASE_JOINT)
-    max_rel = 0.0
-    for name in PARAM_FIELDS:
-        arr = getattr(params, name)
-        ga = getattr(grads, name)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + delta
-            lp, _, _ = loss_and_grads(params, vocab, batch, PHASE_JOINT)
-            arr[idx] = orig - delta
-            lm, _, _ = loss_and_grads(params, vocab, batch, PHASE_JOINT)
-            arr[idx] = orig
-            numeric = (lp - lm) / (2.0 * delta)
-            analytic = float(ga[idx])
-            rel = abs(numeric - analytic) / max(abs(numeric) + abs(analytic), 1e-8)
-            max_rel = max(max_rel, rel)
-    return max_rel
 
 
 # ---------------------------------------------------------------------------

@@ -117,14 +117,15 @@ def _fork(work, share) -> tuple[int, int]:
 def _reply_of(pid: int, read: int):
     """What child `pid` sends on `read`: its result, or the exception it
     raised re-raised here, or a ChildError with its wait status if it ends
-    without a reply. The child is left to its parent to reap."""
+    without a whole reply. The child is left to its parent to reap."""
     with open(read, "rb", closefd=False) as pipe:
         data = pipe.read()
-    if not data:
+    try:
+        result, error = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):  # no reply, or a torn one
         end = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         how = "exited with" if end.si_code == os.CLD_EXITED else "killed by signal"
-        raise ChildError(f"child {pid} {how} {end.si_status}")
-    result, error = pickle.loads(data)
+        raise ChildError(f"child {pid} {how} {end.si_status}") from None
     if error is not None:
         raise error
     return result

@@ -5,13 +5,22 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from guessmix import oracle, scene, teacher
+from guessmix import oracle, parallel, scene, teacher
 from guessmix.dialogue import Dialogue, Turn
 
 
 @pytest.fixture(scope="session")
 def small_scenes():
     return scene.generate_scene_set(40, seed=7)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """(pid, read end) of each child `parallel` forks during the test, in order."""
+    started, fork = [], parallel._fork
+    monkeypatch.setattr(parallel, "_fork",
+                        lambda *args: started.append(fork(*args)) or started[-1])
+    return started
 
 
 @pytest.fixture(scope="session")

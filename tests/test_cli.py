@@ -4,6 +4,7 @@ import os
 import pickle
 import platform
 import re
+import select
 import shlex
 import signal
 import subprocess
@@ -40,6 +41,13 @@ model.hidden_dim = 12
 model.epochs = 2
 model.batch_size = 8
 """
+
+
+def _tiny_config(tmp_path, out=None):
+    """TINY_CONFIG as the file tmp_path/exp.cfg, with output directory `out` if given."""
+    path = tmp_path / "exp.cfg"
+    path.write_text(TINY_CONFIG + (f"experiment.output_dir = {out}\n" if out else ""))
+    return path
 
 
 class TestConfig:
@@ -653,6 +661,15 @@ class TestDerivedInputs:
         assert not out.exists()
 
 
+def _one_model_config(out):
+    """A run into `out` that trains only the 100% model, for one epoch."""
+    return load_config(None, {
+        "experiment.output_dir": str(out), "experiment.n_train_scenes": "20",
+        "experiment.n_test_scenes": "5", "experiment.mix_specs": "100:-",
+        "model.embed_dim": "8", "model.hidden_dim": "12", "model.epochs": "1",
+        "model.batch_size": "8"})
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("tiny_run")
@@ -741,16 +758,7 @@ class TestRunExperiment:
         out = tmp_path / "stale"
         out.mkdir()
         (out / ".lock").write_text(str(proc.pid))
-        cfg = load_config(None, {
-            "experiment.output_dir": str(out),
-            "experiment.n_train_scenes": "20",
-            "experiment.n_test_scenes": "5",
-            "experiment.mix_specs": "100:-",
-            "model.embed_dim": "8",
-            "model.hidden_dim": "12",
-            "model.epochs": "1",
-            "model.batch_size": "8",
-        })
+        cfg = _one_model_config(out)
         cli.run_experiment(cfg)
         assert (out / "report_mean.csv").exists()
         # the .lock stays, and the next run proceeds on it
@@ -770,16 +778,7 @@ class TestRunExperiment:
             return run_seed(*args)
 
         monkeypatch.setattr(cli, "_run_seed", spy)
-        cli.run_experiment(load_config(None, {
-            "experiment.output_dir": str(out),
-            "experiment.n_train_scenes": "20",
-            "experiment.n_test_scenes": "5",
-            "experiment.mix_specs": "100:-",
-            "model.embed_dim": "8",
-            "model.hidden_dim": "12",
-            "model.epochs": "1",
-            "model.batch_size": "8",
-        }))
+        cli.run_experiment(_one_model_config(out))
         assert seen == [b""]
         assert (out / ".lock").read_bytes() == b""
 
@@ -816,16 +815,7 @@ class TestRunExperiment:
         with subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.read()"],
                               stdin=subprocess.PIPE) as bystander:
             (out / ".lock").write_text(str(bystander.pid))
-            cfg = load_config(None, {
-                "experiment.output_dir": str(out),
-                "experiment.n_train_scenes": "20",
-                "experiment.n_test_scenes": "5",
-                "experiment.mix_specs": "100:-",
-                "model.embed_dim": "8",
-                "model.hidden_dim": "12",
-                "model.epochs": "1",
-                "model.batch_size": "8",
-            })
+            cfg = _one_model_config(out)
             cli.run_experiment(cfg)
             assert bystander.poll() is None
         assert (out / "report_mean.csv").exists()
@@ -834,6 +824,19 @@ class TestRunExperiment:
         (out / "report_mean.csv").unlink()
         cli.run_experiment(cfg)
         assert (out / "report_mean.csv").exists()
+
+    def test_run_of_another_config_is_refused(self, tmp_path, capsys):
+        # the second run's manifest used to list every file of the first
+        # that it did not overwrite: seed_1/, the ablation reports and more
+        out = tmp_path / "run"
+        path = _tiny_config(tmp_path, out)
+        assert cli.main(["run", "--config", str(path), "--experiment.replicate_seeds", "2",
+                         "--experiment.mix_specs", "100:-,50:fixed,0:fixed"]) == cli.EXIT_OK
+        first = {name: (out / name).read_bytes() for name in ("config.txt", "manifest.json")}
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_VALIDATION
+        assert (f"error: output directory {out} holds a run of another configuration "
+                "(its config.txt differs); choose a new one\n") in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in first} == first
 
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
         seed_dir = tiny_run / "seed_0"
@@ -1032,8 +1035,7 @@ class TestRunExperiment:
         # `run` does, so the evaluated rows of a run rebuild its report.md,
         # report.csv and report_ablation.csv
         specs = ["100:-", "50:fixed", "0:fixed"]
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
+        path = _tiny_config(tmp_path, tmp_path / "run")
         assert cli.main(["run", "--config", str(path),
                          "--experiment.mix_specs", ",".join(specs)]) == cli.EXIT_OK
         seed_dir = tmp_path / "run" / "seed_0"
@@ -1059,8 +1061,7 @@ class TestRunExperiment:
                 f"{tmp_path / 'report_ablation.csv'}") in capsys.readouterr().out
 
     def test_module_run_logs_as_guessmix_cli(self, tmp_path):
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
+        path = _tiny_config(tmp_path, tmp_path / "run")
         proc = subprocess.run([sys.executable, "-m", "guessmix.cli", "-v", "run", "--config",
                                str(path)], capture_output=True, text=True, timeout=300,
                               env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -1142,8 +1143,7 @@ class TestCellWorkers:
                               timeout=60, env={**unset, "PYTHONPATH": str(SRC)})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [str(len(os.sched_getaffinity(0))), "1"]
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n")
+        path = _tiny_config(tmp_path, tmp_path / "run")
         manifests = []
         for env in (unset, {**unset, **dict.fromkeys(BLAS_VARIABLES, "1")}):
             proc = subprocess.run([sys.executable, "-m", "guessmix.cli", "run", "--config",
@@ -1165,8 +1165,7 @@ class TestCellWorkers:
         process) and on two (a forked child besides the calling process);
         returns each run's stderr, after checking that the run left no child
         process and that every digest but config.txt's is the same on both."""
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG)
+        path = _tiny_config(tmp_path)
         usable = sorted(os.sched_getaffinity(0))
         logs, manifests = [], []
         for cpus in ({usable[0]}, set(usable[:2])):
@@ -1322,6 +1321,26 @@ class TestCellWorkers:
             parallel.deal(work, [1, 2])
         assert _children(caller) <= before
 
+    def test_deal_names_a_child_killed_while_its_reply_is_in_the_pipe(self, monkeypatch, started):
+        # the caller used to raise the UnpicklingError of the torn reply,
+        # which names neither the child nor how it ended
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        caller = os.getpid()
+        before = _children(caller)
+
+        def work(x):
+            if os.getpid() != caller:
+                return bytes(4 << 20)  # far past the pipe's buffer: the child blocks writing it
+            [(child, read)] = started
+            assert select.select([read], [], [], 60)[0]  # its reply has begun
+            os.kill(child, signal.SIGKILL)
+            return x
+
+        with pytest.raises(parallel.ChildError) as raised:
+            parallel.deal(work, [0, 1])
+        assert str(raised.value) == f"child {started[0][0]} killed by signal 9"
+        assert _children(caller) <= before
+
     # each stage label of a run, and the function `cli` calls in that stage
     # with a test of its arguments for the call to fail
     STAGE_FAILURES = {
@@ -1354,8 +1373,7 @@ class TestCellWorkers:
         monkeypatch.setattr(cli, name, failing)
         before = _children(os.getpid())
         out = tmp_path / "run"
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        path = _tiny_config(tmp_path, out)
         rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])
         assert rc == cli.EXIT_RUNTIME
         assert (capsys.readouterr().err
@@ -1363,17 +1381,12 @@ class TestCellWorkers:
         assert not (out / "manifest.json").exists()
         assert _children(os.getpid()) <= before
 
-    def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys):
+    def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys, started):
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
-        started = []
-        fork = parallel._fork
-        monkeypatch.setattr(parallel, "_fork",
-                            lambda *args: started.append(fork(*args)) or started[-1])
         out = tmp_path / "run"
         # a directory where the child's cell saves its checkpoint
         (out / "seed_0" / "model_50_variable.ckpt").mkdir(parents=True)
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        path = _tiny_config(tmp_path, out)
         before = _children(os.getpid())
         rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])
         assert rc == cli.EXIT_RUNTIME
@@ -1386,19 +1399,14 @@ class TestCellWorkers:
         assert not (out / "manifest.json").exists()
         os.close(cli._acquire_lock(out / ".lock"))
 
-    def test_worker_gone_before_its_job_is_a_stage_error(self, tmp_path, monkeypatch):
+    def test_worker_gone_before_its_job_is_a_stage_error(self, tmp_path, monkeypatch, started):
         # a child that ends without replying fails the run with its wait
         # status, and the run closes its pipe, reaps it, writes no manifest
         # and leaves the output directory unlocked and no child behind
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
-        started = []
-        fork = parallel._fork
-        monkeypatch.setattr(parallel, "_fork",
-                            lambda *args: started.append(fork(*args)) or started[-1])
         run_cell, test_pid = cli._run_cell, os.getpid()
         before = _children(test_pid)
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG)
+        path = _tiny_config(tmp_path)
         for end, status in ((lambda: os._exit(3), "exited with 3"),
                             (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")):
             def cell(*args, end=end):  # patched before the fork, so the child runs it too
@@ -1443,8 +1451,7 @@ class TestCellWorkers:
         monkeypatch.setattr(selfplay, "play_game", dies_in_a_child)
         before = _children(test_pid)
         out = tmp_path / "run"
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        path = _tiny_config(tmp_path, out)
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_RUNTIME
         assert re.fullmatch(rf"error: stage 'selfplay' failed for replicate 0: "
                             rf"child \d+ {status}\n", capsys.readouterr().err)
@@ -1459,8 +1466,7 @@ class TestCellWorkers:
         # `parallel._fork`, so the rest of this test runs once, in this process
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
         run_cell, test_pid = cli._run_cell, os.getpid()
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG)
+        path = _tiny_config(tmp_path)
         after_run = tmp_path / "after_run.txt"
         for exc in (KeyboardInterrupt, SystemExit):
             def cell(*args, exc=exc):
@@ -1486,8 +1492,7 @@ class TestCellWorkers:
         assert after_run.read_text() == f"{test_pid}\n" * 2
 
     def test_worker_exits_when_its_parent_is_killed(self, tmp_path):
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG)
+        path = _tiny_config(tmp_path)
         out = tmp_path / "run"
         # enough epochs that the worker's cell trains for seconds
         parent = subprocess.Popen(
@@ -1514,8 +1519,7 @@ class TestCellWorkers:
     def test_script_without_main_guard(self, tmp_path):
         # a worker does not re-run the script that started the run
         out = tmp_path / "run"
-        path = tmp_path / "exp.cfg"
-        path.write_text(TINY_CONFIG + f"experiment.output_dir = {out}\n")
+        path = _tiny_config(tmp_path, out)
         script = tmp_path / "unguarded.py"
         script.write_text(
             "import logging\n" + TWO_CELL_PROCESSES + "from guessmix import config\n"

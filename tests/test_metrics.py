@@ -99,22 +99,22 @@ class TestBleu4:
 class TestMutualOverlap:
     def test_two_identical_questions(self):
         d = make_dialogue(["is it red ?", "is it red ?"])
-        assert metrics.mutual_overlap_dialogue(d) == pytest.approx(1.0)
+        assert metrics.corpus_mo([d]) == pytest.approx(1.0)
 
     def test_single_question_is_zero(self):
-        assert metrics.mutual_overlap_dialogue(make_dialogue(["is it red ?"])) == 0.0
+        assert metrics.corpus_mo([make_dialogue(["is it red ?"])]) == 0.0
 
     def test_two_thirds_case(self):
         d = make_dialogue(["is it red ?", "is it red ?", "does that thing fly"])
-        assert metrics.mutual_overlap_dialogue(d) == pytest.approx(2.0 / 3.0)
+        assert metrics.corpus_mo([d]) == pytest.approx(2.0 / 3.0)
 
     def test_question_order_invariance(self):
         questions = ["is it red ?", "is it a cat ?", "is it red ?", "is it small ?"]
-        base = metrics.mutual_overlap_dialogue(make_dialogue(questions))
+        base = metrics.corpus_mo([make_dialogue(questions)])
         rng = np.random.default_rng(4)
         for _ in range(10):
             perm = list(rng.permutation(questions))
-            assert metrics.mutual_overlap_dialogue(make_dialogue(perm)) == pytest.approx(base)
+            assert metrics.corpus_mo([make_dialogue(perm)]) == pytest.approx(base)
 
     def test_corpus_mean(self):
         corpus = [
@@ -138,7 +138,7 @@ class TestMutualOverlapExact:
 
     def assert_bitwise(self, dialogues):
         for d in dialogues:
-            assert metrics.mutual_overlap_dialogue(d).hex() == self.per_candidate(d).hex()
+            assert metrics.corpus_mo([d]).hex() == self.per_candidate(d).hex()
         # corpus_mo reuses a question's counts across the dialogues that repeat it
         mean = sum(self.per_candidate(d) for d in dialogues) / len(dialogues)
         assert metrics.corpus_mo(dialogues).hex() == mean.hex()
@@ -184,7 +184,7 @@ class TestMutualOverlapExact:
 
     def test_empty_question_rejected_like_bleu4(self):
         with pytest.raises(ValueError):
-            metrics.mutual_overlap_dialogue(make_dialogue(["a b", ""]))
+            metrics.corpus_mo([make_dialogue(["a b", ""])])
         with pytest.raises(ValueError):
             metrics.corpus_mo([make_dialogue(["a b", "a b"]), make_dialogue(["a b", ""])])
 

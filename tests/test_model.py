@@ -4,16 +4,10 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from model_reference import gradient_check, softmax, tiny_vocab
 from guessmix import lang, model, oracle, scene, teacher
 from guessmix.dialogue import Dialogue, Turn
-from guessmix.lang import SPECIAL_TOKENS, Vocabulary
 from guessmix.scene import Scene, SceneObject
-
-
-def tiny_vocab(n_learnable=15):
-    words = [f"w{i:02d}" for i in range(n_learnable)]
-    return Vocabulary(words=list(SPECIAL_TOKENS) + words,
-                      counts={w: 3 for w in words}, min_count=1)
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +183,8 @@ class TestDecode:
         logits = params.w_out @ np.tanh(
             params.w_in @ params.embeddings[vocab.soq_id] + params.w_h @ state + params.b_h
         )
-        p = model.softmax(logits)
-        p_shift = model.softmax(logits + 7.3)
+        p = softmax(logits)
+        p_shift = softmax(logits + 7.3)
         assert np.allclose(p, p_shift)
         assert base == model.decode_question(shifted, vocab, state, mode="greedy", max_len=8)
 
@@ -225,7 +219,7 @@ def _reference_decode(params, vocab, state, mode, max_len, rng=None):
         if mode == "greedy":
             nxt = int(np.argmax(logits))
         else:
-            p = model.softmax(logits)
+            p = softmax(logits)
             nxt = int(rng.choice(len(p), p=p / p.sum()))
         if nxt == vocab.eoq_id:
             break
@@ -292,7 +286,7 @@ class TestDecodeContract:
         state = np.linspace(-0.6, 0.6, 12)
         logits = params.w_out @ _reference_cell(params, vocab.soq_id, state)
         logits[vocab.eoq_id] = -np.inf
-        p = model.softmax(logits)
+        p = softmax(logits)
         n = 20000
         rng = np.random.default_rng(11)
         counts = np.zeros(vocab.n_words)
@@ -387,13 +381,13 @@ class TestSoftmax:
         rng = np.random.default_rng(0)
         for _ in range(200):
             x = rng.normal(scale=rng.uniform(0.1, 50.0), size=rng.integers(2, 80))
-            p = model.softmax(x)
+            p = softmax(x)
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0)
 
     def test_shift_invariance(self):
         x = np.array([0.3, -1.2, 4.0, 0.0])
-        assert np.allclose(model.softmax(x), model.softmax(x + 123.4), atol=1e-15)
+        assert np.allclose(softmax(x), softmax(x + 123.4), atol=1e-15)
 
 
 class TestLoss:
@@ -470,11 +464,16 @@ class TestLoss:
 
 class TestGradients:
     def test_gradient_check_small(self):
-        err = model.gradient_check(seed=1)
+        err = gradient_check(seed=1)
         assert err < 1e-4
 
     def test_gradient_check_deterministic(self):
-        assert model.gradient_check(seed=2) == model.gradient_check(seed=2)
+        assert gradient_check(seed=2) == gradient_check(seed=2)
+
+    def test_gradient_check_question_only_phase(self):
+        # two of every three epochs at modulo_n = 3 train without the guesser
+        for seed in range(4):
+            assert gradient_check(seed=seed, phase=model.PHASE_QGEN) < 1e-4
 
     def test_padding_leaks_nothing(self):
         # 1- and 5-turn dialogues with 1- and 10-token questions in one batch:

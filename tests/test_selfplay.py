@@ -155,7 +155,7 @@ class TestGenerateCorpus:
     @pytest.mark.parametrize("policy", ["fixed", "match_human"])
     def test_same_corpus_on_any_number_of_processes(self, questioner, small_scenes,
                                                     small_teacher_corpus, policy, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, started):
         # game k goes to share k mod n, every game on its own stream, and the
         # dialogues come back in scene order: the same corpus, to the byte,
         # as one play_game per scene, however many processes play it
@@ -164,9 +164,6 @@ class TestGenerateCorpus:
         length = selfplay.FixedLength(5) if policy == "fixed" else selfplay.MatchHuman(turn_map)
         scenes = [s for s in small_scenes if s.scene_id in turn_map]
         cfg = oracle.OracleConfig(0.1)
-        forked = []
-        fork = parallel._fork
-        monkeypatch.setattr(parallel, "_fork", lambda *a: forked.append(None) or fork(*a))
         for games in (scenes, scenes[:2]):  # every scene, and fewer games than processes
             want = [selfplay.play_game(questioner, sc, cfg,
                                        5 if policy == "fixed" else turn_map[sc.scene_id],
@@ -175,9 +172,9 @@ class TestGenerateCorpus:
             write_dialogues(tmp_path / "want.jsonl", want)
             for n in (1, 2, 3):
                 monkeypatch.setattr(parallel, "processes", lambda tasks: n)
-                forked.clear()
+                started.clear()
                 got = selfplay.generate_selfplay_corpus(questioner, games, cfg, length, seed=3)
-                assert len(forked) == n - 1
+                assert len(started) == n - 1
                 assert got == want, (len(games), n)
                 write_dialogues(tmp_path / "got.jsonl", got)
                 assert ((tmp_path / "got.jsonl").read_bytes()
@@ -188,14 +185,10 @@ class TestGenerateCorpus:
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
     ], ids=("exit_3", "sigkill"))
     def test_child_without_reply_raises_its_wait_status(self, questioner, small_scenes,
-                                                        monkeypatch, end, status):
+                                                        monkeypatch, started, end, status):
         # the call raises with the status of the child that sent no corpus,
         # and closes the pipe of, and reaps, every child it forked
         monkeypatch.setattr(parallel, "processes", lambda tasks: 3)
-        started = []
-        fork = parallel._fork
-        monkeypatch.setattr(parallel, "_fork",
-                            lambda *args: started.append(fork(*args)) or started[-1])
         play_game, caller = selfplay.play_game, os.getpid()
 
         def dies_in_a_child(*args):  # patched before the fork, so the children run it too

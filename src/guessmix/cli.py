@@ -79,25 +79,26 @@ def _pair_with_scenes(dialogues, scenes):
 
 
 def stage_scenes(splits, cfg: ExperimentConfig, seed: int):
-    """Generate one scene set and write consecutive slices of it.
+    """Write consecutive slices of one scene set from stream 1 of replicate seed `seed`.
 
     `splits` lists (path, count) pairs; scene ids run on across the slices,
     so they are disjoint. Returns the slices in order.
     """
-    everything = generate_scene_set(sum(n for _, n in splits), seed, cfg.scene_config())
+    scenes = generate_scene_set(sum(n for _, n in splits), derive_seed(seed, 1), cfg.scene_config())
     parts, start = [], 0
     for path, n in splits:
-        parts.append(everything[start:start + n])
+        parts.append(scenes[start:start + n])
         write_scenes(path, parts[-1])
         start += n
     return parts
 
 
 def stage_collect(scenes, cfg: ExperimentConfig, seed: int, out):
-    """Play the scripted teacher on every scene; returns the kept dialogues."""
+    """Play the scripted teacher on every scene on stream 2 of replicate seed
+    `seed`, which validation games share: each game seeds itself from (stream,
+    scene id), and their scene ids are disjoint. Returns the kept dialogues."""
     dialogues = teacher.collect_teacher_corpus(
-        scenes, OracleConfig(cfg["teacher.noise"]), max_turns=cfg["teacher.max_turns"], seed=seed
-    )
+        scenes, OracleConfig(cfg["teacher.noise"]), cfg["teacher.max_turns"], derive_seed(seed, 2))
     write_dialogues(out, dialogues)
     return dialogues
 
@@ -110,8 +111,8 @@ def best_val_path(out) -> Path:
 def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pairs=None,
                 vocab_out=None):
     """Train a fresh Questioner on `dialogues` and save it to `out`; it
-    initialises from `derive_seed(seed, 4)` and orders its batches from
-    `derive_seed(seed, 5)`, so a run's models share both streams.
+    initialises from stream 4 of replicate seed `seed` and orders its
+    batches from stream 5, so a run's models share both streams.
 
     Returns (questioner, best_val, train_log). With `val_pairs`, `best_val`
     holds the parameters of the epoch with the lowest validation NLL and is
@@ -136,32 +137,31 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
 def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, human,
                    seed: int, out):
     """Let the questioner replay the game of every `human` dialogue on its
-    scene, for selfplay.turns turns (fixed length) or as many as that
-    dialogue (variable length); writes the dialogues to `out`.
-    A replayed game takes its scene's id, so each human game id must be its
-    scene id, once."""
-    seen = set()
+    scene for selfplay.turns turns (fixed length, stream 6 of replicate seed
+    `seed`) or as many as that dialogue (variable length, stream 7); writes
+    the dialogues to `out`. A replayed game takes its scene's id, so each
+    human game id must be its scene id, once."""
     for d in human:
         if d.game_id != d.scene_id:
             raise GameAlignmentError(f"human game id {d.game_id} is not its scene id "
                                      f"{d.scene_id}")
-        if d.game_id in seen:
-            raise GameAlignmentError(f"human game id {d.game_id} repeats")
-        seen.add(d.game_id)
+    corpus_mod.check_unique_games(human, "human")
     if length_mode == LENGTH_FIXED:
-        policy: selfplay.LengthPolicy = selfplay.FixedLength(cfg["selfplay.turns"])
+        stream, policy = 6, selfplay.FixedLength(cfg["selfplay.turns"])
     else:
-        policy = selfplay.MatchHuman({d.game_id: len(d.turns) for d in human})
+        stream, policy = 7, selfplay.MatchHuman({d.game_id: len(d.turns) for d in human})
     dialogues = selfplay.generate_selfplay_corpus(
         questioner, [s for _, s in _pair_with_scenes(human, scenes)],
-        OracleConfig(cfg["selfplay.noise"]), policy, seed=seed,
+        OracleConfig(cfg["selfplay.noise"]), policy, seed=derive_seed(seed, stream),
     )
     write_dialogues(out, dialogues)
     return dialogues
 
 
-def stage_mix(human, generated, spec: MixSpec, out):
-    """Write the mixed corpus to `out` and its manifest beside it."""
+def stage_mix(human, generated, spec: MixSpec, seed: int, out):
+    """Write the mixed corpus to `out` and its manifest beside it; the
+    replaced games are ranked on stream 8 of replicate seed `seed`."""
+    spec = replace(spec, seed=derive_seed(seed, 8))
     mixed = corpus_mod.mix_corpora(human, generated, spec)
     write_dialogues(out, mixed)
     corpus_mod.write_manifest(out, spec, mixed)
@@ -177,14 +177,14 @@ def stage_stats(corpus, cfg: ExperimentConfig, mix: MixSpec | None):
 
 def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
                    mix: MixSpec | None, seed: int):
-    """Play the test protocol with a questioner trained on `training`;
-    returns the report row, labelled with `mix` or, if that is None, with
-    the measured human share of `training` and `-`."""
+    """Play the test protocol on stream 90 of replicate seed `seed` with a
+    questioner trained on `training`; returns the report row, labelled with
+    `mix` or, if that is None, with `training`'s measured human share and `-`."""
     pct_human, length_mode = ((mix.pct_human, mix.length_mode) if mix
                               else (corpus_mod.human_pct(training), LENGTH_NONE))
     return metrics.evaluate(
         questioner, test_scenes, OracleConfig(cfg["selfplay.noise"]),
-        corpus_mod.question_set(training), turns=cfg["evaluate.turns"], seed=seed,
+        corpus_mod.question_set(training), turns=cfg["evaluate.turns"], seed=derive_seed(seed, 90),
         pct_human=pct_human, length_mode=length_mode,
     )
 
@@ -231,8 +231,8 @@ def _mean_rows(rows_by_seed: list[list]) -> list:
     return out
 
 
-def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, spec: MixSpec, inputs,
-              caller: int):
+def _run_cell(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Path,
+              spec: MixSpec, inputs, caller: int):
     """The cell of `spec` in a replicate: its corpus and model (the base
     model for 100%, else mixed and retrained), then its (stats_row, report_row).
     Every model of a replicate trains and plays on the base model's streams,
@@ -243,52 +243,44 @@ def _run_cell(cfg: ExperimentConfig, replicate: int, seed_dir: Path, spec: MixSp
     start = time.perf_counter()
     pct, mode = spec.pct_human, spec.length_mode
     tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
-    rep_seed = derive_seed(cfg["experiment.seed"], replicate)
     human, generated, train_scenes, test_scenes, base = inputs
     if pct == 100:
         mixed, questioner = human, base
     else:
         with _stage(f"mix-{tag}", replicate):
-            mixed = stage_mix(human, generated[mode], replace(spec, seed=derive_seed(rep_seed, 8)),
+            mixed = stage_mix(human, generated[mode], spec, rep_seed,
                               seed_dir / f"mixed_{tag}.jsonl")
         with _stage(f"train-{tag}", replicate):
             questioner, _, _ = stage_train(mixed, train_scenes, cfg, rep_seed,
                                            seed_dir / f"model_{tag}.ckpt")
     with _stage(f"evaluate-{tag}", replicate):
         rows = (stage_stats(mixed, cfg, spec),
-                stage_evaluate(questioner, mixed, test_scenes, cfg, spec,
-                               derive_seed(rep_seed, 90)))
+                stage_evaluate(questioner, mixed, test_scenes, cfg, spec, rep_seed))
     log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
              time.perf_counter() - start,
              "main" if os.getpid() == caller else f"worker {os.getpid()}")
     return rows
 
 
-# the replicate-seed stream of each length mode's self-play corpus
-_SELFPLAY_STREAMS = ((6, LENGTH_FIXED), (7, LENGTH_VARIABLE))
-
-
-def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
-    """One full pipeline pass, its games and cells dealt over processes;
-    returns its (stats_rows, report_rows) in spec order."""
+def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Path):
+    """One pipeline pass on replicate seed `rep_seed`, games and cells dealt
+    over processes; returns its (stats_rows, report_rows) in spec order."""
     log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
-    rep_seed = derive_seed(cfg["experiment.seed"], replicate)
     n_val = cfg["experiment.n_val_scenes"]
     with _stage("scenes", replicate):
         splits = [(seed_dir / "scenes_train.jsonl", cfg["experiment.n_train_scenes"]),
                   (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
         if n_val:
             splits.append((seed_dir / "scenes_val.jsonl", n_val))
-        train_scenes, test_scenes, *val_split = stage_scenes(splits, cfg,
-                                                             derive_seed(rep_seed, 1))
+        train_scenes, test_scenes, *val_split = stage_scenes(splits, cfg, rep_seed)
 
     with _stage("teacher", replicate):
-        human = stage_collect(train_scenes, cfg, derive_seed(rep_seed, 2), seed_dir / "human.jsonl")
+        human = stage_collect(train_scenes, cfg, rep_seed, seed_dir / "human.jsonl")
         val_pairs = None
         if n_val:
             [val_scenes] = val_split
-            val = stage_collect(val_scenes, cfg, derive_seed(rep_seed, 3), seed_dir / "val.jsonl")
+            val = stage_collect(val_scenes, cfg, rep_seed, seed_dir / "val.jsonl")
             val_pairs = _pair_with_scenes(val, val_scenes)
 
     with _stage("base-train", replicate):
@@ -299,10 +291,9 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
 
     with _stage("selfplay", replicate):
         generated = {}
-        for stream, mode in _SELFPLAY_STREAMS:
+        for mode in (LENGTH_FIXED, LENGTH_VARIABLE):
             start = time.perf_counter()
-            generated[mode] = stage_selfplay(player, train_scenes, cfg, mode, human,
-                                             derive_seed(rep_seed, stream),
+            generated[mode] = stage_selfplay(player, train_scenes, cfg, mode, human, rep_seed,
                                              seed_dir / f"generated_{mode}.jsonl")
             log.info("self-play %s corpus of replicate %d: %.2f s on %d processes", mode,
                      replicate, time.perf_counter() - start, parallel.processes(len(human)))
@@ -312,7 +303,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, seed_dir: Path):
         caller = os.getpid()
         inputs = (human, generated, train_scenes, test_scenes, base)
         stats_rows, report_rows = zip(*parallel.deal(
-            lambda spec: _run_cell(cfg, replicate, seed_dir, spec, inputs, caller),
+            lambda spec: _run_cell(cfg, replicate, rep_seed, seed_dir, spec, inputs, caller),
             cfg.mix_specs()))
 
     with _stage("report", replicate):
@@ -343,8 +334,9 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute every replicate and write aggregate reports; returns the
     output directory. Re-running with the same configuration reproduces all
     report files byte for byte, however many processes run the cells. A
-    directory that holds a run of another configuration is refused before
-    anything is written, so that no file of that run enters this manifest."""
+    directory that holds a run of another configuration, or files but no
+    run, is refused before anything is written, so that the manifest lists
+    only files of this configuration."""
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
@@ -353,9 +345,12 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         if echo.exists() and echo.read_text(encoding="utf-8") != cfg.echo():
             raise ConfigError(f"output directory {out} holds a run of another "
                               "configuration (its config.txt differs); choose a new one")
+        if not echo.exists() and any(p.name != ".lock" for p in out.iterdir()):
+            raise ConfigError(f"output directory {out} holds files but no config.txt; choose a new one")
         echo.write_text(cfg.echo(), encoding="utf-8")
-        n_rep = cfg["experiment.replicate_seeds"]
-        per_seed = [_run_seed(cfg, r, out / f"seed_{r}") for r in range(n_rep)]
+        rep_seeds = [derive_seed(cfg["experiment.seed"], r)
+                     for r in range(cfg["experiment.replicate_seeds"])]
+        per_seed = [_run_seed(cfg, r, seed, out / f"seed_{r}") for r, seed in enumerate(rep_seeds)]
         stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
         corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
         stage_report(reports, cfg, out / "report_mean.csv", out / "report_ablation_mean.csv",
@@ -367,7 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
             "environment": {"python": platform.python_version(), "numpy": np.__version__,
                             "blas_threads": parallel.BLAS_THREADS, "cpu_count": os.cpu_count(),
                             "cell_processes": parallel.processes(len(cfg.mix_specs()))},
-            "replicate_seeds": [derive_seed(cfg["experiment.seed"], r) for r in range(n_rep)],
+            "replicate_seeds": rep_seeds,
             "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
                       for p in sorted(out.rglob("*"))
                       if p.is_file() and p.name not in (".lock", "manifest.json")},
@@ -437,8 +432,7 @@ def _cmd_selfplay(args, cfg: ExperimentConfig) -> None:
 def _cmd_mix(args, cfg: ExperimentConfig) -> None:
     human = read_dialogues(args.human)
     generated = read_dialogues(args.generated)
-    mixed = stage_mix(human, generated, MixSpec(args.pct_human, args.length, seed=args.seed),
-                      args.out)
+    mixed = stage_mix(human, generated, MixSpec(args.pct_human, args.length), args.seed, args.out)
     print(f"wrote {len(mixed)} dialogues to {args.out} and its .manifest.json")
 
 
@@ -490,12 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text, keys=(), seed="seed of this step's random draws"):
-        """A subcommand with one `--<key> V` flag per config key its stage
-        reads; a flag left out keeps the key's default."""
+    def command(name, func, help_text, keys=(), seed=True):
+        """A subcommand with `--seed R` if `seed` and one `--<key> V` flag per
+        config key its stage reads; a flag left out keeps the key's default."""
         p = sub.add_parser(name, help=help_text)
         if seed:
-            p.add_argument("--seed", type=_seed, default=0, help=seed)
+            p.add_argument("--seed", type=_seed, default=0, help="replicate seed R of a run")
         for key in keys:
             p.add_argument(f"--{key}", dest=key, metavar="V", help=SCHEMA[key][2])
         p.set_defaults(func=func, config=None)
@@ -512,9 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("train", _cmd_train, "train a questioner on a dialogue corpus",
-                ("corpus.min_count", *(key for key in SCHEMA if key.startswith("model."))), seed=(
-        "R: initialise with derive_seed(R, 4) and train with derive_seed(R, 5), as a run "
-        "does for every model of the replicate with seed R"))
+                ("corpus.min_count", *(key for key in SCHEMA if key.startswith("model."))))
     p.add_argument("--dialogues", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--val-dialogues")
@@ -543,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("stats", _cmd_stats, "print the statistics row of a corpus",
-                ("corpus.min_count",), seed=None)
+                ("corpus.min_count",), seed=False)
     p.add_argument("corpus", help="labelled from the mix manifest beside it, if any")
 
     p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row",
@@ -555,14 +547,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the row as JSON")
 
     p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown",
-                ("evaluate.turns",), seed=None)
+                ("evaluate.turns",), seed=False)
     p.add_argument("--rows", nargs="+", required=True)
     p.add_argument("--out-csv", required=True,
                    help="rows with 0%% human data go to <stem>_ablation.csv beside it")
     p.add_argument("--out-md")
 
     p = command("run", _cmd_run, "run the full two-step experiment from a config file", SCHEMA,
-                seed=None)
+                seed=False)
     p.add_argument("--config", help="key-value config file; defaults apply when omitted")
 
     return parser

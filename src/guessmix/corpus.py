@@ -10,6 +10,7 @@ replacements and ablations stay comparable.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,6 +87,12 @@ class StatsRow:
     grq: float
 
 
+def check_unique_games(corpus: list[Dialogue], name: str) -> None:
+    """Raise GameAlignmentError naming corpus `name` if a game id repeats in it."""
+    if repeats := [g for g, n in Counter(d.game_id for d in corpus).items() if n > 1]:
+        raise GameAlignmentError(f"{name} game id {repeats[0]} repeats")
+
+
 def mix_corpora(human: list[Dialogue], generated: list[Dialogue], spec: MixSpec) -> list[Dialogue]:
     """Replace a seeded subset of human dialogues with their generated twins.
 
@@ -95,6 +102,8 @@ def mix_corpora(human: list[Dialogue], generated: list[Dialogue], spec: MixSpec)
     human corpus, in the same order; source tags distinguish the substituted
     dialogues.
     """
+    check_unique_games(human, "human")
+    check_unique_games(generated, "generated")
     by_game = {d.game_id: d for d in generated}
     n_replace = (100 - spec.pct_human) * len(human) // 100
     ranking = np.random.default_rng(spec.seed).permutation(

@@ -116,7 +116,7 @@ def keep_human_game(d: Dialogue) -> bool:
 
 def collect_teacher_corpus(
     scenes: list[Scene],
-    oracle_cfg: oracle.OracleConfig | None = None,
+    oracle_cfg: oracle.OracleConfig,
     max_turns: int = DEFAULT_MAX_TURNS,
     seed: int = 0,
 ) -> list[Dialogue]:
@@ -127,7 +127,6 @@ def collect_teacher_corpus(
     """
     if max_turns < 1:
         raise ValueError(f"max_turns must be >= 1, got {max_turns}")
-    oracle_cfg = oracle_cfg or oracle.OracleConfig(0.0)
     kept: list[Dialogue] = []
     dropped = 0
     for sc in scenes:

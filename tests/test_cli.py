@@ -16,12 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guessmix import cli, config, dialogue, metrics, parallel, scene, selfplay
+from guessmix import cli, config, dialogue, metrics, model, parallel, scene, selfplay
 from guessmix.config import ConfigError, ExperimentConfig, load_config
 from guessmix.corpus import MixSpec
 from guessmix.model import ModelConfig
 from guessmix.scene import SceneConfig
-from guessmix.seeding import derive_seed
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -526,6 +525,8 @@ class TestSubcommands:
                 assert name in commands, command
                 for flag in re.findall(r"(?<![\w-])--[\w.-]+", command):
                     assert flag in commands[name]._option_string_actions, command
+                # every step takes the replicate seed itself
+                assert re.findall(r"--seed (\S+)", command) in ([], ["R"]), command
 
 
 @pytest.fixture(scope="module")
@@ -567,6 +568,23 @@ class TestDerivedInputs:
                              "--length", length, "--out", str(out)]) == cli.EXIT_VALIDATION
             assert capsys.readouterr().err == f"error: {error}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["human", "generated"])
+    def test_mix_refuses_a_repeated_game_id(self, mixed_chain, tmp_path, capsys, name):
+        # `mix` matches the corpora by game id: a repeated human game used to
+        # pass into the mix twice, and a repeated generated one to collapse
+        corpora = {n: dialogue.read_dialogues(mixed_chain / f"{n}.jsonl")
+                   for n in ("human", "generated")}
+        first = corpora[name][0]
+        corpora[name].append(first)
+        for n, corpus in corpora.items():
+            dialogue.write_dialogues(tmp_path / f"{n}.jsonl", corpus)
+        out = tmp_path / "mixed.jsonl"
+        assert cli.main(["mix", "--human", str(tmp_path / "human.jsonl"),
+                         "--generated", str(tmp_path / "generated.jsonl"), "--pct-human", "50",
+                         "--length", "variable", "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {name} game id {first.game_id} repeats\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["generated.jsonl", "human.jsonl"]
 
     @staticmethod
     def rows(capsys, d, corpus):
@@ -838,23 +856,35 @@ class TestRunExperiment:
                 "(its config.txt differs); choose a new one\n") in capsys.readouterr().err
         assert {name: (out / name).read_bytes() for name in first} == first
 
+    def test_directory_with_files_of_no_run_is_refused(self, tmp_path, capsys):
+        # with no config.txt to compare, the manifest used to list notes.txt
+        # as a file of the run
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine\n")
+        assert cli.main(["run", "--config", str(_tiny_config(tmp_path, out))]) == cli.EXIT_VALIDATION
+        assert (f"error: output directory {out} holds files but no config.txt; "
+                "choose a new one\n") in capsys.readouterr().err
+        assert (out / "notes.txt").read_text() == "mine\n"
+        assert sorted(p.name for p in out.iterdir()) == [".lock", "notes.txt"]
+
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
+        # every step takes the replicate seed R that manifest.json lists
         seed_dir = tiny_run / "seed_0"
-        rep_seed = derive_seed(1, 0)  # experiment.seed = 1, replicate 0
+        [rep_seed] = json.loads((tiny_run / "manifest.json").read_text())["replicate_seeds"]
         run = lambda *args: cli.main([str(a) for a in args])
-        assert run("gen-scenes", "--n", 60, "--seed", derive_seed(rep_seed, 1),
+        assert run("gen-scenes", "--n", 60, "--seed", rep_seed,
                    "--out", tmp_path / "scenes_train.jsonl") == 0
         assert run("collect-human", "--scenes", seed_dir / "scenes_train.jsonl",
-                   "--seed", derive_seed(rep_seed, 2), "--out", tmp_path / "human.jsonl") == 0
+                   "--seed", rep_seed, "--out", tmp_path / "human.jsonl") == 0
         assert run("mix", "--human", seed_dir / "human.jsonl",
                    "--generated", seed_dir / "generated_fixed.jsonl",
-                   "--pct-human", 50, "--length", "fixed", "--seed", derive_seed(rep_seed, 8),
+                   "--pct-human", 50, "--length", "fixed", "--seed", rep_seed,
                    "--out", tmp_path / "mixed.jsonl") == 0
-        for mode, stream in (("fixed", 6), ("variable", 7)):
+        for mode in ("fixed", "variable"):
             assert run("selfplay", "--model", seed_dir / "model_100.ckpt",
                        "--scenes", seed_dir / "scenes_train.jsonl", "--length", mode,
-                       "--human", seed_dir / "human.jsonl",
-                       "--seed", derive_seed(rep_seed, stream),
+                       "--human", seed_dir / "human.jsonl", "--seed", rep_seed,
                        "--out", tmp_path / f"generated_{mode}.jsonl") == 0
         for name, ours in (("scenes_train.jsonl", "scenes_train.jsonl"),
                            ("human.jsonl", "human.jsonl"),
@@ -868,7 +898,7 @@ class TestRunExperiment:
         report_lines = (seed_dir / "report.csv").read_text().splitlines()
         # mix j of TINY_CONFIG: (corpus, checkpoint); the labels come from
         # the corpus's manifest, or for human.jsonl, which has none, from its share.
-        # Every model of the replicate trains on seed R and plays on stream 90;
+        # Every model of the replicate trains and plays on the streams of R;
         # the base model's vocabulary is saved beside it
         mixes = [("human.jsonl", "model_100.ckpt", "vocab_100.jsonl"),
                  ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt", None)]
@@ -885,8 +915,7 @@ class TestRunExperiment:
             assert capsys.readouterr().out.strip() == stats_lines[1 + j]
             assert run("evaluate", "--model", seed_dir / ckpt,
                        "--scenes", seed_dir / "scenes_test.jsonl",
-                       "--train-dialogues", seed_dir / corpus,
-                       "--seed", derive_seed(rep_seed, 90)) == 0
+                       "--train-dialogues", seed_dir / corpus, "--seed", rep_seed) == 0
             assert capsys.readouterr().out.strip() == report_lines[1 + j]
 
     def test_replicate_means(self, tmp_path):
@@ -1002,18 +1031,22 @@ class TestRunExperiment:
         assert (seed_dir / "scenes_val.jsonl").exists()
         assert (seed_dir / "val.jsonl").exists()
         assert (out / "report_mean.csv").exists()
+        [rep_seed] = json.loads((out / "manifest.json").read_text())["replicate_seeds"]
+        # the validation games come from the teacher's stream of R
+        assert cli.main(["collect-human", "--scenes", str(seed_dir / "scenes_val.jsonl"),
+                         "--seed", str(rep_seed), "--out", str(tmp_path / "val.jsonl")]) == 0
+        assert (tmp_path / "val.jsonl").read_bytes() == (seed_dir / "val.jsonl").read_bytes()
         # the self-play player is saved, so the subcommand reproduces its corpus
         assert cli.main(["selfplay", "--model", str(seed_dir / "model_100_best_val.ckpt"),
                          "--scenes", str(seed_dir / "scenes_train.jsonl"),
-                         "--human", str(seed_dir / "human.jsonl"),
-                         "--seed", str(derive_seed(derive_seed(0, 0), 6)),
+                         "--human", str(seed_dir / "human.jsonl"), "--seed", str(rep_seed),
                          "--out", str(tmp_path / "generated_fixed.jsonl")]) == 0
         assert ((tmp_path / "generated_fixed.jsonl").read_bytes()
                 == (seed_dir / "generated_fixed.jsonl").read_bytes())
         # and `train` with the validation data reproduces both base checkpoints
         assert cli.main(["train", "--dialogues", str(seed_dir / "human.jsonl"),
                          "--scenes", str(seed_dir / "scenes_train.jsonl"),
-                         "--seed", str(derive_seed(0, 0)),
+                         "--seed", str(rep_seed),
                          "--val-dialogues", str(seed_dir / "val.jsonl"),
                          "--val-scenes", str(seed_dir / "scenes_val.jsonl"),
                          "--model.embed_dim", "8", "--model.hidden_dim", "12",
@@ -1039,6 +1072,7 @@ class TestRunExperiment:
         assert cli.main(["run", "--config", str(path),
                          "--experiment.mix_specs", ",".join(specs)]) == cli.EXIT_OK
         seed_dir = tmp_path / "run" / "seed_0"
+        [rep_seed] = json.loads((tmp_path / "run" / "manifest.json").read_text())["replicate_seeds"]
         rows = []
         for j, spec in enumerate(specs):
             tag = spec.replace(":", "_").removesuffix("_-")
@@ -1047,7 +1081,7 @@ class TestRunExperiment:
             assert cli.main(["evaluate", "--model", str(seed_dir / f"model_{tag}.ckpt"),
                              "--scenes", str(seed_dir / "scenes_test.jsonl"),
                              "--train-dialogues", str(seed_dir / corpus),
-                             "--seed", str(derive_seed(derive_seed(1, 0), 90)),
+                             "--seed", str(rep_seed),
                              "--out", str(rows[-1])]) == cli.EXIT_OK
         assert cli.main(["report", "--rows", *map(str, rows), "--out-csv",
                          str(tmp_path / "report.csv"), "--out-md",
@@ -1348,7 +1382,7 @@ class TestCellWorkers:
         "teacher": ("stage_collect", lambda *args: True),
         "base-train": ("stage_train", lambda *args: Path(args[4]).name == "model_100.ckpt"),
         "selfplay": ("stage_selfplay", lambda *args: True),
-        "mix-50_fixed": ("stage_mix", lambda *args: Path(args[3]).name == "mixed_50_fixed.jsonl"),
+        "mix-50_fixed": ("stage_mix", lambda *args: Path(args[4]).name == "mixed_50_fixed.jsonl"),
         "train-50_fixed": ("stage_train",
                            lambda *args: Path(args[4]).name == "model_50_fixed.ckpt"),
         "evaluate-100": ("stage_evaluate", lambda *args: args[4].pct_human == 100),
@@ -1384,8 +1418,14 @@ class TestCellWorkers:
     def test_failure_in_a_worker_names_its_stage(self, tmp_path, monkeypatch, capsys, started):
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
         out = tmp_path / "run"
-        # a directory where the child's cell saves its checkpoint
-        (out / "seed_0" / "model_50_variable.ckpt").mkdir(parents=True)
+        save = model.save_checkpoint
+
+        def save_checkpoint(path, questioner):  # patched before the fork, so the child runs it
+            if Path(path).name == "model_50_variable.ckpt":  # the child's cell's checkpoint
+                raise OSError("out of disk")
+            return save(path, questioner)
+
+        monkeypatch.setattr(model, "save_checkpoint", save_checkpoint)
         path = _tiny_config(tmp_path, out)
         before = _children(os.getpid())
         rc = cli.main(["run", "--config", str(path), "--experiment.mix_specs", CELL_SPECS])

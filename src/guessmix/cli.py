@@ -116,8 +116,11 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
 
     Returns (questioner, best_val, train_log). With `val_pairs`, `best_val`
     holds the parameters of the epoch with the lowest validation NLL and is
-    saved to `best_val_path(out)`; without, it is None.
+    saved to `best_val_path(out)`; without, it is None. An empty
+    `val_pairs` has no best epoch, so it is refused before anything is written.
     """
+    if val_pairs is not None and not val_pairs:
+        raise ValueError("the validation set is empty: no dialogue to pick a best-val model by")
     model_cfg = cfg.model_config()
     vocab = lang.build_vocabulary(dialogues, cfg["corpus.min_count"])
     if vocab_out:
@@ -411,9 +414,8 @@ def _cmd_train(args, cfg: ExperimentConfig) -> None:
                                       read_scenes(args.val_scenes))
     _, best_val, train_log = stage_train(dialogues, scenes, cfg, args.seed, args.out,
                                          val_pairs=val_pairs, vocab_out=args.vocab_out)
-    if train_log.epochs:
-        print(f"trained {len(train_log.epochs)} epochs, "
-              f"final question NLL {train_log.final_qgen_nll:.4f}")
+    if train_log:
+        print(f"trained {len(train_log)} epochs, final question NLL {train_log[-1].qgen_nll:.4f}")
     print(f"wrote checkpoint to {args.out}")
     if args.vocab_out:
         print(f"wrote vocabulary to {args.vocab_out}")

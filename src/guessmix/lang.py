@@ -128,6 +128,8 @@ class Vocabulary:
 
     def __post_init__(self):
         self._ids = {w: i for i, w in enumerate(self.words)}
+        if len(self._ids) != len(self.words):
+            raise ValueError("vocabulary lists a word more than once")
         for sp in SPECIAL_TOKENS:
             if sp not in self._ids:
                 raise ValueError(f"special token {sp!r} missing from vocabulary")

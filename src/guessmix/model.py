@@ -49,6 +49,7 @@ from __future__ import annotations
 import ctypes
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,7 @@ import numpy as np
 
 from . import corpus
 from .dialogue import Dialogue
+from .jsonl import checked
 from .lang import Vocabulary
 from .scene import CATEGORIES, COLORS, GRID_SIZE, SIZES, Scene, SceneObject
 from .seeding import derive_seed
@@ -81,7 +83,7 @@ _COORD_SCALE = float(GRID_SIZE - 1)
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; carries the log collected so far."""
 
-    def __init__(self, message: str, log: "TrainLog" | None = None):
+    def __init__(self, message: str, log: list[EpochLog] | None = None):
         super().__init__(message)
         self.log = log
 
@@ -388,31 +390,6 @@ def guess_object(params: ModelParams, state: np.ndarray, scene: Scene) -> int:
 # batched loss and exact gradients
 
 
-@dataclass
-class _Forward:
-    """What the backward pass reads from one forward pass.
-
-    State arrays are time-major: `enc[m]` holds the (B, H) encoder states
-    after m stream tokens, `enc[0]` the initial states; `dec[j]` holds the
-    (R, H) decoder states of all R turns after j inputs.
-    """
-
-    feats: np.ndarray          # (B, FEATURE_DIM) mean object features
-    stream: np.ndarray         # (Z, B) encoder token ids, suffix-padded
-    stream_len: np.ndarray     # (B,) unpadded stream lengths
-    enc: np.ndarray            # (Z + 1, B, H)
-    pre: np.ndarray            # (Z * B + L * R, H) step pre-activations, encoder first
-    owner: np.ndarray          # (R,) dialogue of each turn
-    start: np.ndarray          # (R,) stream offset at which each turn begins
-    dec_in: np.ndarray         # (L, R) decoder inputs [<soq> w1 .. wk], padded
-    dec: np.ndarray            # (L + 1, R, H)
-    valid: np.ndarray          # (L, R) True where a target token is predicted
-    hs: np.ndarray             # (n_tokens, H) decoder states at those positions
-    logp: np.ndarray           # (n_tokens, V) predicted log-probabilities
-    targets: np.ndarray        # (n_tokens,) target ids [w1 .. wk <eoq>]
-    guesser: tuple | None      # joint phase: (objf, g, gp, targets)
-
-
 @dataclass(slots=True)
 class Example:
     """One training dialogue as the integers `_forward` reads, made once per
@@ -442,8 +419,15 @@ def _forward(
     vocab: Vocabulary,
     batch: list[Example] | list[tuple[Dialogue, Scene]],
     phase: str,
-) -> tuple[float, dict, _Forward]:
-    """The forward half of `loss_and_grads`: (loss, aux, cache)."""
+) -> tuple[float, dict, Callable[[], ModelParams]]:
+    """The forward half of `loss_and_grads`: (loss, aux, backward), where
+    `backward()` returns the gradients of `loss`. It reads this pass's
+    states and overwrites their pre-activations, so it runs at most once.
+
+    State arrays are time-major: `enc[m]` holds the (B, H) encoder states
+    after m stream tokens, `enc[0]` the initial states; `dec[j]` holds the
+    (R, H) decoder states of all R turns after j inputs.
+    """
     if phase not in (PHASE_QGEN, PHASE_JOINT):
         raise ValueError(f"unknown phase {phase!r}")
     if not batch:
@@ -511,7 +495,6 @@ def _forward(
     qgen_loss = math.fsum(-logp[np.arange(n_tokens), targets]) / n_tokens if n_tokens else 0.0
 
     guesser_loss = 0.0
-    guesser = None
     if phase == PHASE_JOINT:
         h = enc[stream_len, np.arange(B)]
         omask = np.arange(n_obj.max()) < n_obj[:, None]
@@ -522,14 +505,70 @@ def _forward(
         scores = (g * h[:, None, :]).sum(axis=-1)   # (B, N)
         glogp = _log_softmax(np.where(omask, scores, -1e30))
         guesser_loss = math.fsum(-glogp[np.arange(B), g_targets]) / B
-        guesser = (objf, g, np.exp(glogp), g_targets)
 
     loss = qgen_loss + guesser_loss
     aux = {"qgen_nll": qgen_loss, "guesser_ce": guesser_loss, "n_tokens": n_tokens}
-    cache = _Forward(feats=feats, stream=stream, stream_len=stream_len, enc=enc, pre=pre,
-                     owner=owner, start=start, dec_in=dec_in, dec=dec, valid=valid,
-                     hs=hs, logp=logp, targets=targets, guesser=guesser)
-    return loss, aux, cache
+
+    def backward() -> ModelParams:
+        w_h = params.w_h
+
+        # gradient reaching each encoder state from outside the recurrence
+        d_enc = np.zeros_like(enc)
+        w_obj = np.zeros_like(params.w_obj)
+        if phase == PHASE_JOINT:
+            dscores = np.exp(glogp)
+            dscores[np.arange(B), g_targets] -= 1.0
+            dscores *= 1.0 / B
+            d_enc[stream_len, np.arange(B)] = (dscores[:, :, None] * g).sum(axis=1)
+            h = enc[stream_len, np.arange(B)]
+            w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
+
+        dlog = np.exp(logp)
+        dlog[np.arange(n_tokens), targets] -= 1.0
+        dlog *= 1.0 / max(n_tokens, 1)
+        d_dec = np.zeros((L, R, H))
+        d_dec[valid] = dlog @ params.w_out
+
+        # the pre-activation gradient of every step overwrites its pre-activation;
+        # each slot starts out as the tanh derivative 1 - h^2 of its step
+        da = pre
+        da_enc = da[:Z * B].reshape(Z, B, H)
+        da_dec = da[Z * B:].reshape(L, R, H)
+        for d, h in ((da_enc, enc[1:]), (da_dec, dec[1:])):
+            np.square(h, out=d)
+            np.subtract(1.0, d, out=d)
+
+        # all decoder rows back to their start states, then the encoder streams
+        dh = np.zeros((R, H))
+        for j in reversed(range(L)):
+            dh += d_dec[j]
+            da_dec[j] *= dh
+            dh = da_dec[j] @ w_h
+        d_enc[start, owner] += dh
+        dh = d_enc[Z]
+        for m in reversed(range(Z)):
+            da_enc[m] *= dh
+            dh = da_enc[m] @ w_h
+            dh += d_enc[m]
+
+        # proj = embeddings @ w_in.T + b_h: sum the step gradients per input word
+        ids = np.concatenate([stream.ravel(), dec_in.ravel()])
+        one_hot = np.zeros((params.embeddings.shape[0], len(ids)))
+        one_hot[ids, np.arange(len(ids))] = 1.0
+        d_proj = one_hot @ da
+        h0 = enc[0]
+        return ModelParams(
+            embeddings=d_proj @ params.w_in,
+            w_scene=(dh * (1.0 - h0 * h0)).T @ feats,
+            w_in=d_proj.T @ params.embeddings,
+            w_h=(da_enc.reshape(Z * B, H).T @ enc[:-1].reshape(Z * B, H)
+                 + da_dec.reshape(L * R, H).T @ dec[:-1].reshape(L * R, H)),
+            b_h=d_proj.sum(axis=0),
+            w_out=dlog.T @ hs,
+            w_obj=w_obj,
+        )
+
+    return loss, aux, backward
 
 
 def loss_and_grads(
@@ -551,70 +590,8 @@ def loss_and_grads(
     state the guesser reads and padded decoder positions predict nothing,
     so they contribute exactly zero to the loss and the gradients.
     """
-    loss, aux, f = _forward(params, vocab, batch, phase)
-    enc, dec = f.enc, f.dec
-    Z, B, H = enc.shape[0] - 1, enc.shape[1], enc.shape[2]
-    L, R = dec.shape[0] - 1, dec.shape[1]
-    w_h = params.w_h
-
-    # gradient reaching each encoder state from outside the recurrence
-    d_enc = np.zeros_like(enc)
-    w_obj = np.zeros_like(params.w_obj)
-    if f.guesser is not None:
-        objf, g, gp, targets = f.guesser
-        dscores = gp.copy()
-        dscores[np.arange(B), targets] -= 1.0
-        dscores *= 1.0 / B
-        d_enc[f.stream_len, np.arange(B)] = (dscores[:, :, None] * g).sum(axis=1)
-        h = enc[f.stream_len, np.arange(B)]
-        w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
-
-    n_tokens = len(f.targets)
-    dlog = np.exp(f.logp)
-    dlog[np.arange(n_tokens), f.targets] -= 1.0
-    dlog *= 1.0 / max(n_tokens, 1)
-    d_dec = np.zeros((L, R, H))
-    d_dec[f.valid] = dlog @ params.w_out
-
-    # the pre-activation gradient of every step overwrites its pre-activation;
-    # each slot starts out as the tanh derivative 1 - h^2 of its step
-    da = f.pre
-    da_enc = da[:Z * B].reshape(Z, B, H)
-    da_dec = da[Z * B:].reshape(L, R, H)
-    for d, h in ((da_enc, enc[1:]), (da_dec, dec[1:])):
-        np.square(h, out=d)
-        np.subtract(1.0, d, out=d)
-
-    # all decoder rows back to their start states, then the encoder streams
-    dh = np.zeros((R, H))
-    for j in reversed(range(L)):
-        dh += d_dec[j]
-        da_dec[j] *= dh
-        dh = da_dec[j] @ w_h
-    d_enc[f.start, f.owner] += dh
-    dh = d_enc[Z]
-    for m in reversed(range(Z)):
-        da_enc[m] *= dh
-        dh = da_enc[m] @ w_h
-        dh += d_enc[m]
-
-    # proj = embeddings @ w_in.T + b_h: sum the step gradients per input word
-    ids = np.concatenate([f.stream.ravel(), f.dec_in.ravel()])
-    one_hot = np.zeros((params.embeddings.shape[0], len(ids)))
-    one_hot[ids, np.arange(len(ids))] = 1.0
-    d_proj = one_hot @ da
-    h0 = enc[0]
-    grads = ModelParams(
-        embeddings=d_proj @ params.w_in,
-        w_scene=(dh * (1.0 - h0 * h0)).T @ f.feats,
-        w_in=d_proj.T @ params.embeddings,
-        w_h=(da_enc.reshape(Z * B, H).T @ enc[:-1].reshape(Z * B, H)
-             + da_dec.reshape(L * R, H).T @ dec[:-1].reshape(L * R, H)),
-        b_h=d_proj.sum(axis=0),
-        w_out=dlog.T @ f.hs,
-        w_obj=w_obj,
-    )
-    return loss, grads, aux
+    loss, aux, backward = _forward(params, vocab, batch, phase)
+    return loss, backward(), aux
 
 
 # ---------------------------------------------------------------------------
@@ -631,18 +608,9 @@ class EpochLog:
 
 
 @dataclass
-class TrainLog:
-    epochs: list[EpochLog] = field(default_factory=list)
-
-    @property
-    def final_qgen_nll(self) -> float:
-        return self.epochs[-1].qgen_nll if self.epochs else float("nan")
-
-
-@dataclass
 class TrainResult:
     params: ModelParams
-    log: TrainLog
+    log: list[EpochLog]
     best_val_params: ModelParams | None = None
 
 
@@ -712,7 +680,7 @@ def train(
     params = params.copy()
     examples = [encode_example(vocab, d, sc) for d, sc in dataset]
     val_examples = [encode_example(vocab, d, sc) for d, sc in val_dataset or ()]
-    log = TrainLog()
+    log: list[EpochLog] = []
     best_val = math.inf
     best_params: ModelParams | None = None
     for epoch in range(1, cfg.epochs + 1):
@@ -740,7 +708,7 @@ def train(
             if entry.val_nll < best_val:
                 best_val = entry.val_nll
                 best_params = params.copy()
-        log.epochs.append(entry)
+        log.append(entry)
     return TrainResult(params=params, log=log, best_val_params=best_params)
 
 
@@ -798,9 +766,9 @@ def load_checkpoint(path: str | Path) -> Questioner:
             config = ModelConfig(**meta["config"])
             config.validate()
             vocab = Vocabulary(
-                words=list(meta["vocab"]["words"]),
-                counts={k: int(v) for k, v in meta["vocab"]["counts"].items()},
-                min_count=int(meta["vocab"]["min_count"]),
+                words=[checked(w, str) for w in meta["vocab"]["words"]],
+                counts={k: checked(v, int) for k, v in meta["vocab"]["counts"].items()},
+                min_count=checked(meta["vocab"]["min_count"], int),
             )
             for name, shape in param_shapes(config, vocab.n_words).items():
                 a = arrays[name]

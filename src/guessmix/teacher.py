@@ -10,7 +10,6 @@ clean, variable-length games a careful human would play.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,33 +25,27 @@ MAX_HUMAN_TURNS = 20
 DEFAULT_MAX_TURNS = 8
 
 
-class ExhaustedQuestions(Exception):
-    """No unasked question can split the current candidate set."""
-
-
-@dataclass
-class TeacherState:
-    candidates: list[int]
-    asked: set[lang.QuestionSemantics] = field(default_factory=set)
-
-
 def next_teacher_question(
-    scene: Scene, state: TeacherState, rng: np.random.Generator
-) -> tuple[lang.QuestionSemantics, int]:
-    """Pick the most balanced unasked split of the candidate set.
+    scene: Scene,
+    candidates: list[int],
+    asked: set[lang.QuestionSemantics],
+    rng: np.random.Generator,
+) -> tuple[lang.QuestionSemantics, int] | None:
+    """Pick the most balanced split of the `candidates` (object indices) by
+    a question not in `asked`.
 
     Balance is |#yes - #no| over candidates; ties are broken uniformly at
     random. Questions whose answer is already determined (all candidates on
-    one side) carry no information and are skipped; ExhaustedQuestions means
-    no informative unasked question remains.
+    one side) carry no information and are skipped; None means no
+    informative unasked question remains.
     """
-    if len(state.candidates) < 2:
+    if len(candidates) < 2:
         raise ValueError("teacher needs at least two candidates to ask about")
-    objs = [scene.objects[i] for i in state.candidates]
+    objs = [scene.objects[i] for i in candidates]
     best_score = None
     best: list[lang.QuestionSemantics] = []
     for sem in lang.all_semantics():
-        if sem in state.asked:
+        if sem in asked:
             continue
         n_yes = sum(1 for o in objs if oracle.eval_predicate(o, sem))
         if n_yes == 0 or n_yes == len(objs):
@@ -63,7 +56,7 @@ def next_teacher_question(
         elif score == best_score:
             best.append(sem)
     if not best:
-        raise ExhaustedQuestions
+        return None
     sem = best[int(rng.integers(len(best)))]
     template_id = int(rng.integers(len(lang.TEMPLATES[sem.kind])))
     return sem, template_id
@@ -76,29 +69,30 @@ def play_teacher_game(
     rng: np.random.Generator,
 ) -> Dialogue:
     """Play one full game; the dialogue is returned unfiltered."""
-    state = TeacherState(candidates=list(range(len(scene.objects))))
+    candidates = list(range(len(scene.objects)))
+    asked: set[lang.QuestionSemantics] = set()
     turns: list[Turn] = []
-    while len(state.candidates) > 1 and len(turns) < max_turns:
-        try:
-            sem, template_id = next_teacher_question(scene, state, rng)
-        except ExhaustedQuestions:
+    while len(candidates) > 1 and len(turns) < max_turns:
+        picked = next_teacher_question(scene, candidates, asked, rng)
+        if picked is None:
             break
+        sem, template_id = picked
         question = tuple(lang.realize(sem, template_id))
         ans = oracle.answer(scene, question, oracle_cfg, rng)
         turns.append(Turn(question=question, answer=ans))
-        state.asked.add(sem)
+        asked.add(sem)
         keep = [
-            i for i in state.candidates
+            i for i in candidates
             if oracle.eval_predicate(scene.objects[i], sem) == (ans == YES)
         ]
         # a noisy answer can contradict every candidate; ignore it rather
         # than ending up with nothing to guess
         if keep:
-            state.candidates = keep
-    if len(state.candidates) == 1:
-        guess = state.candidates[0]
+            candidates = keep
+    if len(candidates) == 1:
+        guess = candidates[0]
     else:
-        guess = state.candidates[int(rng.integers(len(state.candidates)))]
+        guess = candidates[int(rng.integers(len(candidates)))]
     return Dialogue(
         game_id=scene.scene_id,
         scene_id=scene.scene_id,

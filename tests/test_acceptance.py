@@ -90,7 +90,7 @@ def test_criterion_4_overfit_single_dialogue():
                             modulo_n=10**6, epochs=500, batch_size=1)
     params = model.init_params(cfg, vocab, seed=0)
     result = model.train(params, vocab, [(d, sc)], cfg, seed=0)
-    nll = result.log.final_qgen_nll
+    nll = result.log[-1].qgen_nll
     assert nll < 0.05
     decoded = model.decode_question(
         result.params, vocab, model.initial_state(result.params, sc),

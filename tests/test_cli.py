@@ -668,6 +668,21 @@ class TestDerivedInputs:
         assert "model.epochs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_validation_set_is_refused_before_any_write(self, mixed_chain, tmp_path,
+                                                              capsys):
+        # an empty validation set has no best epoch, so the promised
+        # <stem>_best_val.ckpt cannot be written; nothing else is written either
+        d, out, vocab = mixed_chain, tmp_path / "m.ckpt", tmp_path / "vocab.jsonl"
+        empty = tmp_path / "val.jsonl"
+        empty.write_text("")
+        assert cli.main(["train", "--dialogues", str(d / "human.jsonl"),
+                         "--scenes", str(d / "scenes.jsonl"), *TINY_MODEL_FLAGS,
+                         "--val-dialogues", str(empty), "--val-scenes", str(d / "scenes.jsonl"),
+                         "--vocab-out", str(vocab), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert "validation set is empty" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "m_best_val.ckpt").exists()
+        assert not vocab.exists()
+
     @pytest.mark.parametrize("flag, corpus", [("--val-scenes", "scenes.jsonl"),
                                               ("--val-dialogues", "human.jsonl")])
     def test_validation_flags_go_together(self, mixed_chain, tmp_path, capsys, flag, corpus):
@@ -1054,6 +1069,22 @@ class TestRunExperiment:
                          "--out", str(tmp_path / "model_100.ckpt")]) == 0
         for name in ("model_100.ckpt", "model_100_best_val.ckpt"):
             assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("checkpoint", ["best_val", "last"])
+    def test_empty_validation_corpus_fails_base_train(self, tmp_path, capsys, checkpoint):
+        # the teacher drops the one validation game of this replicate, so no
+        # best-val model exists to save or to play with
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--experiment.output_dir", str(out), "--experiment.seed", "11",
+                       "--experiment.n_train_scenes", "30", "--experiment.n_test_scenes", "5",
+                       "--experiment.n_val_scenes", "1", "--selfplay.checkpoint", checkpoint,
+                       *TINY_MODEL_FLAGS])
+        assert rc == cli.EXIT_RUNTIME
+        assert (out / "seed_0" / "val.jsonl").read_text() == ""
+        err = capsys.readouterr().err
+        assert "stage 'base-train' failed for replicate 0" in err
+        assert "validation set is empty" in err
+        assert not (out / "seed_0" / "model_100.ckpt").exists()
 
     def test_unwritable_output_dir_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "outdir"

@@ -158,6 +158,11 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             lang.Vocabulary(words=["just", "words"], counts={}, min_count=1)
 
+    def test_repeated_word_rejected(self):
+        with pytest.raises(ValueError, match="more than once"):
+            lang.Vocabulary(words=[*lang.SPECIAL_TOKENS, "red", "red"], counts={"red": 6},
+                            min_count=1)
+
     def test_bad_min_count_rejected(self):
         with pytest.raises(ValueError):
             lang.build_vocabulary([], min_count=0)

@@ -561,6 +561,16 @@ class TestEncodedExamples:
         assert (model.validation_nll(params, vocab, encoded, batch_size=4)
                 == model.validation_nll(params, vocab, pairs, batch_size=4))
 
+    def test_validation_nll_is_the_qgen_loss_of_one_batch(self):
+        # both readers of `_forward` agree on a set that fits in one batch
+        vocab = tiny_vocab()
+        params = model.init_params(model.ModelConfig(embed_dim=6, hidden_dim=8), vocab, seed=4)
+        pairs = _varied_pairs(11, seed=5)
+        for batch in (pairs, [model.encode_example(vocab, d, sc) for d, sc in pairs]):
+            _, _, aux = model.loss_and_grads(params, vocab, batch, model.PHASE_QGEN)
+            assert model.validation_nll(params, vocab, batch) == pytest.approx(
+                aux["qgen_nll"], rel=0, abs=1e-12)
+
 
 class TestQuestionerTables:
     def _questioner(self, world):
@@ -633,7 +643,7 @@ class TestTrain:
         cfg = model.ModelConfig(embed_dim=8, hidden_dim=12, epochs=6, batch_size=4, modulo_n=3)
         params = model.init_params(cfg, vocab, seed=0)
         result = model.train(params, vocab, dataset, cfg, seed=0)
-        phases = [e.phase for e in result.log.epochs]
+        phases = [e.phase for e in result.log]
         assert phases == [model.PHASE_QGEN, model.PHASE_QGEN, model.PHASE_JOINT] * 2
 
     def test_bit_determinism(self, world):
@@ -644,7 +654,7 @@ class TestTrain:
         r2 = model.train(params, vocab, dataset, cfg, seed=9)
         for name in model.PARAM_FIELDS:
             assert np.array_equal(getattr(r1.params, name), getattr(r2.params, name))
-        assert [e.qgen_nll for e in r1.log.epochs] == [e.qgen_nll for e in r2.log.epochs]
+        assert [e.qgen_nll for e in r1.log] == [e.qgen_nll for e in r2.log]
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_aborts_with_log(self, world):
@@ -662,7 +672,7 @@ class TestTrain:
         params = model.init_params(cfg, vocab, seed=0)
         result = model.train(params, vocab, dataset, cfg, seed=0, val_dataset=dataset[:3])
         assert result.best_val_params is not None
-        assert all(e.val_nll is not None for e in result.log.epochs)
+        assert all(e.val_nll is not None for e in result.log)
 
 
 class TestCheckpoint:
@@ -695,6 +705,33 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             np.savez(f, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(ValueError):
+            model.load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("damage", [
+        # a repeated word: n_words counts it twice, and the arrays are sized to match
+        lambda meta, arrays: (meta["vocab"]["words"].append(meta["vocab"]["words"][-1]),
+                              arrays.update({k: np.vstack([arrays[k], arrays[k][-1:]])
+                                             for k in ("embeddings", "w_out")})),
+        lambda meta, arrays: meta["vocab"]["counts"].update(
+            {next(iter(meta["vocab"]["counts"])): 2.9}),
+        lambda meta, arrays: meta["vocab"].update(min_count=1.5),
+    ], ids=("repeated_word", "fractional_count", "fractional_min_count"))
+    def test_rejects_a_vocabulary_save_checkpoint_never_writes(self, world, tmp_path, damage):
+        import json
+
+        _, _, vocab, _ = world
+        cfg = model.ModelConfig(embed_dim=4, hidden_dim=6)
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, model.Questioner(model.init_params(cfg, vocab, seed=0),
+                                                     vocab, cfg))
+        with np.load(path, allow_pickle=False) as z:
+            meta = json.loads(z["meta"].item())
+            arrays = {k: z[k] for k in z.files if k != "meta"}
+        damage(meta, arrays)
+        with open(path, "wb") as f:
+            np.savez(f, meta=np.array(json.dumps(meta)), **arrays)
+        with pytest.raises(ValueError, match="malformed checkpoint"):
             model.load_checkpoint(path)
 
 

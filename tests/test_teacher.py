@@ -23,15 +23,16 @@ class TestNextQuestion:
             ("cat", "blue", "small", 0, 1),
             ("cat", "blue", "small", 1, 1),
         ])
-        state = teacher.TeacherState(candidates=[0, 1, 2, 3])
+        candidates = [0, 1, 2, 3]
         for seed in range(20):
-            sem, _ = teacher.next_teacher_question(scene, state, np.random.default_rng(seed))
+            sem, _ = teacher.next_teacher_question(scene, candidates, set(),
+                                                   np.random.default_rng(seed))
             n_yes = sum(
-                oracle.eval_predicate(scene.objects[i], sem) for i in state.candidates
+                oracle.eval_predicate(scene.objects[i], sem) for i in candidates
             )
             assert abs(2 * n_yes - 4) == 0  # perfectly balanced
         assert any(
-            teacher.next_teacher_question(scene, state, np.random.default_rng(s))[0]
+            teacher.next_teacher_question(scene, candidates, set(), np.random.default_rng(s))[0]
             in (lang.QuestionSemantics("color", "red"), lang.QuestionSemantics("color", "blue"))
             for s in range(20)
         )
@@ -43,9 +44,9 @@ class TestNextQuestion:
             ("cat", "blue", "small", 1, 0),
             ("cat", "red", "large", 0, 1),
         ])
-        state = teacher.TeacherState(candidates=[0, 1, 2])
         for seed in range(50):
-            sem, _ = teacher.next_teacher_question(scene, state, np.random.default_rng(seed))
+            sem, _ = teacher.next_teacher_question(scene, [0, 1, 2], set(),
+                                                   np.random.default_rng(seed))
             assert sem.kind != lang.KIND_CATEGORY
 
     def test_exhausted_when_candidates_indistinguishable(self):
@@ -55,9 +56,7 @@ class TestNextQuestion:
             ("cat", "red", "small", 1, 1),
             ("dog", "blue", "large", 4, 4),
         ])
-        state = teacher.TeacherState(candidates=[0, 1])
-        with pytest.raises(teacher.ExhaustedQuestions):
-            teacher.next_teacher_question(scene, state, np.random.default_rng(0))
+        assert teacher.next_teacher_question(scene, [0, 1], set(), np.random.default_rng(0)) is None
 
     def test_needs_two_candidates(self):
         scene = build_scene([
@@ -66,9 +65,7 @@ class TestNextQuestion:
             ("cup", "green", "medium", 2, 2),
         ])
         with pytest.raises(ValueError):
-            teacher.next_teacher_question(
-                scene, teacher.TeacherState(candidates=[1]), np.random.default_rng(0)
-            )
+            teacher.next_teacher_question(scene, [1], set(), np.random.default_rng(0))
 
     def test_binary_attributes_solved_in_log_turns(self):
         # 8 objects spanning 2 categories x 2 colors x 2 sizes

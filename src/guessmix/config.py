@@ -1,8 +1,9 @@
 """Experiment configuration: a flat key-value text format with defaults.
 
-Files hold `section.key = value` lines; `#` starts a comment. Every key has
-a default, unknown keys are rejected, and the same dotted keys double as
-command line overrides (`--model.epochs 5`).
+Files hold `section.key = value` lines; `#` starts a comment anywhere on a
+line, so a value in a file cannot hold `#`. Every key has a default,
+unknown keys are rejected, and the same dotted keys double as command line
+overrides (`--model.epochs 5`).
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")

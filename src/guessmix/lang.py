@@ -169,15 +169,20 @@ def build_vocabulary(corpus: list[Dialogue], min_count: int = 3) -> Vocabulary:
     Answers are encoded by the yes/no special tokens and do not contribute to
     the learnable word counts.
     """
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
     counter: Counter[str] = Counter()
     for d in corpus:
         for turn in d.turns:
             counter.update(turn.question)
+    return vocabulary_of_counts(counter, min_count)
+
+
+def vocabulary_of_counts(counts: dict[str, int], min_count: int) -> Vocabulary:
+    """The vocabulary of the non-special words counted at least `min_count` times."""
+    if min_count < 1:
+        raise ValueError(f"min_count must be >= 1, got {min_count}")
     kept = {
         w: c
-        for w, c in counter.items()
+        for w, c in counts.items()
         if c >= min_count and w not in SPECIAL_TOKENS
     }
     ordered = sorted(kept, key=lambda w: (-kept[w], w))

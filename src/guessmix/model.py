@@ -30,6 +30,23 @@ its loops hold one matmul per step, and the weight gradients are formed
 after them from the stacked step gradients. tests/model_reference.py
 checks it against central finite differences entry by entry.
 
+A training step keeps three arrays from the forward pass almost to its
+end: the pre-activations of every step, which the backward pass overwrites
+with their gradients, and the encoder and decoder states. Every other large
+array is freed after its last reader, in this order. The forward pass adds
+the decoder outputs at the predicted positions and their log-softmax, which
+is computed over the fresh logits with one temporary, and in the joint
+phase the guesser's object features and embeddings. The backward pass
+frees the guesser's arrays once it holds their gradient at each stream's
+end; turns the log-softmax into its gradient in place and frees the decoder
+outputs after the W_out gradient; frees the log-softmax gradient once it
+has become the decoder-state gradients, and those after the decoder loop;
+only then makes the encoder-state gradients, freed after the encoder loop;
+and frees the states after the W_h and scene-projection gradients, before
+the one-hot product that sums the step gradients per input word. The
+traced peak of a 32-dialogue step is about 1.5 times the bytes of the three
+arrays (1.8 in the joint phase, where it falls in the guesser's forward).
+
 Play comes in two forms. `encode_turn` and `decode_question` advance one
 game: they gather rows of the input projection W_in e(x) + b of the whole
 vocabulary, so a step is a row gather, one matvec and one tanh. The decoder
@@ -50,7 +67,7 @@ import ctypes
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +75,7 @@ import numpy as np
 from . import corpus
 from .dialogue import Dialogue
 from .jsonl import checked
-from .lang import Vocabulary
+from .lang import Vocabulary, vocabulary_of_counts
 from .scene import CATEGORIES, COLORS, GRID_SIZE, SIZES, Scene, SceneObject
 from .seeding import derive_seed
 
@@ -194,8 +211,12 @@ def scene_features(scene: Scene) -> np.ndarray:
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """The log-softmax of `x` over its last axis, written over `x`."""
     m = x.max(axis=-1, keepdims=True)
-    return x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+    e = np.subtract(x, m)
+    np.exp(e, out=e)
+    x -= m + np.log(e.sum(axis=-1, keepdims=True))
+    return x
 
 
 def initial_state(params: ModelParams, scene: Scene) -> np.ndarray:
@@ -422,7 +443,8 @@ def _forward(
 ) -> tuple[float, dict, Callable[[], ModelParams]]:
     """The forward half of `loss_and_grads`: (loss, aux, backward), where
     `backward()` returns the gradients of `loss`. It reads this pass's
-    states and overwrites their pre-activations, so it runs at most once.
+    states, overwrites their pre-activations and frees each array after its
+    last reader, so it runs at most once.
 
     State arrays are time-major: `enc[m]` holds the (B, H) encoder states
     after m stream tokens, `enc[0]` the initial states; `dec[j]` holds the
@@ -510,33 +532,38 @@ def _forward(
     aux = {"qgen_nll": qgen_loss, "guesser_ce": guesser_loss, "n_tokens": n_tokens}
 
     def backward() -> ModelParams:
+        # the closure holds the only references, so a `del` frees the array
+        nonlocal enc, dec, hs, logp, g, objf
         w_h = params.w_h
+        grads = {"w_obj": np.zeros_like(params.w_obj)}
 
-        # gradient reaching each encoder state from outside the recurrence
-        d_enc = np.zeros_like(enc)
-        w_obj = np.zeros_like(params.w_obj)
+        # the guesser's gradient reaching the state at each stream's end
         if phase == PHASE_JOINT:
             dscores = np.exp(glogp)
             dscores[np.arange(B), g_targets] -= 1.0
             dscores *= 1.0 / B
-            d_enc[stream_len, np.arange(B)] = (dscores[:, :, None] * g).sum(axis=1)
+            d_end = (dscores[:, :, None] * g).sum(axis=1)
             h = enc[stream_len, np.arange(B)]
-            w_obj += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
+            grads["w_obj"] += h.T @ (dscores[:, :, None] * objf).sum(axis=1)
+            del g, objf
 
-        dlog = np.exp(logp)
+        dlog = np.exp(logp, out=logp)
         dlog[np.arange(n_tokens), targets] -= 1.0
         dlog *= 1.0 / max(n_tokens, 1)
+        grads["w_out"] = dlog.T @ hs
+        del hs
         d_dec = np.zeros((L, R, H))
         d_dec[valid] = dlog @ params.w_out
+        del dlog, logp
 
         # the pre-activation gradient of every step overwrites its pre-activation;
         # each slot starts out as the tanh derivative 1 - h^2 of its step
         da = pre
         da_enc = da[:Z * B].reshape(Z, B, H)
         da_dec = da[Z * B:].reshape(L, R, H)
-        for d, h in ((da_enc, enc[1:]), (da_dec, dec[1:])):
-            np.square(h, out=d)
-            np.subtract(1.0, d, out=d)
+        np.square(enc[1:], out=da_enc)
+        np.square(dec[1:], out=da_dec)
+        np.subtract(1.0, da, out=da)
 
         # all decoder rows back to their start states, then the encoder streams
         dh = np.zeros((R, H))
@@ -544,29 +571,34 @@ def _forward(
             dh += d_dec[j]
             da_dec[j] *= dh
             dh = da_dec[j] @ w_h
+        del d_dec
+        # gradient reaching each encoder state from outside the recurrence
+        d_enc = np.zeros_like(enc)
+        if phase == PHASE_JOINT:
+            d_enc[stream_len, np.arange(B)] = d_end
         d_enc[start, owner] += dh
         dh = d_enc[Z]
         for m in reversed(range(Z)):
             da_enc[m] *= dh
             dh = da_enc[m] @ w_h
             dh += d_enc[m]
+        del d_enc
+
+        h0 = enc[0]
+        grads["w_scene"] = (dh * (1.0 - h0 * h0)).T @ feats
+        grads["w_h"] = (da_enc.reshape(Z * B, H).T @ enc[:-1].reshape(Z * B, H)
+                        + da_dec.reshape(L * R, H).T @ dec[:-1].reshape(L * R, H))
+        del h0, enc, dec
 
         # proj = embeddings @ w_in.T + b_h: sum the step gradients per input word
         ids = np.concatenate([stream.ravel(), dec_in.ravel()])
         one_hot = np.zeros((params.embeddings.shape[0], len(ids)))
         one_hot[ids, np.arange(len(ids))] = 1.0
         d_proj = one_hot @ da
-        h0 = enc[0]
-        return ModelParams(
-            embeddings=d_proj @ params.w_in,
-            w_scene=(dh * (1.0 - h0 * h0)).T @ feats,
-            w_in=d_proj.T @ params.embeddings,
-            w_h=(da_enc.reshape(Z * B, H).T @ enc[:-1].reshape(Z * B, H)
-                 + da_dec.reshape(L * R, H).T @ dec[:-1].reshape(L * R, H)),
-            b_h=d_proj.sum(axis=0),
-            w_out=dlog.T @ hs,
-            w_obj=w_obj,
-        )
+        grads["embeddings"] = d_proj @ params.w_in
+        grads["w_in"] = d_proj.T @ params.embeddings
+        grads["b_h"] = d_proj.sum(axis=0)
+        return ModelParams(**grads)
 
     return loss, aux, backward
 
@@ -754,8 +786,9 @@ def save_checkpoint(path: str | Path, questioner: Questioner) -> None:
 def load_checkpoint(path: str | Path) -> Questioner:
     """The Questioner saved at `path`. The file comes from outside the
     program, so anything in it that `save_checkpoint` would not write (an
-    unknown format or setting, a missing or misshapen array) is a ValueError
-    naming it."""
+    unknown format, an unknown or missing setting, a missing or misshapen
+    array, a vocabulary other than the one `build_vocabulary` makes from its
+    counts and min_count) is a ValueError naming it."""
     with open(path, "rb") as f:
         try:
             with np.load(f, allow_pickle=False) as z:
@@ -763,13 +796,16 @@ def load_checkpoint(path: str | Path) -> Questioner:
                 if meta["format"] != CHECKPOINT_VERSION:
                     raise ValueError(f"unsupported checkpoint format {meta['format']!r}")
                 arrays = {name: z[name].copy() for name in PARAM_FIELDS}
+            if set(meta["config"]) != {fd.name for fd in fields(ModelConfig)}:
+                raise ValueError(f"config keys {sorted(meta['config'])} are not ModelConfig's")
             config = ModelConfig(**meta["config"])
             config.validate()
-            vocab = Vocabulary(
-                words=[checked(w, str) for w in meta["vocab"]["words"]],
-                counts={k: checked(v, int) for k, v in meta["vocab"]["counts"].items()},
-                min_count=checked(meta["vocab"]["min_count"], int),
-            )
+            words = [checked(w, str) for w in meta["vocab"]["words"]]
+            counts = {k: checked(v, int) for k, v in meta["vocab"]["counts"].items()}
+            vocab = vocabulary_of_counts(counts, checked(meta["vocab"]["min_count"], int))
+            if vocab.words != words or vocab.counts != counts:
+                raise ValueError("vocabulary is not the one build_vocabulary makes "
+                                 "from its counts and min_count")
             for name, shape in param_shapes(config, vocab.n_words).items():
                 a = arrays[name]
                 if a.dtype != np.float64 or a.shape != shape:

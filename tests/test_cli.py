@@ -63,6 +63,17 @@ class TestConfig:
         assert cfg["scene.min_objects"] == 4
         assert cfg["model.batch_size"] == 16
 
+    def test_comment_after_a_value(self, tmp_path):
+        # a comment after a value is not part of it, for a string or an int key
+        path = tmp_path / "exp.cfg"
+        path.write_text("experiment.output_dir = runs/a  # note\nmodel.epochs = 5 # five\n")
+        cfg = load_config(path)
+        assert cfg["experiment.output_dir"] == "runs/a"
+        assert cfg["model.epochs"] == 5
+        # a flag's value is not a file line: it keeps its "#"
+        assert load_config(path, {"experiment.output_dir": "runs/#1"})[
+            "experiment.output_dir"] == "runs/#1"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("model.hugeness = 9\n")

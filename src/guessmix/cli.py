@@ -37,7 +37,7 @@ from . import lang, metrics, model, parallel, selfplay, teacher
 from .config import SCHEMA, ConfigError, ExperimentConfig, load_config
 from .corpus import LENGTH_FIXED, LENGTH_NONE, LENGTH_VARIABLE, MixSpec
 from .dialogue import GameAlignmentError, read_dialogues, write_dialogues
-from .jsonl import checked, read_jsonl, write_jsonl
+from .jsonl import read_jsonl, write_jsonl
 from .oracle import OracleConfig
 from .scene import generate_scene_set, read_scenes, write_scenes
 from .seeding import derive_seed
@@ -383,13 +383,6 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 # subcommands: each gets its parsed arguments and the settings built from them
 
 
-def _report_row_from_record(rec: dict) -> metrics.ReportRow:
-    return metrics.ReportRow(**{
-        key: checked(value, str) if key == "length_mode" else checked(value, int, float)
-        for key, value in rec.items()
-    })
-
-
 def _cmd_gen_scenes(args, cfg: ExperimentConfig) -> None:
     [scenes] = stage_scenes([(args.out, args.n)], cfg, args.seed)
     print(f"wrote {len(scenes)} scenes to {args.out}")
@@ -441,7 +434,7 @@ def _cmd_mix(args, cfg: ExperimentConfig) -> None:
 def _cmd_stats(args, cfg: ExperimentConfig) -> None:
     dialogues = read_dialogues(args.corpus)
     stats = stage_stats(dialogues, cfg, corpus_mod.mix_of(args.corpus))
-    print(corpus_mod.format_stats_row(stats))
+    print(metrics.format_row(stats))
 
 
 def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
@@ -457,7 +450,7 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
 
 def _cmd_report(args, cfg: ExperimentConfig) -> None:
     rows = [row for path in args.rows
-            for row in read_jsonl(path, _report_row_from_record, "report row")]
+            for row in read_jsonl(path, metrics.checked_report_row, "report row")]
     out_csv = Path(args.out_csv)
     ablation_csv = out_csv.with_name(f"{out_csv.stem}_ablation.csv")
     n_ablation = stage_report(rows, cfg, out_csv, ablation_csv, args.out_md)
@@ -532,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--human", required=True)
     p.add_argument("--generated", required=True)
     p.add_argument("--pct-human", type=int, required=True)
-    p.add_argument("--length", choices=(LENGTH_FIXED, LENGTH_VARIABLE, LENGTH_NONE),
-                   default=LENGTH_FIXED)
+    p.add_argument("--length", choices=corpus_mod.LENGTH_MODES, default=LENGTH_FIXED)
     p.add_argument("--out", required=True)
 
     p = command("stats", _cmd_stats, "print the statistics row of a corpus",

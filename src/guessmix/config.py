@@ -1,9 +1,10 @@
 """Experiment configuration: a flat key-value text format with defaults.
 
 Files hold `section.key = value` lines; `#` starts a comment anywhere on a
-line, so a value in a file cannot hold `#`. Every key has a default,
-unknown keys are rejected, and the same dotted keys double as command line
-overrides (`--model.epochs 5`).
+line. No text value, from a file or a flag, holds `#`, a line break or
+surrounding whitespace, so the echo of a configuration reads back as it.
+Every key has a default, unknown keys are rejected, and the same dotted
+keys double as command line overrides (`--model.epochs 5`).
 """
 
 from __future__ import annotations
@@ -90,10 +91,13 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 0")
         if self["selfplay.checkpoint"] not in CHECKPOINT_CHOICES:
             raise ConfigError(f"selfplay.checkpoint must be one of {CHECKPOINT_CHOICES}")
-        if self["selfplay.checkpoint"] == "best_val" and (
-                self["experiment.n_val_scenes"] < 1 or self["model.epochs"] < 1):
-            raise ConfigError("selfplay.checkpoint=best_val needs experiment.n_val_scenes >= 1 "
-                              "and model.epochs >= 1")
+        if self["experiment.n_val_scenes"] >= 1 and self["model.epochs"] < 1:
+            raise ConfigError("experiment.n_val_scenes >= 1 needs model.epochs >= 1")
+        if self["selfplay.checkpoint"] == "best_val" and self["experiment.n_val_scenes"] < 1:
+            raise ConfigError("selfplay.checkpoint=best_val needs experiment.n_val_scenes >= 1")
+        for key, text in ((k, self[k]) for k, (parser, _, _) in SCHEMA.items() if parser is str):
+            if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+                raise ConfigError(f"{key} = {text!r}: no '#', line break or outer whitespace")
         self.mix_specs()
 
     def _section_config(self, cls):

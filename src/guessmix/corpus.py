@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 LENGTH_FIXED = "fixed"
 LENGTH_VARIABLE = "variable"
 LENGTH_NONE = "-"
+LENGTH_MODES = (LENGTH_FIXED, LENGTH_VARIABLE, LENGTH_NONE)
 MANIFEST_SUFFIX = ".manifest.json"
 
 
@@ -44,9 +45,8 @@ class MixSpec:
             raise ValueError(f"pct_human must be in [0, 100], got {self.pct_human}")
         if self.pct_human == 100:  # nothing is mixed in, so no length mode applies
             object.__setattr__(self, "length_mode", LENGTH_NONE)
-        valid = (LENGTH_FIXED, LENGTH_VARIABLE, LENGTH_NONE)
-        if self.length_mode not in valid:
-            raise ValueError(f"length_mode must be one of {valid}, got {self.length_mode!r}")
+        if self.length_mode not in LENGTH_MODES:
+            raise ValueError(f"length_mode must be one of {LENGTH_MODES}, got {self.length_mode!r}")
         if self.pct_human < 100 and self.length_mode == LENGTH_NONE:
             raise ValueError("a length mode is required when generated dialogues are mixed in")
 
@@ -79,12 +79,12 @@ def mix_of(corpus_path) -> MixSpec | None:
 
 @dataclass
 class StatsRow:
-    pct_human: float
-    pct_generated: float
-    length_mode: str
-    voc_size: int
-    mo: float
-    grq: float
+    pct_human: float = metrics.column("g")
+    pct_generated: float = metrics.column("g")
+    length_mode: str = metrics.column("")
+    voc_size: int = metrics.column("d")
+    mo: float = metrics.column(".4f")
+    grq: float = metrics.column(".2f")
 
 
 def check_unique_games(corpus: list[Dialogue], name: str) -> None:
@@ -206,18 +206,5 @@ def corpus_stats(corpus: list[Dialogue], min_count: int = 3, length_mode: str = 
     )
 
 
-STATS_HEADER = "pct_human,pct_generated,length_mode,voc_size,mo,grq"
-
-
-def format_stats_row(row: StatsRow) -> str:
-    return (
-        f"{row.pct_human:g},{row.pct_generated:g},{row.length_mode},"
-        f"{row.voc_size},{row.mo:.4f},{row.grq:.2f}"
-    )
-
-
 def write_stats_csv(path, rows: list[StatsRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(STATS_HEADER + "\n")
-        for row in rows:
-            f.write(format_stats_row(row) + "\n")
+    metrics.write_rows_csv(path, StatsRow, rows)

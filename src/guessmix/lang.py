@@ -114,25 +114,24 @@ def parse_question(tokens: list[str] | tuple[str, ...]) -> QuestionSemantics | N
 
 @dataclass
 class Vocabulary:
-    """Word list with dense ids; the five special tokens always occupy ids 0..4.
-
-    `words` lists specials first, then learnable words ordered by descending
-    corpus count (ties broken lexicographically). `counts` holds the corpus
-    frequency of every non-special word that met the threshold.
+    """The vocabulary of word `counts` at threshold `min_count`: `words`
+    lists the special tokens (ids 0..4), then every non-special word counted
+    at least `min_count` times by descending count, ties broken
+    lexicographically; a word's id is its index. `counts` keeps only theirs.
     """
 
-    words: list[str]
     counts: dict[str, int]
     min_count: int
+    words: list[str] = field(init=False)
     _ids: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.min_count < 1:
+            raise ValueError(f"min_count must be >= 1, got {self.min_count}")
+        self.counts = {w: c for w, c in self.counts.items()
+                       if c >= self.min_count and w not in SPECIAL_TOKENS}
+        self.words = [*SPECIAL_TOKENS, *sorted(self.counts, key=lambda w: (-self.counts[w], w))]
         self._ids = {w: i for i, w in enumerate(self.words)}
-        if len(self._ids) != len(self.words):
-            raise ValueError("vocabulary lists a word more than once")
-        for sp in SPECIAL_TOKENS:
-            if sp not in self._ids:
-                raise ValueError(f"special token {sp!r} missing from vocabulary")
 
     @property
     def n_words(self) -> int:
@@ -141,7 +140,7 @@ class Vocabulary:
 
     @property
     def learnable_words(self) -> list[str]:
-        return [w for w in self.words if w not in SPECIAL_TOKENS]
+        return self.words[len(SPECIAL_TOKENS):]
 
     @property
     def voc_size(self) -> int:
@@ -173,20 +172,7 @@ def build_vocabulary(corpus: list[Dialogue], min_count: int = 3) -> Vocabulary:
     for d in corpus:
         for turn in d.turns:
             counter.update(turn.question)
-    return vocabulary_of_counts(counter, min_count)
-
-
-def vocabulary_of_counts(counts: dict[str, int], min_count: int) -> Vocabulary:
-    """The vocabulary of the non-special words counted at least `min_count` times."""
-    if min_count < 1:
-        raise ValueError(f"min_count must be >= 1, got {min_count}")
-    kept = {
-        w: c
-        for w, c in counts.items()
-        if c >= min_count and w not in SPECIAL_TOKENS
-    }
-    ordered = sorted(kept, key=lambda w: (-kept[w], w))
-    return Vocabulary(words=list(SPECIAL_TOKENS) + ordered, counts=kept, min_count=min_count)
+    return Vocabulary(counter, min_count)
 
 
 def write_vocabulary(path: str | Path, vocab: Vocabulary) -> None:

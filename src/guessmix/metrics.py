@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .dialogue import Dialogue
+from .jsonl import checked
 from .lang import Vocabulary
 
 Tokens = tuple[str, ...]
@@ -189,16 +190,22 @@ def accuracy(games) -> float:
     return 100.0 * sum(1 for g in games if g.success) / len(games)
 
 
+def column(csv: str, label: str | None = None, md: str | None = None):
+    """A result row's field, with the format spec of its CSV cell and, for a
+    row that also has a markdown table, its header `label` and cell spec `md`."""
+    return field(metadata={"csv": csv, "label": label, "md": md})
+
+
 @dataclass
 class ReportRow:
-    pct_human: float
-    pct_generated: float
-    length_mode: str
-    acc: float
-    grq: float
-    mo: float
-    nq: float
-    gr: float
+    pct_human: float = column("g", "% human", "g")
+    pct_generated: float = column("g", "% generated", "g")
+    length_mode: str = column("", "length", "")
+    acc: float = column(".2f", "ACC ↑", ".1f")
+    grq: float = column(".2f", "GRQ ↓", ".1f")
+    mo: float = column(".4f", "MO ↓", ".2f")
+    nq: float = column(".2f", "NQ ↑", ".2f")
+    gr: float = column(".2f", "GR ↑", ".1f")
 
 
 def evaluate(
@@ -232,35 +239,58 @@ def evaluate(
     )
 
 
-REPORT_HEADER = "pct_human,pct_generated,length_mode,acc,grq,mo,nq,gr"
+def format_row(row) -> str:
+    """The CSV line of a result row: each field in its column's format."""
+    return ",".join(format(getattr(row, f.name), f.metadata["csv"]) for f in fields(row))
 
 
-def format_report_row(row: ReportRow) -> str:
-    return (
-        f"{row.pct_human:g},{row.pct_generated:g},{row.length_mode},"
-        f"{row.acc:.2f},{row.grq:.2f},{row.mo:.4f},{row.nq:.2f},{row.gr:.2f}"
-    )
+format_report_row = format_row
+
+
+def write_rows_csv(path: str | Path, cls, rows) -> None:
+    """A CSV table of result rows of dataclass `cls`: a header of its field
+    names, then one `format_row` line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(fd.name for fd in fields(cls)) + "\n")
+        for row in rows:
+            f.write(format_row(row) + "\n")
 
 
 def write_report_csv(path: str | Path, rows: list[ReportRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(REPORT_HEADER + "\n")
-        for row in rows:
-            f.write(format_report_row(row) + "\n")
+    write_rows_csv(path, ReportRow, rows)
+
+
+def row_from_record(cls, rec: dict):
+    """The result row of dataclass `cls` held by a decoded record: exactly
+    its fields, a string in each text field and a number in every other."""
+    if set(rec) != {f.name for f in fields(cls)}:
+        raise ValueError(f"keys {sorted(rec)} are not the fields of {cls.__name__}")
+    return cls(**{f.name: checked(rec[f.name], str) if f.type in (str, "str")
+                  else checked(rec[f.name], int, float) for f in fields(cls)})
+
+
+def checked_report_row(rec: dict) -> ReportRow:
+    """The report row a decoded record holds, if `evaluate` could have made
+    it: shares p and 100 - p for a p in [0, 100], a known length mode, ACC,
+    GRQ and GR in [0, 100], MO in [0, 1] and NQ >= 0; else a ValueError."""
+    from .corpus import LENGTH_MODES  # deferred: corpus imports metrics
+
+    row = row_from_record(ReportRow, rec)
+    for name, top in dict(pct_human=100, acc=100, grq=100, gr=100, mo=1, nq=math.inf).items():
+        if not 0 <= getattr(row, name) <= top:
+            raise ValueError(f"{name} {getattr(row, name)} is outside [0, {top}]")
+    if row.pct_generated != 100 - row.pct_human or row.length_mode not in LENGTH_MODES:
+        raise ValueError(f"{row.pct_human}/{row.pct_generated}/{row.length_mode} is no mix label")
+    return row
 
 
 def report_markdown(rows: list[ReportRow], title: str) -> str:
     """Aligned table with direction markers: higher ACC/NQ/GR and lower
     GRQ/MO are better."""
-    header = ["% human", "% generated", "length",
-              "ACC ↑", "GRQ ↓", "MO ↓", "NQ ↑", "GR ↑"]
+    header = [f.metadata["label"] for f in fields(ReportRow)]
     lines = [f"## {title}", ""]
     cells = [header, ["---"] * len(header)]
-    for r in rows:
-        cells.append([
-            f"{r.pct_human:g}", f"{r.pct_generated:g}", r.length_mode,
-            f"{r.acc:.1f}", f"{r.grq:.1f}", f"{r.mo:.2f}", f"{r.nq:.2f}", f"{r.gr:.1f}",
-        ])
+    cells += [[format(getattr(r, f.name), f.metadata["md"]) for f in fields(r)] for r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     for row in cells:
         lines.append("| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |")

@@ -75,7 +75,7 @@ import numpy as np
 from . import corpus
 from .dialogue import Dialogue
 from .jsonl import checked
-from .lang import Vocabulary, vocabulary_of_counts
+from .lang import Vocabulary
 from .scene import CATEGORIES, COLORS, GRID_SIZE, SIZES, Scene, SceneObject
 from .seeding import derive_seed
 
@@ -800,10 +800,9 @@ def load_checkpoint(path: str | Path) -> Questioner:
                 raise ValueError(f"config keys {sorted(meta['config'])} are not ModelConfig's")
             config = ModelConfig(**meta["config"])
             config.validate()
-            words = [checked(w, str) for w in meta["vocab"]["words"]]
             counts = {k: checked(v, int) for k, v in meta["vocab"]["counts"].items()}
-            vocab = vocabulary_of_counts(counts, checked(meta["vocab"]["min_count"], int))
-            if vocab.words != words or vocab.counts != counts:
+            vocab = Vocabulary(counts, checked(meta["vocab"]["min_count"], int))
+            if vocab.words != meta["vocab"]["words"] or vocab.counts != counts:
                 raise ValueError("vocabulary is not the one build_vocabulary makes "
                                  "from its counts and min_count")
             for name, shape in param_shapes(config, vocab.n_words).items():

@@ -9,15 +9,14 @@ import numpy as np
 
 from conftest import make_dialogue
 from guessmix.dialogue import NO, YES
-from guessmix.lang import SPECIAL_TOKENS, Vocabulary
+from guessmix.lang import Vocabulary
 from guessmix.model import PARAM_FIELDS, PHASE_JOINT, ModelConfig, init_params, loss_and_grads
 from guessmix.scene import SceneConfig, generate_scene_set
 
 
 def tiny_vocab(n_learnable=15):
     words = [f"w{i:02d}" for i in range(n_learnable)]
-    return Vocabulary(words=list(SPECIAL_TOKENS) + words,
-                      counts={w: 3 for w in words}, min_count=1)
+    return Vocabulary(counts={w: 3 for w in words}, min_count=1)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -70,9 +70,6 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg["experiment.output_dir"] == "runs/a"
         assert cfg["model.epochs"] == 5
-        # a flag's value is not a file line: it keeps its "#"
-        assert load_config(path, {"experiment.output_dir": "runs/#1"})[
-            "experiment.output_dir"] == "runs/#1"
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -147,6 +144,18 @@ class TestConfig:
         assert "model.epochs" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_val_scenes_need_a_training_epoch(self, tmp_path, capsys):
+        # zero epochs pick no best-val model, as `train --val-dialogues` refuses
+        with pytest.raises(ConfigError, match="model.epochs"):
+            ExperimentConfig({"experiment.n_val_scenes": 5, "model.epochs": 0})
+        out = tmp_path / "run"
+        rc = cli.main(["run", "--experiment.n_val_scenes", "5", "--model.epochs", "0",
+                       "--experiment.n_train_scenes", "40", "--experiment.n_test_scenes", "10",
+                       "--experiment.output_dir", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        assert "model.epochs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_and_scene_keys_are_the_dataclass_fields(self):
         keys = {key for key in config.SCHEMA if key.startswith(("model.", "scene."))}
         assert keys == ({f"scene.{f.name}" for f in fields(SceneConfig)}
@@ -211,11 +220,39 @@ class TestConfig:
             assert config.parse_value(key, default) == config.SCHEMA[key][1], key
 
     def test_echo_round_trips(self, tmp_path):
-        cfg = ExperimentConfig({"model.epochs": 5})
+        values = {
+            "experiment.seed": 3, "experiment.replicate_seeds": 2,
+            "experiment.n_train_scenes": 40, "experiment.n_test_scenes": 10,
+            "experiment.n_val_scenes": 5, "experiment.output_dir": "runs/a b",
+            "experiment.mix_specs": "100:-, 50:variable", "teacher.noise": 0.1,
+            "teacher.max_turns": 7, "corpus.min_count": 2, "selfplay.noise": 0.25,
+            "selfplay.turns": 4, "selfplay.checkpoint": "best_val", "evaluate.turns": 6,
+            "scene.min_objects": 4, "scene.max_objects": 9, "model.embed_dim": 8,
+            "model.hidden_dim": 12, "model.learning_rate": 0.1, "model.grad_clip": 2.5,
+            "model.modulo_n": 2, "model.epochs": 5, "model.batch_size": 16,
+            "model.decode": "greedy", "model.max_question_len": 12,
+        }
+        assert {key: default for key, (_, default, _) in config.SCHEMA.items()
+                if values[key] == default} == {}
         path = tmp_path / "echo.cfg"
-        path.write_text(cfg.echo())
-        again = load_config(path)
-        assert again.values == cfg.values
+        path.write_text(ExperimentConfig(values).echo())
+        assert load_config(path).values == values
+
+    @pytest.mark.parametrize("key, text", [
+        ("experiment.output_dir", "runs/#1"),
+        ("experiment.output_dir", " runs/a"),
+        ("experiment.output_dir", "runs/a "),
+        ("experiment.output_dir", "runs/a\nmodel.epochs = 1"),
+        ("experiment.output_dir", "runs/a\rb"),
+        ("experiment.mix_specs", "50:fixed,100:- # two cells"),
+        ("experiment.mix_specs", "100:-\n"),
+    ])
+    def test_text_the_echo_cannot_reproduce_is_refused(self, key, text):
+        # the flag path (parse_value) and a direct construction alike
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: text})
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig({key: text})
 
 
 GOOD_DIALOGUE = {"game_id": 0, "scene_id": 0, "source": "human",
@@ -223,6 +260,8 @@ GOOD_DIALOGUE = {"game_id": 0, "scene_id": 0, "source": "human",
 GOOD_MANIFEST = {"length_mode": "fixed", "pct_human": 50, "replaced_game_ids": [0], "seed": 0}
 GOOD_ROW = {"pct_human": 50, "pct_generated": 50.0, "length_mode": "fixed",
             "acc": 10.0, "grq": 0.0, "mo": 0.1, "nq": 1.0, "gr": 20.0}
+REPORT_HEADER = "pct_human,pct_generated,length_mode,acc,grq,mo,nq,gr"
+REPORT_ROWS = ["report", "--rows", "{bad}", "--out-csv", "{dir}/report.csv"]
 
 
 def scene_record(x):
@@ -306,13 +345,24 @@ class TestSubcommands:
          scene_record(x="1")),
         (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
          scene_record(x=1.5)),
-        (["report", "--rows", "{bad}", "--out-csv", "{dir}/report.csv"],
-         {"pct_human": 50, "pct_generated": 50, "length_mode": "fixed"}),
-        (["report", "--rows", "{bad}", "--out-csv", "{dir}/report.csv"],
-         dict(GOOD_ROW, acc="x")),
+        (REPORT_ROWS, {"pct_human": 50, "pct_generated": 50, "length_mode": "fixed"}),
+        (REPORT_ROWS, dict(GOOD_ROW, acc="x")),
+        (REPORT_ROWS, dict(GOOD_ROW, extra=1.0)),
+        (REPORT_ROWS, dict(GOOD_ROW, length_mode=0)),
+        (REPORT_ROWS, dict(GOOD_ROW, pct_human=150, pct_generated=-50)),
+        (REPORT_ROWS, dict(GOOD_ROW, pct_generated=7)),
+        (REPORT_ROWS, dict(GOOD_ROW, length_mode="bogus")),
+        (REPORT_ROWS, dict(GOOD_ROW, acc=-3.0)),
+        (REPORT_ROWS, dict(GOOD_ROW, grq=100.5)),
+        (REPORT_ROWS, dict(GOOD_ROW, gr=101)),
+        (REPORT_ROWS, dict(GOOD_ROW, mo=1.5)),
+        (REPORT_ROWS, dict(GOOD_ROW, nq=-1)),
     ], ids=["dialogue-q-not-text", "dialogue-success-not-bool", "dialogue-guess-not-int",
             "scene-x-not-int", "scene-x-fractional", "report-row-missing-fields",
-            "report-row-acc-not-number"])
+            "report-row-acc-not-number", "report-row-extra-field", "report-row-mode-not-text",
+            "report-row-share-over-100", "report-row-shares-not-summing-to-100",
+            "report-row-unknown-length-mode", "report-row-negative-acc", "report-row-grq-over-100",
+            "report-row-gr-over-100", "report-row-mo-over-1", "report-row-negative-nq"])
     def test_malformed_record_is_validation_error(self, tmp_path, capsys, argv, record):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n")
@@ -367,7 +417,7 @@ class TestSubcommands:
         assert 0.0 <= mo <= 1.0 and 0.0 <= nq <= 5.0
         assert run("report", "--rows", f"{d}/row.json",
                    "--out-csv", f"{d}/report.csv", "--out-md", f"{d}/report.md") == 0
-        assert (d / "report.csv").read_text().splitlines()[0] == metrics.REPORT_HEADER
+        assert (d / "report.csv").read_text().splitlines()[0] == REPORT_HEADER
         assert "ACC ↑" in (d / "report.md").read_text()
 
     def test_stage_outputs_reproduce_byte_exactly(self, tmp_path):
@@ -744,7 +794,7 @@ class TestRunExperiment:
 
     def test_report_shape(self, tiny_run):
         lines = (tiny_run / "report_mean.csv").read_text().splitlines()
-        assert lines[0] == metrics.REPORT_HEADER
+        assert lines[0] == REPORT_HEADER
         assert len(lines) == 3  # header + 100:- + 50:fixed
         assert lines[1].startswith("100,0,-,")
         assert lines[2].startswith("50,50,fixed,")

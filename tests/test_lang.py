@@ -154,15 +154,6 @@ class TestVocabulary:
         assert [r["count"] for r in records[:5]] == [0] * 5
         assert {r["word"]: r["count"] for r in records[5:]} == vocab.counts
 
-    def test_specials_are_mandatory(self):
-        with pytest.raises(ValueError):
-            lang.Vocabulary(words=["just", "words"], counts={}, min_count=1)
-
-    def test_repeated_word_rejected(self):
-        with pytest.raises(ValueError, match="more than once"):
-            lang.Vocabulary(words=[*lang.SPECIAL_TOKENS, "red", "red"], counts={"red": 6},
-                            min_count=1)
-
     def test_bad_min_count_rejected(self):
         with pytest.raises(ValueError):
             lang.build_vocabulary([], min_count=0)

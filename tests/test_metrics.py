@@ -6,7 +6,7 @@ import pytest
 from bleu_reference import reference_bleu4
 from conftest import make_dialogue
 from guessmix import lang, metrics, model, oracle, selfplay
-from guessmix.lang import SPECIAL_TOKENS, Vocabulary
+from guessmix.lang import Vocabulary
 from guessmix.selfplay import PlayedGame
 
 
@@ -240,8 +240,7 @@ class TestNovelQuestions:
 class TestGlobalRecall:
     def _vocab(self, n):
         words = [f"w{i:03d}" for i in range(n)]
-        return Vocabulary(words=list(SPECIAL_TOKENS) + words,
-                          counts={w: 3 for w in words}, min_count=3)
+        return Vocabulary(counts={w: 3 for w in words}, min_count=3)
 
     def test_fraction(self):
         vocab = self._vocab(200)
@@ -293,7 +292,7 @@ class TestReportIO:
         path = tmp_path / "report.csv"
         metrics.write_report_csv(path, rows)
         lines = path.read_text().splitlines()
-        assert lines[0] == metrics.REPORT_HEADER
+        assert lines[0] == "pct_human,pct_generated,length_mode,acc,grq,mo,nq,gr"
         assert lines[1].startswith("100,0,-,46.30,36.80,0.2700,")
 
     def test_markdown_contains_direction_markers(self):

@@ -58,8 +58,7 @@ class TestPlayGame:
 
         scenes = scene_mod.generate_scene_set(1000, seed=21)
         words = [f"w{i}" for i in range(10)]
-        vocab = lang.Vocabulary(words=list(lang.SPECIAL_TOKENS) + words,
-                                counts={w: 3 for w in words}, min_count=1)
+        vocab = lang.Vocabulary(counts={w: 3 for w in words}, min_count=1)
         cfg = model.ModelConfig(embed_dim=8, hidden_dim=16, decode_mode="greedy")
         q = model.Questioner(model.init_params(cfg, vocab, seed=13), vocab, cfg)
         games = selfplay.play_games(q, scenes, oracle.OracleConfig(0.0), 5, seed=0)

@@ -12,7 +12,7 @@ corpora and writes them, then runs the mix cells (mix, retrain and
 evaluate per mix spec). Games and cells are independent, and each is dealt
 by `parallel.deal` between the calling process and a child it forks per
 spare core; a child works on the inputs it inherits and pipes back its
-dialogues or rows.
+dialogues, or its rows and the paths it wrote.
 """
 
 from __future__ import annotations
@@ -234,40 +234,10 @@ def _mean_rows(rows_by_seed: list[list]) -> list:
     return out
 
 
-def _run_cell(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Path,
-              spec: MixSpec, inputs, caller: int):
-    """The cell of `spec` in a replicate: its corpus and model (the base
-    model for 100%, else mixed and retrained), then its (stats_row, report_row).
-    Every model of a replicate trains and plays on the base model's streams,
-    so cells differ only by their training data, and retraining the 100%
-    corpus would give the base model again. `inputs` is (human, generated by
-    length mode, train scenes, test scenes, base). The log names process
-    `caller`, which deals the cells, `main` and each other `worker <pid>`."""
-    start = time.perf_counter()
-    pct, mode = spec.pct_human, spec.length_mode
-    tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
-    human, generated, train_scenes, test_scenes, base = inputs
-    if pct == 100:
-        mixed, questioner = human, base
-    else:
-        with _stage(f"mix-{tag}", replicate):
-            mixed = stage_mix(human, generated[mode], spec, rep_seed,
-                              seed_dir / f"mixed_{tag}.jsonl")
-        with _stage(f"train-{tag}", replicate):
-            questioner, _, _ = stage_train(mixed, train_scenes, cfg, rep_seed,
-                                           seed_dir / f"model_{tag}.ckpt")
-    with _stage(f"evaluate-{tag}", replicate):
-        rows = (stage_stats(mixed, cfg, spec),
-                stage_evaluate(questioner, mixed, test_scenes, cfg, spec, rep_seed))
-    log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
-             time.perf_counter() - start,
-             "main" if os.getpid() == caller else f"worker {os.getpid()}")
-    return rows
-
-
 def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Path):
     """One pipeline pass on replicate seed `rep_seed`, games and cells dealt
-    over processes; returns its (stats_rows, report_rows) in spec order."""
+    over processes; returns its (stats_rows, report_rows) in spec order and
+    the paths of the files it wrote."""
     log.info("=== replicate %d of %d ===", replicate + 1, cfg["experiment.replicate_seeds"])
     seed_dir.mkdir(parents=True, exist_ok=True)
     n_val = cfg["experiment.n_val_scenes"]
@@ -277,19 +247,25 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
         if n_val:
             splits.append((seed_dir / "scenes_val.jsonl", n_val))
         train_scenes, test_scenes, *val_split = stage_scenes(splits, cfg, rep_seed)
+        written = [path for path, _ in splits]
 
     with _stage("teacher", replicate):
         human = stage_collect(train_scenes, cfg, rep_seed, seed_dir / "human.jsonl")
+        written.append(seed_dir / "human.jsonl")
         val_pairs = None
         if n_val:
             [val_scenes] = val_split
             val = stage_collect(val_scenes, cfg, rep_seed, seed_dir / "val.jsonl")
             val_pairs = _pair_with_scenes(val, val_scenes)
+            written.append(seed_dir / "val.jsonl")
 
     with _stage("base-train", replicate):
         base, best_val, _ = stage_train(human, train_scenes, cfg, rep_seed,
                                         seed_dir / "model_100.ckpt", val_pairs=val_pairs,
                                         vocab_out=seed_dir / "vocab_100.jsonl")
+        written += [seed_dir / "model_100.ckpt", seed_dir / "vocab_100.jsonl"]
+        if best_val is not None:
+            written.append(best_val_path(seed_dir / "model_100.ckpt"))
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
 
     with _stage("selfplay", replicate):
@@ -298,21 +274,52 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
             start = time.perf_counter()
             generated[mode] = stage_selfplay(player, train_scenes, cfg, mode, human, rep_seed,
                                              seed_dir / f"generated_{mode}.jsonl")
+            written.append(seed_dir / f"generated_{mode}.jsonl")
             log.info("self-play %s corpus of replicate %d: %.2f s on %d processes", mode,
                      replicate, time.perf_counter() - start, parallel.processes(len(human)))
 
+    caller = os.getpid()
+
+    def cell(spec: MixSpec):
+        """The cell of `spec`: its corpus and model (the base model for 100%,
+        else mixed and retrained), then its (stats_row, report_row, paths of
+        the files it wrote). Every model of a replicate trains and plays on
+        the base model's streams, so cells differ only by their training
+        data, and retraining the 100% corpus would give the base model again.
+        The log names the process that deals the cells `main`, and each
+        other `worker <pid>`."""
+        start = time.perf_counter()
+        pct, mode = spec.pct_human, spec.length_mode
+        tag = f"{pct}" if pct == 100 else f"{pct}_{mode}"
+        if pct == 100:
+            mixed, questioner, paths = human, base, []
+        else:
+            corpus, ckpt = seed_dir / f"mixed_{tag}.jsonl", seed_dir / f"model_{tag}.ckpt"
+            with _stage(f"mix-{tag}", replicate):
+                mixed = stage_mix(human, generated[mode], spec, rep_seed, corpus)
+            with _stage(f"train-{tag}", replicate):
+                questioner, _, _ = stage_train(mixed, train_scenes, cfg, rep_seed, ckpt)
+            paths = [corpus, corpus.with_suffix(corpus_mod.MANIFEST_SUFFIX), ckpt]
+        with _stage(f"evaluate-{tag}", replicate):
+            stats_row = stage_stats(mixed, cfg, spec)
+            report_row = stage_evaluate(questioner, mixed, test_scenes, cfg, spec, rep_seed)
+        log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
+                 time.perf_counter() - start,
+                 "main" if os.getpid() == caller else f"worker {os.getpid()}")
+        return stats_row, report_row, paths
+
     # the corpora are written: deal the cells to this process and a child per spare core
     with _stage("cells", replicate):
-        caller = os.getpid()
-        inputs = (human, generated, train_scenes, test_scenes, base)
-        stats_rows, report_rows = zip(*parallel.deal(
-            lambda spec: _run_cell(cfg, replicate, rep_seed, seed_dir, spec, inputs, caller),
-            cfg.mix_specs()))
+        stats_rows, report_rows, cell_paths = zip(*parallel.deal(cell, cfg.mix_specs()))
+        written += [path for paths in cell_paths for path in paths]
 
     with _stage("report", replicate):
         corpus_mod.write_stats_csv(seed_dir / "stats.csv", stats_rows)
-        stage_report(report_rows, cfg, seed_dir / "report.csv", seed_dir / "report_ablation.csv")
-    return stats_rows, report_rows
+        csv, ablation = seed_dir / "report.csv", seed_dir / "report_ablation.csv"
+        written += [seed_dir / "stats.csv", csv]
+        if stage_report(report_rows, cfg, csv, ablation):
+            written.append(ablation)
+    return stats_rows, report_rows, written
 
 
 def _acquire_lock(lock: Path) -> int:
@@ -336,10 +343,11 @@ def _acquire_lock(lock: Path) -> int:
 def run_experiment(cfg: ExperimentConfig) -> Path:
     """Execute every replicate and write aggregate reports; returns the
     output directory. Re-running with the same configuration reproduces all
-    report files byte for byte, however many processes run the cells. A
+    report files byte for byte, however many processes run the cells.
+    `manifest.json` hashes the files the run wrote and no others. A
     directory that holds a run of another configuration, or files but no
-    run, is refused before anything is written, so that the manifest lists
-    only files of this configuration."""
+    run, is refused before anything is written, so that a run never
+    overwrites files that are not its own."""
     out = Path(cfg["experiment.output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     lock_fd = _acquire_lock(out / ".lock")
@@ -353,11 +361,15 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         echo.write_text(cfg.echo(), encoding="utf-8")
         rep_seeds = [derive_seed(cfg["experiment.seed"], r)
                      for r in range(cfg["experiment.replicate_seeds"])]
-        per_seed = [_run_seed(cfg, r, seed, out / f"seed_{r}") for r, seed in enumerate(rep_seeds)]
-        stats, reports = (_mean_rows(rows) for rows in zip(*per_seed))
+        stats, reports, paths = zip(*(_run_seed(cfg, r, seed, out / f"seed_{r}")
+                                      for r, seed in enumerate(rep_seeds)))
+        stats, reports = _mean_rows(stats), _mean_rows(reports)
         corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
-        stage_report(reports, cfg, out / "report_mean.csv", out / "report_ablation_mean.csv",
-                     out / "report.md")
+        written = [echo, out / "stats_mean.csv", out / "report_mean.csv", out / "report.md",
+                   *(path for seed_paths in paths for path in seed_paths)]
+        if stage_report(reports, cfg, out / "report_mean.csv", out / "report_ablation_mean.csv",
+                        out / "report.md"):
+            written.append(out / "report_ablation_mean.csv")
         manifest = {
             "config": cfg.values,
             # the Python and numpy versions and the BLAS thread count set (None
@@ -367,8 +379,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
                             "cell_processes": parallel.processes(len(cfg.mix_specs()))},
             "replicate_seeds": rep_seeds,
             "files": {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
-                      for p in sorted(out.rglob("*"))
-                      if p.is_file() and p.name not in (".lock", "manifest.json")},
+                      for p in written},
         }
         (out / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -449,8 +460,10 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_report(args, cfg: ExperimentConfig) -> None:
+    turns = cfg["evaluate.turns"]
     rows = [row for path in args.rows
-            for row in read_jsonl(path, metrics.checked_report_row, "report row")]
+            for row in read_jsonl(path, lambda rec: metrics.checked_report_row(rec, turns),
+                                  "report row")]
     out_csv = Path(args.out_csv)
     ablation_csv = out_csv.with_name(f"{out_csv.stem}_ablation.csv")
     n_ablation = stage_report(rows, cfg, out_csv, ablation_csv, args.out_md)

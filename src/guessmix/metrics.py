@@ -269,17 +269,21 @@ def row_from_record(cls, rec: dict):
                   else checked(rec[f.name], int, float) for f in fields(cls)})
 
 
-def checked_report_row(rec: dict) -> ReportRow:
+def checked_report_row(rec: dict, turns: int) -> ReportRow:
     """The report row a decoded record holds, if `evaluate` could have made
-    it: shares p and 100 - p for a p in [0, 100], a known length mode, ACC,
-    GRQ and GR in [0, 100], MO in [0, 1] and NQ >= 0; else a ValueError."""
-    from .corpus import LENGTH_MODES  # deferred: corpus imports metrics
+    it with `turns` questions per game: shares p and 100 - p for a p in
+    [0, 100], a whole p below 100 with length mode fixed or variable, ACC,
+    GRQ and GR in [0, 100], MO in [0, 1] and NQ in [0, turns]; else a
+    ValueError."""
+    from .corpus import LENGTH_MODES, LENGTH_NONE  # deferred: corpus imports metrics
 
     row = row_from_record(ReportRow, rec)
-    for name, top in dict(pct_human=100, acc=100, grq=100, gr=100, mo=1, nq=math.inf).items():
+    for name, top in dict(pct_human=100, acc=100, grq=100, gr=100, mo=1, nq=turns).items():
         if not 0 <= getattr(row, name) <= top:
             raise ValueError(f"{name} {getattr(row, name)} is outside [0, {top}]")
-    if row.pct_generated != 100 - row.pct_human or row.length_mode not in LENGTH_MODES:
+    mixed = row.length_mode != LENGTH_NONE
+    if (row.pct_generated != 100 - row.pct_human or row.length_mode not in LENGTH_MODES
+            or mixed and (row.pct_human == 100 or row.pct_human % 1)):
         raise ValueError(f"{row.pct_human}/{row.pct_generated}/{row.length_mode} is no mix label")
     return row
 

@@ -786,16 +786,23 @@ def save_checkpoint(path: str | Path, questioner: Questioner) -> None:
 def load_checkpoint(path: str | Path) -> Questioner:
     """The Questioner saved at `path`. The file comes from outside the
     program, so anything in it that `save_checkpoint` would not write (an
-    unknown format, an unknown or missing setting, a missing or misshapen
-    array, a vocabulary other than the one `build_vocabulary` makes from its
-    counts and min_count) is a ValueError naming it."""
+    unknown format, an unknown, missing or extra array, key or setting, a
+    misshapen array, a vocabulary other than the one `build_vocabulary`
+    makes from its counts and min_count) is a ValueError naming it."""
     with open(path, "rb") as f:
         try:
             with np.load(f, allow_pickle=False) as z:
+                if set(z.files) != {"meta", *PARAM_FIELDS}:
+                    raise ValueError(f"arrays {sorted(z.files)} are not meta and {PARAM_FIELDS}")
                 meta = json.loads(z["meta"].item())
-                if meta["format"] != CHECKPOINT_VERSION:
+                if checked(meta["format"], int) != CHECKPOINT_VERSION:
                     raise ValueError(f"unsupported checkpoint format {meta['format']!r}")
                 arrays = {name: z[name].copy() for name in PARAM_FIELDS}
+            if set(meta) != {"format", "config", "vocab"}:
+                raise ValueError(f"meta keys {sorted(meta)} are not format, config and vocab")
+            if set(meta["vocab"]) != {"words", "counts", "min_count"}:
+                raise ValueError(f"vocab keys {sorted(meta['vocab'])} are not "
+                                 "words, counts and min_count")
             if set(meta["config"]) != {fd.name for fd in fields(ModelConfig)}:
                 raise ValueError(f"config keys {sorted(meta['config'])} are not ModelConfig's")
             config = ModelConfig(**meta["config"])

@@ -357,12 +357,19 @@ class TestSubcommands:
         (REPORT_ROWS, dict(GOOD_ROW, gr=101)),
         (REPORT_ROWS, dict(GOOD_ROW, mo=1.5)),
         (REPORT_ROWS, dict(GOOD_ROW, nq=-1)),
+        # rows evaluate never writes: a mix mode on 100% or on a fractional
+        # share, and more novel questions than each test game asks
+        (REPORT_ROWS, dict(GOOD_ROW, pct_human=100, pct_generated=0)),
+        (REPORT_ROWS, dict(GOOD_ROW, pct_human=37.5, pct_generated=62.5, length_mode="variable")),
+        ([*REPORT_ROWS, "--evaluate.turns", "5"], dict(GOOD_ROW, nq=9)),
     ], ids=["dialogue-q-not-text", "dialogue-success-not-bool", "dialogue-guess-not-int",
             "scene-x-not-int", "scene-x-fractional", "report-row-missing-fields",
             "report-row-acc-not-number", "report-row-extra-field", "report-row-mode-not-text",
             "report-row-share-over-100", "report-row-shares-not-summing-to-100",
             "report-row-unknown-length-mode", "report-row-negative-acc", "report-row-grq-over-100",
-            "report-row-gr-over-100", "report-row-mo-over-1", "report-row-negative-nq"])
+            "report-row-gr-over-100", "report-row-mo-over-1", "report-row-negative-nq",
+            "report-row-100-with-a-mix-mode", "report-row-mix-mode-on-a-fractional-share",
+            "report-row-nq-over-turns"])
     def test_malformed_record_is_validation_error(self, tmp_path, capsys, argv, record):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(record) + "\n")
@@ -944,6 +951,33 @@ class TestRunExperiment:
         assert (out / "notes.txt").read_text() == "mine\n"
         assert sorted(p.name for p in out.iterdir()) == [".lock", "notes.txt"]
 
+    def test_rerun_manifest_lists_only_what_the_run_wrote(self, tmp_path):
+        # the manifest used to hash every file in the directory, so a file
+        # added between two runs of one configuration was listed as the run's
+        out = tmp_path / "run"
+        path = _tiny_config(tmp_path, out)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        first = (out / "manifest.json").read_bytes()
+        (out / "seed_0" / "notes.txt").write_text("mine\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        assert (out / "manifest.json").read_bytes() == first
+        assert (out / "seed_0" / "notes.txt").read_text() == "mine\n"
+
+    def test_manifest_lists_every_file_a_fresh_run_writes(self, tmp_path):
+        # two replicates with validation data and a generated-only ablation
+        # write every kind of file a run can write
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(_tiny_config(tmp_path, out)),
+                         "--experiment.replicate_seeds", "2", "--experiment.n_val_scenes", "6",
+                         "--experiment.mix_specs", "100:-,50:fixed,0:variable"]) == cli.EXIT_OK
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        on_disk = {str(p.relative_to(out)) for p in out.rglob("*")
+                   if p.is_file() and p.name not in (".lock", "manifest.json")}
+        assert files.keys() == on_disk
+        for name in ("seed_1/model_100_best_val.ckpt", "seed_1/report_ablation.csv",
+                     "report_ablation_mean.csv", "seed_1/mixed_0_variable.manifest.json"):
+            assert name in files
+
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
         # every step takes the replicate seed R that manifest.json lists
         seed_dir = tiny_run / "seed_0"
@@ -1467,20 +1501,23 @@ class TestCellWorkers:
         assert str(raised.value) == f"child {started[0][0]} killed by signal 9"
         assert _children(caller) <= before
 
-    # each stage label of a run, and the function `cli` calls in that stage
-    # with a test of its arguments for the call to fail
+    # each stage label of a run, and the function it calls (an attribute of
+    # `cli`, or of `parallel` for the deal of the cells) with a test of its
+    # arguments for the call to fail
     STAGE_FAILURES = {
-        "scenes": ("stage_scenes", lambda *args: True),
-        "teacher": ("stage_collect", lambda *args: True),
-        "base-train": ("stage_train", lambda *args: Path(args[4]).name == "model_100.ckpt"),
-        "selfplay": ("stage_selfplay", lambda *args: True),
-        "mix-50_fixed": ("stage_mix", lambda *args: Path(args[4]).name == "mixed_50_fixed.jsonl"),
-        "train-50_fixed": ("stage_train",
+        "scenes": (cli, "stage_scenes", lambda *args: True),
+        "teacher": (cli, "stage_collect", lambda *args: True),
+        "base-train": (cli, "stage_train", lambda *args: Path(args[4]).name == "model_100.ckpt"),
+        "selfplay": (cli, "stage_selfplay", lambda *args: True),
+        "mix-50_fixed": (cli, "stage_mix",
+                         lambda *args: Path(args[4]).name == "mixed_50_fixed.jsonl"),
+        "train-50_fixed": (cli, "stage_train",
                            lambda *args: Path(args[4]).name == "model_50_fixed.ckpt"),
-        "evaluate-100": ("stage_evaluate", lambda *args: args[4].pct_human == 100),
-        "evaluate-50_fixed": ("stage_evaluate", lambda *args: args[4] == MixSpec(50, "fixed")),
-        "cells": ("_run_cell", lambda *args: True),
-        "report": ("stage_report", lambda *args: True),
+        "evaluate-100": (cli, "stage_evaluate", lambda *args: args[4].pct_human == 100),
+        "evaluate-50_fixed": (cli, "stage_evaluate",
+                              lambda *args: args[4] == MixSpec(50, "fixed")),
+        "cells": (parallel, "deal", lambda work, items: isinstance(items[0], MixSpec)),
+        "report": (cli, "stage_report", lambda *args: True),
     }
 
     @pytest.mark.parametrize("label", STAGE_FAILURES)
@@ -1488,15 +1525,15 @@ class TestCellWorkers:
         # a failure in the calling process or in a cell's child is reported
         # by the stage it happened in, under the one message format
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
-        name, fails = self.STAGE_FAILURES[label]
-        stage = getattr(cli, name)
+        owner, name, fails = self.STAGE_FAILURES[label]
+        stage = getattr(owner, name)
 
         def failing(*args, **kwargs):  # patched before the fork, so a child runs it too
             if fails(*args):
                 raise RuntimeError("out of disk")
             return stage(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, failing)
+        monkeypatch.setattr(owner, name, failing)
         before = _children(os.getpid())
         out = tmp_path / "run"
         path = _tiny_config(tmp_path, out)
@@ -1536,17 +1573,17 @@ class TestCellWorkers:
         # status, and the run closes its pipe, reaps it, writes no manifest
         # and leaves the output directory unlocked and no child behind
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
-        run_cell, test_pid = cli._run_cell, os.getpid()
+        stage_stats, test_pid = cli.stage_stats, os.getpid()
         before = _children(test_pid)
         path = _tiny_config(tmp_path)
         for end, status in ((lambda: os._exit(3), "exited with 3"),
                             (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9")):
-            def cell(*args, end=end):  # patched before the fork, so the child runs it too
+            def stats(*args, end=end):  # patched before the fork, so the child's cells run it too
                 if os.getpid() != test_pid:
                     end()
-                return run_cell(*args)
+                return stage_stats(*args)
 
-            monkeypatch.setattr(cli, "_run_cell", cell)
+            monkeypatch.setattr(cli, "stage_stats", stats)
             out = tmp_path / status.replace(" ", "_")
             with pytest.raises(cli.StageError) as raised:
                 cli.run_experiment(load_config(path, {"experiment.mix_specs": CELL_SPECS,
@@ -1597,16 +1634,16 @@ class TestCellWorkers:
         # a child whose share raises past StageError still ends in
         # `parallel._fork`, so the rest of this test runs once, in this process
         monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
-        run_cell, test_pid = cli._run_cell, os.getpid()
+        stage_stats, test_pid = cli.stage_stats, os.getpid()
         path = _tiny_config(tmp_path)
         after_run = tmp_path / "after_run.txt"
         for exc in (KeyboardInterrupt, SystemExit):
-            def cell(*args, exc=exc):
+            def stats(*args, exc=exc):  # runs in each cell, the child's included
                 if os.getpid() != test_pid:
                     raise exc()
-                return run_cell(*args)
+                return stage_stats(*args)
 
-            monkeypatch.setattr(cli, "_run_cell", cell)
+            monkeypatch.setattr(cli, "stage_stats", stats)
             outcome = None
             try:
                 cli.run_experiment(load_config(path, {

@@ -752,8 +752,14 @@ class TestCheckpoint:
         lambda meta, arrays: meta["vocab"].update(words=(
             meta["vocab"]["words"][:5] + meta["vocab"]["words"][-1:]
             + meta["vocab"]["words"][6:-1] + meta["vocab"]["words"][5:6])),
+        # what save_checkpoint never writes, though each used to load
+        lambda meta, arrays: arrays.update(extra=np.zeros(3)),
+        lambda meta, arrays: meta.update(note="mine"),
+        lambda meta, arrays: meta["vocab"].update(note="mine"),
+        lambda meta, arrays: meta.update(format=float(meta["format"])),
     ], ids=("repeated_word", "fractional_count", "fractional_min_count", "missing_settings",
-            "count_of_no_word", "special_out_of_place", "words_out_of_order"))
+            "count_of_no_word", "special_out_of_place", "words_out_of_order", "extra_array",
+            "extra_meta_key", "extra_vocab_key", "fractional_format"))
     def test_rejects_a_vocabulary_save_checkpoint_never_writes(self, world, tmp_path, damage):
         import json
 

@@ -3,14 +3,19 @@
 The same format is shared by the teacher (human-proxy) corpus and the
 self-play (generated) corpora; files differ only in the "source" field.
 Dialogues and turns are slotted records: a run holds every dialogue of its
-corpora in every process.
+corpora in every process. A grammatical question is one of the grammar's
+few surfaces, so every turn that asks one is a single shared `Turn` per
+(surface, answer), made at import; only a malformed question's turn is its
+own. Every turn is built, and unpickled, through `make_turn`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import lang
 from .jsonl import checked, read_jsonl, write_jsonl
 
 SOURCE_HUMAN = "human"
@@ -29,6 +34,23 @@ class GameAlignmentError(ValueError):
 class Turn:
     question: tuple[str, ...]
     answer: str  # YES or NO
+
+    def __reduce__(self):
+        # rebuilt by make_turn, so a forked child's turns of the grammar
+        # arrive as the receiver's shared ones
+        return make_turn, (self.question, self.answer)
+
+
+def make_turn(question: Iterable[str], answer: str) -> Turn:
+    """The turn of `question` (its tokens) answered `answer`, yes or no: the
+    shared one for a surface of the grammar, else a new one."""
+    if answer not in (YES, NO):
+        raise ValueError(f"unknown answer {answer!r}")
+    question = tuple(question)
+    return _SHARED_TURNS.get((question, answer)) or Turn(question, answer)
+
+
+_SHARED_TURNS = {(q, a): Turn(q, a) for q in lang.SURFACES for a in (YES, NO)}
 
 
 @dataclass(slots=True)
@@ -60,16 +82,12 @@ def _dialogue_from_record(rec: dict) -> Dialogue:
         game_id=checked(rec["game_id"], int),
         scene_id=checked(rec["scene_id"], int),
         source=rec["source"],
-        turns=tuple(Turn(question=tuple(checked(t["q"], str).split()), answer=t["a"])
-                    for t in rec["turns"]),
+        turns=tuple(make_turn(checked(t["q"], str).split(), t["a"]) for t in rec["turns"]),
         guess=checked(rec["guess"], int),
         success=checked(rec["success"], bool),
     )
     if d.source not in SOURCES:
         raise ValueError(f"unknown source {d.source!r}")
-    for t in d.turns:
-        if t.answer not in (YES, NO):
-            raise ValueError(f"unknown answer {t.answer!r}")
     return d
 
 

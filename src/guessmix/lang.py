@@ -12,10 +12,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import scene
-from .dialogue import Dialogue
 from .jsonl import write_jsonl
+
+if TYPE_CHECKING:  # dialogue builds its shared turns from SURFACES
+    from .dialogue import Dialogue
 
 REGIONS = ("left", "right", "top", "bottom", "center")
 
@@ -99,7 +102,7 @@ def realize(semantics: QuestionSemantics, template_id: int) -> list[str]:
 
 
 # every surface of the grammar; no two (semantics, template) pairs share one
-_SURFACES: dict[tuple[str, ...], QuestionSemantics] = {
+SURFACES: dict[tuple[str, ...], QuestionSemantics] = {
     tuple(realize(sem, i)): sem
     for sem in _ALL_SEMANTICS
     for i in range(len(TEMPLATES[sem.kind]))
@@ -109,7 +112,7 @@ _SURFACES: dict[tuple[str, ...], QuestionSemantics] = {
 def parse_question(tokens: list[str] | tuple[str, ...]) -> QuestionSemantics | None:
     """Invert realize. Returns None for a sequence no template realizes
     (a malformed question)."""
-    return _SURFACES.get(tuple(tokens))
+    return SURFACES.get(tuple(tokens))
 
 
 @dataclass

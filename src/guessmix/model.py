@@ -498,14 +498,18 @@ def _forward(
     pre_dec = pre[Z * B:].reshape(L, R, H)
     enc = np.empty((Z + 1, B, H))
     enc[0] = np.tanh(feats @ params.w_scene.T)
-    np.take(proj, stream, axis=0, out=pre_enc)
+    # both gathers read only soq_id and ids of stream_ids, checked here once;
+    # mode="clip" then writes `out` directly, where "raise" copies via a buffer
+    if stream_ids.size and not (stream_ids.min() >= 0 and stream_ids.max() < len(proj)):
+        raise IndexError(f"a token id is outside the {len(proj)} words of the vocabulary")
+    np.take(proj, stream, axis=0, out=pre_enc, mode="clip")
     for m in range(Z):
         pre_enc[m] += enc[m] @ w_h_t
         np.tanh(pre_enc[m], out=enc[m + 1])
 
     dec = np.empty((L + 1, R, H))
     dec[0] = enc[start, owner]
-    np.take(proj, dec_in, axis=0, out=pre_dec)
+    np.take(proj, dec_in, axis=0, out=pre_dec, mode="clip")
     for j in range(L):
         pre_dec[j] += dec[j] @ w_h_t
         np.tanh(pre_dec[j], out=dec[j + 1])
@@ -750,6 +754,9 @@ def train(
 
 CHECKPOINT_VERSION = 2
 
+# the JSON types a checkpoint's setting may take, by its ModelConfig annotation
+_SETTING_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
 
 @dataclass
 class Questioner:
@@ -787,8 +794,9 @@ def load_checkpoint(path: str | Path) -> Questioner:
     """The Questioner saved at `path`. The file comes from outside the
     program, so anything in it that `save_checkpoint` would not write (an
     unknown format, an unknown, missing or extra array, key or setting, a
-    misshapen array, a vocabulary other than the one `build_vocabulary`
-    makes from its counts and min_count) is a ValueError naming it."""
+    setting of the wrong type, a misshapen array, a vocabulary other than
+    the one `build_vocabulary` makes from its counts and min_count) is a
+    ValueError naming it."""
     with open(path, "rb") as f:
         try:
             with np.load(f, allow_pickle=False) as z:
@@ -805,7 +813,9 @@ def load_checkpoint(path: str | Path) -> Questioner:
                                  "words, counts and min_count")
             if set(meta["config"]) != {fd.name for fd in fields(ModelConfig)}:
                 raise ValueError(f"config keys {sorted(meta['config'])} are not ModelConfig's")
-            config = ModelConfig(**meta["config"])
+            config = ModelConfig(**{fd.name: checked(meta["config"][fd.name],
+                                                     *_SETTING_TYPES[fd.type])
+                                    for fd in fields(ModelConfig)})
             config.validate()
             counts = {k: checked(v, int) for k, v in meta["vocab"]["counts"].items()}
             vocab = Vocabulary(counts, checked(meta["vocab"]["min_count"], int))

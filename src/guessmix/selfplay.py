@@ -23,7 +23,7 @@ import numpy as np
 
 from . import model as m
 from . import lang, oracle, parallel
-from .dialogue import Dialogue, GameAlignmentError, SOURCE_GENERATED, Turn
+from .dialogue import Dialogue, GameAlignmentError, SOURCE_GENERATED, Turn, make_turn
 from .scene import Scene
 
 log = logging.getLogger(__name__)
@@ -93,7 +93,7 @@ def play_game(
             max_len=cfg.max_question_len, rng=rng,
         )
         answer = oracle.answer(scene, question, oracle_cfg, rng)
-        recorded.append(Turn(question=tuple(question), answer=answer))
+        recorded.append(make_turn(question, answer))
         state = m.encode_turn(params, vocab, state, question, answer)
     return _played(params, scene, recorded, state)
 
@@ -129,7 +129,7 @@ def play_games(
         answers = [oracle.answer(sc, q, oracle_cfg, rng)
                    for sc, q, rng in zip(scenes, questions, rngs)]
         for game, question, answer in zip(recorded, questions, answers):
-            game.append(Turn(question=tuple(question), answer=answer))
+            game.append(make_turn(question, answer))
         states = m.encode_turns(params, vocab, states, questions, answers)
     return [_played(params, sc, game, state) for sc, game, state in zip(scenes, recorded, states)]
 

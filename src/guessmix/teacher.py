@@ -14,7 +14,7 @@ import logging
 import numpy as np
 
 from . import lang, oracle
-from .dialogue import SOURCE_HUMAN, YES, Dialogue, Turn
+from .dialogue import SOURCE_HUMAN, YES, Dialogue, Turn, make_turn
 from .scene import Scene
 
 log = logging.getLogger(__name__)
@@ -79,7 +79,7 @@ def play_teacher_game(
         sem, template_id = picked
         question = tuple(lang.realize(sem, template_id))
         ans = oracle.answer(scene, question, oracle_cfg, rng)
-        turns.append(Turn(question=question, answer=ans))
+        turns.append(make_turn(question, ans))
         asked.add(sem)
         keep = [
             i for i in candidates

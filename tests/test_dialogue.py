@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conftest import make_dialogue
@@ -48,3 +50,23 @@ def test_malformed_json_reported(tmp_path):
     path.write_text("{not json\n")
     with pytest.raises(ValueError, match="bad.jsonl:1"):
         dialogue.read_dialogues(path)
+
+
+def test_a_grammatical_turn_is_shared_and_a_malformed_one_is_its_own():
+    shared = dialogue.make_turn(["is", "it", "red", "?"], "yes")
+    assert shared is dialogue.make_turn(("is", "it", "red", "?"), "yes")
+    assert shared is not dialogue.make_turn(["is", "it", "red", "?"], "no")
+    assert pickle.loads(pickle.dumps(shared)) is shared
+    for question in (["is", "it", "red"], ["<yes>", "<unk>", "?"], []):
+        own = dialogue.make_turn(question, "no")
+        fresh = dialogue.Turn(tuple(question), "no")
+        assert own is not dialogue.make_turn(question, "no")
+        assert (type(own), own.question, own.answer) == (type(fresh), fresh.question,
+                                                         fresh.answer)
+        assert pickle.loads(pickle.dumps(own)) == fresh
+
+
+@pytest.mark.parametrize("answer", ["maybe", "Yes", "", None, True])
+def test_make_turn_refuses_a_bad_answer(answer):
+    with pytest.raises(ValueError, match=f"unknown answer {answer!r}"):
+        dialogue.make_turn(["is", "it", "red", "?"], answer)

@@ -545,6 +545,17 @@ class TestEncodedExamples:
                 [vocab.token_id(tok) for tok in turn.question] + [vocab.answer_id(turn.answer)]]
             assert ex.q_len.tolist() == [len(q) for q in d.questions()]
 
+    def test_a_token_id_outside_the_vocabulary_is_refused(self):
+        # the step gathers the input projections unchecked, so it checks the ids first
+        vocab = tiny_vocab()
+        params = model.init_params(model.ModelConfig(embed_dim=6, hidden_dim=8), vocab, seed=2)
+        (d, sc), = _varied_pairs(1, seed=1)
+        for bad in (vocab.n_words, -1):
+            ex = model.encode_example(vocab, d, sc)
+            ex.stream[0] = bad
+            with pytest.raises(IndexError, match="outside the"):
+                model.loss_and_grads(params, vocab, [ex], model.PHASE_QGEN)
+
     def test_loss_and_grads_equal_raw_pairs_bit_for_bit(self):
         vocab = tiny_vocab()
         cfg = model.ModelConfig(embed_dim=6, hidden_dim=8)
@@ -757,9 +768,15 @@ class TestCheckpoint:
         lambda meta, arrays: meta.update(note="mine"),
         lambda meta, arrays: meta["vocab"].update(note="mine"),
         lambda meta, arrays: meta.update(format=float(meta["format"])),
+        # settings of the wrong type that pass validate, embed_dim even the shapes
+        lambda meta, arrays: meta["config"].update(embed_dim=4.0),
+        lambda meta, arrays: meta["config"].update(epochs=2.5),
+        lambda meta, arrays: meta["config"].update(modulo_n=1.5),
+        lambda meta, arrays: meta["config"].update(learning_rate=True),
     ], ids=("repeated_word", "fractional_count", "fractional_min_count", "missing_settings",
             "count_of_no_word", "special_out_of_place", "words_out_of_order", "extra_array",
-            "extra_meta_key", "extra_vocab_key", "fractional_format"))
+            "extra_meta_key", "extra_vocab_key", "fractional_format", "float_embed_dim",
+            "fractional_epochs", "fractional_modulo_n", "bool_learning_rate"))
     def test_rejects_a_vocabulary_save_checkpoint_never_writes(self, world, tmp_path, damage):
         import json
 

@@ -9,19 +9,29 @@ import pytest
 
 from conftest import make_dialogue
 from guessmix import lang, metrics, model, oracle, parallel, selfplay
-from guessmix.dialogue import GameAlignmentError, write_dialogues
+from guessmix.dialogue import GameAlignmentError, make_turn, read_dialogues, write_dialogues
+
+
+def trained(scenes, corpus, epochs, decode_mode):
+    vocab = lang.build_vocabulary(corpus, min_count=1)
+    cfg = model.ModelConfig(embed_dim=8, hidden_dim=16, epochs=epochs, batch_size=8,
+                            decode_mode=decode_mode)
+    params = model.init_params(cfg, vocab, seed=0)
+    by_id = {s.scene_id: s for s in scenes}
+    dataset = [(d, by_id[d.scene_id]) for d in corpus]
+    result = model.train(params, vocab, dataset, cfg, seed=0)
+    return model.Questioner(result.params, vocab, cfg)
 
 
 @pytest.fixture(scope="module")
 def questioner(small_scenes, small_teacher_corpus):
-    vocab = lang.build_vocabulary(small_teacher_corpus, min_count=1)
-    cfg = model.ModelConfig(embed_dim=8, hidden_dim=16, epochs=4, batch_size=8,
-                            decode_mode="greedy")
-    params = model.init_params(cfg, vocab, seed=0)
-    by_id = {s.scene_id: s for s in small_scenes}
-    dataset = [(d, by_id[d.scene_id]) for d in small_teacher_corpus]
-    result = model.train(params, vocab, dataset, cfg, seed=0)
-    return model.Questioner(result.params, vocab, cfg)
+    return trained(small_scenes, small_teacher_corpus, 4, "greedy")
+
+
+@pytest.fixture(scope="module")
+def fluent(small_scenes, small_teacher_corpus):
+    """A questioner whose sampled questions are partly grammatical, partly not."""
+    return trained(small_scenes, small_teacher_corpus, 40, "sample")
 
 
 class TestPlayGame:
@@ -250,3 +260,49 @@ def test_records_are_slotted_and_cross_processes(small_scenes, monkeypatch, kind
     monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
     got = parallel.deal(lambda x: x, [record, record])  # the first comes from a child
     assert got == [record, record] and got[0] is not record
+
+
+class TestSharedTurns:
+    """A turn of a grammatical question is the one `make_turn` shares, from
+    every path that builds turns; a malformed question's turn is its own."""
+
+    @staticmethod
+    def assert_shared(dialogues, malformed_too=False):
+        turns = [t for d in dialogues for t in d.turns]
+        grammatical = [t for t in turns if lang.parse_question(t.question) is not None]
+        assert grammatical
+        assert all(t is make_turn(t.question, t.answer) for t in grammatical)
+        assert all(t.question is grammatical[0].question
+                   for t in grammatical if t.question == grammatical[0].question)
+        if malformed_too:
+            malformed = [t for t in turns if lang.parse_question(t.question) is None]
+            assert malformed and all(t is not make_turn(t.question, t.answer)
+                                     for t in malformed)
+
+    def test_teacher(self, small_teacher_corpus):
+        self.assert_shared(small_teacher_corpus)
+
+    def test_play_game_and_play_games(self, fluent, small_scenes):
+        cfg = oracle.OracleConfig(0.1)
+        self.assert_shared([selfplay.play_game(fluent, sc, cfg, 5,
+                                               np.random.default_rng(sc.scene_id)).dialogue
+                            for sc in small_scenes[:10]], malformed_too=True)
+        self.assert_shared([g.dialogue for g in
+                            selfplay.play_games(fluent, small_scenes[:10], cfg, 5, seed=0)],
+                           malformed_too=True)
+
+    def test_read_dialogues(self, small_teacher_corpus, tmp_path):
+        path = tmp_path / "dialogues.jsonl"
+        malformed = make_dialogue(["is it red", "is it a bird ?"], answers=["no", "yes"])
+        write_dialogues(path, [*small_teacher_corpus, malformed])
+        back = read_dialogues(path)
+        assert back == [*small_teacher_corpus, malformed]
+        self.assert_shared(back, malformed_too=True)
+
+    def test_a_childs_reply(self, fluent, small_scenes, monkeypatch, started):
+        monkeypatch.setattr(parallel, "processes", lambda tasks: 2)
+        corpus = selfplay.generate_selfplay_corpus(fluent, small_scenes[:10],
+                                                   oracle.OracleConfig(0.1),
+                                                   selfplay.FixedLength(5), seed=3)
+        assert len(started) == 1
+        self.assert_shared(corpus[0::2], malformed_too=True)  # the child's share

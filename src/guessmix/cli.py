@@ -78,13 +78,13 @@ def _pair_with_scenes(dialogues, scenes):
 # pipeline stages, shared by `run` and the subcommands
 
 
-def stage_scenes(splits, cfg: ExperimentConfig, seed: int):
+def stage_scenes(splits, seed: int):
     """Write consecutive slices of one scene set from stream 1 of replicate seed `seed`.
 
     `splits` lists (path, count) pairs; scene ids run on across the slices,
     so they are disjoint. Returns the slices in order.
     """
-    scenes = generate_scene_set(sum(n for _, n in splits), derive_seed(seed, 1), cfg.scene_config())
+    scenes = generate_scene_set(sum(n for _, n in splits), derive_seed(seed, 1))
     parts, start = [], 0
     for path, n in splits:
         parts.append(scenes[start:start + n])
@@ -98,7 +98,7 @@ def stage_collect(scenes, cfg: ExperimentConfig, seed: int, out):
     `seed`, which validation games share: each game seeds itself from (stream,
     scene id), and their scene ids are disjoint. Returns the kept dialogues."""
     dialogues = teacher.collect_teacher_corpus(
-        scenes, OracleConfig(cfg["teacher.noise"]), cfg["teacher.max_turns"], derive_seed(seed, 2))
+        scenes, OracleConfig(cfg["teacher.noise"]), seed=derive_seed(seed, 2))
     write_dialogues(out, dialogues)
     return dialogues
 
@@ -118,13 +118,13 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
     holds the parameters of the epoch with the lowest validation NLL and is
     saved to `best_val_path(out)`; without, it is None. An empty
     `val_pairs` has no best epoch, so it is refused before anything is written.
+    With `vocab_out`, the vocabulary is written there after the checkpoints,
+    so a training that fails writes no file.
     """
     if val_pairs is not None and not val_pairs:
         raise ValueError("the validation set is empty: no dialogue to pick a best-val model by")
     model_cfg = cfg.model_config()
     vocab = lang.build_vocabulary(dialogues, cfg["corpus.min_count"])
-    if vocab_out:
-        lang.write_vocabulary(vocab_out, vocab)
     params = model.init_params(model_cfg, vocab, derive_seed(seed, 4))
     result = model.train(params, vocab, _pair_with_scenes(dialogues, scenes), model_cfg,
                          derive_seed(seed, 5), val_dataset=val_pairs)
@@ -134,6 +134,8 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
     if result.best_val_params is not None:
         best_val = model.Questioner(result.best_val_params, vocab, model_cfg)
         model.save_checkpoint(best_val_path(out), best_val)
+    if vocab_out:
+        lang.write_vocabulary(vocab_out, vocab)
     return questioner, best_val, result.log
 
 
@@ -246,7 +248,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
                   (seed_dir / "scenes_test.jsonl", cfg["experiment.n_test_scenes"])]
         if n_val:
             splits.append((seed_dir / "scenes_val.jsonl", n_val))
-        train_scenes, test_scenes, *val_split = stage_scenes(splits, cfg, rep_seed)
+        train_scenes, test_scenes, *val_split = stage_scenes(splits, rep_seed)
         written = [path for path, _ in splits]
 
     with _stage("teacher", replicate):
@@ -395,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
 
 
 def _cmd_gen_scenes(args, cfg: ExperimentConfig) -> None:
-    [scenes] = stage_scenes([(args.out, args.n)], cfg, args.seed)
+    [scenes] = stage_scenes([(args.out, args.n)], args.seed)
     print(f"wrote {len(scenes)} scenes to {args.out}")
 
 
@@ -503,13 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, config=None)
         return p
 
-    p = command("gen-scenes", _cmd_gen_scenes, "generate a scene file",
-                ("scene.min_objects", "scene.max_objects"))
+    p = command("gen-scenes", _cmd_gen_scenes, "generate a scene file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file",
-                ("teacher.noise", "teacher.max_turns"))
+                ("teacher.noise",))
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", required=True)
 

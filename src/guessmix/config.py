@@ -14,20 +14,16 @@ from pathlib import Path
 
 from .corpus import MixSpec
 from .model import ModelConfig
-from .scene import SceneConfig
-from .teacher import DEFAULT_MAX_TURNS
 
 
 class ConfigError(ValueError):
     """Bad configuration file, key, or value."""
 
 
-# The scene.* and model.* keys are the fields of SceneConfig and ModelConfig:
-# key -> (dataclass, field). A key is its field's name unless renamed here.
+# The model.* keys are the fields of ModelConfig: key -> field. A key is
+# its field's name unless renamed here.
 _KEY_OF_FIELD = {"decode_mode": "decode"}
-_FIELDS = {f"{section}.{_KEY_OF_FIELD.get(f.name, f.name)}": (cls, f)
-           for section, cls in (("scene", SceneConfig), ("model", ModelConfig))
-           for f in fields(cls)}
+_FIELDS = {f"model.{_KEY_OF_FIELD.get(f.name, f.name)}": f for f in fields(ModelConfig)}
 
 # key -> (parser, default, help)
 SCHEMA: dict[str, tuple] = {
@@ -44,13 +40,12 @@ SCHEMA: dict[str, tuple] = {
         "generated-only ablation",
     ),
     "teacher.noise": (float, 0.0, "oracle answer noise while collecting the teacher corpus"),
-    "teacher.max_turns": (int, DEFAULT_MAX_TURNS, "teacher turn budget per game"),
     "corpus.min_count": (int, 3, "vocabulary frequency threshold"),
     "selfplay.noise": (float, 0.1, "machine-oracle answer noise (self-play and evaluation)"),
     "selfplay.turns": (int, 5, "fixed-length turn budget for generated dialogues"),
     "selfplay.checkpoint": (str, "last", "which checkpoint plays: last or best_val"),
     "evaluate.turns": (int, 5, "questions per game in the test protocol"),
-    **{key: (type(f.default), f.default, f.metadata["help"]) for key, (_, f) in _FIELDS.items()},
+    **{key: (type(f.default), f.default, f.metadata["help"]) for key, f in _FIELDS.items()},
 }
 
 CHECKPOINT_CHOICES = ("last", "best_val")
@@ -74,7 +69,6 @@ class ExperimentConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            self.scene_config().validate()
             self.model_config().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -82,8 +76,8 @@ class ExperimentConfig:
             if not (0.0 <= self[key] <= 1.0):
                 raise ConfigError(f"{key} must be in [0, 1]")
         for key in ("experiment.n_train_scenes", "experiment.n_test_scenes",
-                    "experiment.replicate_seeds", "teacher.max_turns", "selfplay.turns",
-                    "evaluate.turns", "corpus.min_count"):
+                    "experiment.replicate_seeds", "selfplay.turns", "evaluate.turns",
+                    "corpus.min_count"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key in ("experiment.seed", "experiment.n_val_scenes"):
@@ -100,14 +94,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} = {text!r}: no '#', line break or outer whitespace")
         self.mix_specs()
 
-    def _section_config(self, cls):
-        return cls(**{f.name: self[key] for key, (owner, f) in _FIELDS.items() if owner is cls})
-
-    def scene_config(self) -> SceneConfig:
-        return self._section_config(SceneConfig)
-
     def model_config(self) -> ModelConfig:
-        return self._section_config(ModelConfig)
+        return ModelConfig(**{f.name: self[key] for key, f in _FIELDS.items()})
 
     def mix_specs(self) -> list[MixSpec]:
         """Parse experiment.mix_specs into MixSpecs with seed 0. A 100% spec's
@@ -166,5 +154,5 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
             line_of[key] = lineno
             values[key] = parse_value(key, raw.strip())
     for key, raw in (overrides or {}).items():
-        values[key] = parse_value(key, raw) if isinstance(raw, str) else raw
+        values[key] = parse_value(key, raw)
     return ExperimentConfig(values)

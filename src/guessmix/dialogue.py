@@ -43,11 +43,15 @@ class Turn:
 
 def make_turn(question: Iterable[str], answer: str) -> Turn:
     """The turn of `question` (its tokens) answered `answer`, yes or no: the
-    shared one for a surface of the grammar, else a new one."""
+    shared one for a surface of the grammar, else a new one. A question has
+    at least one token."""
     if answer not in (YES, NO):
         raise ValueError(f"unknown answer {answer!r}")
     question = tuple(question)
-    return _SHARED_TURNS.get((question, answer)) or Turn(question, answer)
+    turn = _SHARED_TURNS.get((question, answer))
+    if turn is None and not question:
+        raise ValueError("empty question")
+    return turn or Turn(question, answer)
 
 
 _SHARED_TURNS = {(q, a): Turn(q, a) for q in lang.SURFACES for a in (YES, NO)}

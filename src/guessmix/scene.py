@@ -9,7 +9,7 @@ are slotted records: a run holds thousands of them in every process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ COLORS = ("red", "blue", "green", "yellow", "black", "white", "orange", "purple"
 SIZES = ("small", "medium", "large")
 GRID_SIZE = 5
 
+# every scene holds 3 to 20 objects, as GuessWhat?!'s kept images do
 MIN_OBJECTS = 3
 MAX_OBJECTS = 20
 
@@ -31,27 +32,8 @@ MAX_OBJECTS = 20
 _MAX_RESAMPLES = 100
 
 
-class SceneConfigError(ValueError):
-    """Scene generation settings outside the supported bounds."""
-
-
 class SceneGenerationError(RuntimeError):
     """Could not draw a duplicate-free object within the resampling budget."""
-
-
-@dataclass(frozen=True)
-class SceneConfig:
-    """The `scene.*` settings, with their help in each field's metadata."""
-
-    min_objects: int = field(default=MIN_OBJECTS, metadata={"help": "minimum objects per scene"})
-    max_objects: int = field(default=MAX_OBJECTS, metadata={"help": "maximum objects per scene"})
-
-    def validate(self) -> None:
-        if not (MIN_OBJECTS <= self.min_objects <= self.max_objects <= MAX_OBJECTS):
-            raise SceneConfigError(
-                f"object count bounds must satisfy {MIN_OBJECTS} <= min <= max <= "
-                f"{MAX_OBJECTS}, got [{self.min_objects}, {self.max_objects}]"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,17 +93,16 @@ _PALETTE_CATEGORIES = (2, 4)
 _PALETTE_COLORS = (2, 3)
 
 
-def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: int = 0) -> Scene:
+def generate_scene(rng: np.random.Generator, scene_id: int = 0) -> Scene:
     """Draw one scene: uniform object count, uniform target, no duplicate objects.
 
     Each scene first draws a small category/color palette, then samples the
     objects from it, so scenes contain look-alike distractors the way real
     images do. Duplicate attribute tuples are resolved by resampling the
-    object, bounded at _MAX_RESAMPLES attempts so pathological configs fail
+    object, bounded at _MAX_RESAMPLES attempts so an impossible draw fails
     loudly instead of spinning.
     """
-    cfg.validate()
-    n = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
+    n = int(rng.integers(MIN_OBJECTS, MAX_OBJECTS + 1))
     n_cats = int(rng.integers(_PALETTE_CATEGORIES[0], _PALETTE_CATEGORIES[1] + 1))
     n_cols = int(rng.integers(_PALETTE_COLORS[0], _PALETTE_COLORS[1] + 1))
     cats = [CATEGORIES[i] for i in rng.choice(len(CATEGORIES), size=n_cats, replace=False)]
@@ -150,20 +131,16 @@ def generate_scene(rng: np.random.Generator, cfg: SceneConfig, scene_id: int = 0
     return Scene(scene_id=scene_id, objects=tuple(objects), target_index=target)
 
 
-def generate_scene_set(n: int, seed: int, cfg: SceneConfig | None = None) -> list[Scene]:
+def generate_scene_set(n: int, seed: int) -> list[Scene]:
     """Generate n scenes with ids 0..n-1.
 
     Each scene gets its own child random stream derived from (seed, scene_id),
     so growing the set never perturbs the scenes already generated.
     """
     if n < 1:
-        raise SceneConfigError(f"scene set size must be >= 1, got {n}")
-    cfg = cfg or SceneConfig()
-    cfg.validate()
-    return [
-        generate_scene(np.random.default_rng([seed, scene_id]), cfg, scene_id=scene_id)
-        for scene_id in range(n)
-    ]
+        raise ValueError(f"scene set size must be >= 1, got {n}")
+    return [generate_scene(np.random.default_rng([seed, scene_id]), scene_id=scene_id)
+            for scene_id in range(n)]
 
 
 def _scene_record(s: Scene) -> dict:

@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 # kept games must be successful and strictly shorter than this many turns
 MAX_HUMAN_TURNS = 20
 
+# the teacher asks at most this many questions per game
 DEFAULT_MAX_TURNS = 8
 
 

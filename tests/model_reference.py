@@ -11,7 +11,7 @@ from conftest import make_dialogue
 from guessmix.dialogue import NO, YES
 from guessmix.lang import Vocabulary
 from guessmix.model import PARAM_FIELDS, PHASE_JOINT, ModelConfig, init_params, loss_and_grads
-from guessmix.scene import SceneConfig, generate_scene_set
+from guessmix.scene import generate_scene_set
 
 
 def tiny_vocab(n_learnable=15):
@@ -38,7 +38,7 @@ def gradient_check(cfg: ModelConfig | None = None, seed: int = 0, delta: float =
     rng = np.random.default_rng(seed)
     vocab = tiny_vocab()
     words = vocab.learnable_words
-    scenes = generate_scene_set(3, seed, SceneConfig(3, 6))
+    scenes = generate_scene_set(3, seed)
     batch = []
     n_turns = 0
     for i, sc in enumerate(scenes):

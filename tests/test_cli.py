@@ -20,7 +20,6 @@ from guessmix import cli, config, dialogue, metrics, model, parallel, scene, sel
 from guessmix.config import ConfigError, ExperimentConfig, load_config
 from guessmix.corpus import MixSpec
 from guessmix.model import ModelConfig
-from guessmix.scene import SceneConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -57,10 +56,10 @@ class TestConfig:
 
     def test_file_parsing_and_override(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("model.epochs = 7\n# comment\n\nscene.min_objects=4\n")
+        path.write_text("model.epochs = 7\n# comment\n\ncorpus.min_count=4\n")
         cfg = load_config(path, {"model.batch_size": "16"})
         assert cfg["model.epochs"] == 7
-        assert cfg["scene.min_objects"] == 4
+        assert cfg["corpus.min_count"] == 4
         assert cfg["model.batch_size"] == 16
 
     def test_comment_after_a_value(self, tmp_path):
@@ -156,37 +155,38 @@ class TestConfig:
         assert "model.epochs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_model_and_scene_keys_are_the_dataclass_fields(self):
-        keys = {key for key in config.SCHEMA if key.startswith(("model.", "scene."))}
-        assert keys == ({f"scene.{f.name}" for f in fields(SceneConfig)}
-                        | {"model.decode" if f.name == "decode_mode" else f"model.{f.name}"
-                           for f in fields(ModelConfig)})
+    def test_model_keys_are_the_dataclass_fields(self):
+        keys = {key for key in config.SCHEMA if key.startswith("model.")}
+        assert keys == {"model.decode" if f.name == "decode_mode" else f"model.{f.name}"
+                        for f in fields(ModelConfig)}
         # a key's text is parsed by its default's type, so a bool field would
         # read "no" as bool("no") == True
-        assert all(type(f.default) in (int, float, str)
-                   for cls in (ModelConfig, SceneConfig) for f in fields(cls))
+        assert all(type(f.default) in (int, float, str) for f in fields(ModelConfig))
         assert ExperimentConfig().model_config() == ModelConfig()
-        assert ExperimentConfig().scene_config() == SceneConfig()
-        cfg = load_config(None, {"model.decode": "greedy", "model.learning_rate": "1",
-                                 "scene.max_objects": "9"})
+        cfg = load_config(None, {"model.decode": "greedy", "model.learning_rate": "1"})
         assert cfg.model_config() == ModelConfig(decode_mode="greedy", learning_rate=1.0)
-        assert cfg.scene_config() == SceneConfig(max_objects=9)
 
-    @pytest.mark.parametrize("key", ["corpus.require_generated_success",
-                                     "model.guesser_human_only"])
+    # each with a value its key took when it was a setting
+    REMOVED_KEYS = {"corpus.require_generated_success": "no", "model.guesser_human_only": "no",
+                    "scene.min_objects": "4", "scene.max_objects": "9",
+                    "teacher.max_turns": "7"}
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_switches_are_unknown_keys(self, tmp_path, capsys, key):
         # generated dialogues enter a mix whatever their outcome, and the
-        # guesser trains on every dialogue, so neither switch is a setting
+        # guesser trains on every dialogue; a scene holds 3 to 20 objects and
+        # the teacher asks at most 8 questions, as in the data. None is a setting
+        value = self.REMOVED_KEYS[key]
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n"
-                        f"{key} = no\n")
+                        f"{key} = {value}\n")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_VALIDATION
         assert f"unknown configuration key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         with pytest.raises(ConfigError, match=key):
-            load_config(None, {key: "no"})
+            load_config(None, {key: value})
         # no command has the flag, so it is refused like any unknown option
-        assert cli.main(["run", f"--{key}", "no"]) == cli.EXIT_VALIDATION
+        assert cli.main(["run", f"--{key}", value]) == cli.EXIT_VALIDATION
         assert f"--{key}" in capsys.readouterr().err
 
     def test_bad_command_line_is_validation_error(self, capsys):
@@ -225,9 +225,9 @@ class TestConfig:
             "experiment.n_train_scenes": 40, "experiment.n_test_scenes": 10,
             "experiment.n_val_scenes": 5, "experiment.output_dir": "runs/a b",
             "experiment.mix_specs": "100:-, 50:variable", "teacher.noise": 0.1,
-            "teacher.max_turns": 7, "corpus.min_count": 2, "selfplay.noise": 0.25,
+            "corpus.min_count": 2, "selfplay.noise": 0.25,
             "selfplay.turns": 4, "selfplay.checkpoint": "best_val", "evaluate.turns": 6,
-            "scene.min_objects": 4, "scene.max_objects": 9, "model.embed_dim": 8,
+            "model.embed_dim": 8,
             "model.hidden_dim": 12, "model.learning_rate": 0.1, "model.grad_clip": 2.5,
             "model.modulo_n": 2, "model.epochs": 5, "model.batch_size": 16,
             "model.decode": "greedy", "model.max_question_len": 12,
@@ -341,6 +341,8 @@ class TestSubcommands:
         (["stats", "{bad}"], dict(GOOD_DIALOGUE, turns=[{"q": 5, "a": "yes"}])),
         (["stats", "{bad}"], dict(GOOD_DIALOGUE, success="no")),
         (["stats", "{bad}"], dict(GOOD_DIALOGUE, guess="0")),
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, turns=[{"q": "", "a": "yes"}])),
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, turns=[{"q": "  ", "a": "yes"}])),
         (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
          scene_record(x="1")),
         (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
@@ -363,6 +365,7 @@ class TestSubcommands:
         (REPORT_ROWS, dict(GOOD_ROW, pct_human=37.5, pct_generated=62.5, length_mode="variable")),
         ([*REPORT_ROWS, "--evaluate.turns", "5"], dict(GOOD_ROW, nq=9)),
     ], ids=["dialogue-q-not-text", "dialogue-success-not-bool", "dialogue-guess-not-int",
+            "dialogue-q-empty", "dialogue-q-blank",
             "scene-x-not-int", "scene-x-fractional", "report-row-missing-fields",
             "report-row-acc-not-number", "report-row-extra-field", "report-row-mode-not-text",
             "report-row-share-over-100", "report-row-shares-not-summing-to-100",
@@ -750,6 +753,21 @@ class TestDerivedInputs:
         assert "validation set is empty" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "m_best_val.ckpt").exists()
         assert not vocab.exists()
+
+    def test_failed_training_writes_no_file(self, mixed_chain, tmp_path, capsys):
+        # the vocabulary is written after the checkpoints, so a training that
+        # fails leaves neither file
+        d, out, vocab = mixed_chain, tmp_path / "m.ckpt", tmp_path / "vocab.jsonl"
+        empty, one_scene = tmp_path / "empty.jsonl", tmp_path / "one_scene.jsonl"
+        empty.write_text("")
+        scene.write_scenes(one_scene, scene.read_scenes(d / "scenes.jsonl")[:1])
+        for dialogues, scenes, message in ((empty, d / "scenes.jsonl", "empty training dataset"),
+                                           (d / "human.jsonl", one_scene, "no scene for")):
+            assert cli.main(["train", "--dialogues", str(dialogues), "--scenes", str(scenes),
+                             *TINY_MODEL_FLAGS, "--vocab-out", str(vocab),
+                             "--out", str(out)]) == cli.EXIT_VALIDATION
+            assert message in capsys.readouterr().err
+            assert not out.exists() and not vocab.exists()
 
     @pytest.mark.parametrize("flag, corpus", [("--val-scenes", "scenes.jsonl"),
                                               ("--val-dialogues", "human.jsonl")])

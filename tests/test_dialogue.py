@@ -57,13 +57,17 @@ def test_a_grammatical_turn_is_shared_and_a_malformed_one_is_its_own():
     assert shared is dialogue.make_turn(("is", "it", "red", "?"), "yes")
     assert shared is not dialogue.make_turn(["is", "it", "red", "?"], "no")
     assert pickle.loads(pickle.dumps(shared)) is shared
-    for question in (["is", "it", "red"], ["<yes>", "<unk>", "?"], []):
+    for question in (["is", "it", "red"], ["<yes>", "<unk>", "?"]):
         own = dialogue.make_turn(question, "no")
         fresh = dialogue.Turn(tuple(question), "no")
         assert own is not dialogue.make_turn(question, "no")
         assert (type(own), own.question, own.answer) == (type(fresh), fresh.question,
                                                          fresh.answer)
         assert pickle.loads(pickle.dumps(own)) == fresh
+    # a question has at least one token: the decoder never ends one at its
+    # first step, so only a file can hold an empty one
+    with pytest.raises(ValueError, match="empty question"):
+        dialogue.make_turn([], "no")
 
 
 @pytest.mark.parametrize("answer", ["maybe", "Yes", "", None, True])

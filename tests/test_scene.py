@@ -6,23 +6,14 @@ import pytest
 from guessmix import scene
 
 
-def test_degenerate_range_gives_exact_count():
-    cfg = scene.SceneConfig(min_objects=3, max_objects=3)
-    for seed in range(20):
-        s = scene.generate_scene(np.random.default_rng(seed), cfg)
-        assert len(s.objects) == 3
-
-
 def test_object_count_within_bounds():
-    cfg = scene.SceneConfig(min_objects=3, max_objects=20)
-    s = scene.generate_scene(np.random.default_rng(7), cfg)
+    s = scene.generate_scene(np.random.default_rng(7))
     assert 3 <= len(s.objects) <= 20
 
 
 def test_same_seed_same_scene():
-    cfg = scene.SceneConfig()
-    a = scene.generate_scene(np.random.default_rng(42), cfg, scene_id=5)
-    b = scene.generate_scene(np.random.default_rng(42), cfg, scene_id=5)
+    a = scene.generate_scene(np.random.default_rng(42), scene_id=5)
+    b = scene.generate_scene(np.random.default_rng(42), scene_id=5)
     assert a == b
 
 
@@ -40,17 +31,8 @@ def test_scene_set_prefix_stable_under_growth():
 
 
 def test_empty_set_rejected():
-    with pytest.raises(scene.SceneConfigError):
+    with pytest.raises(ValueError, match="scene set size must be >= 1"):
         scene.generate_scene_set(0, seed=1)
-
-
-def test_bad_bounds_rejected():
-    with pytest.raises(scene.SceneConfigError):
-        scene.generate_scene_set(1, seed=1, cfg=scene.SceneConfig(min_objects=2))
-    with pytest.raises(scene.SceneConfigError):
-        scene.generate_scene_set(1, seed=1, cfg=scene.SceneConfig(max_objects=21))
-    with pytest.raises(scene.SceneConfigError):
-        scene.generate_scene_set(1, seed=1, cfg=scene.SceneConfig(min_objects=9, max_objects=5))
 
 
 def test_object_count_distribution_spans_range():
@@ -60,19 +42,20 @@ def test_object_count_distribution_spans_range():
 
 
 def test_invariants_over_many_seeds():
-    cfg = scene.SceneConfig()
     for seed in range(10_000):
-        s = scene.generate_scene(np.random.default_rng(seed), cfg, scene_id=seed)
+        s = scene.generate_scene(np.random.default_rng(seed), scene_id=seed)
         scene.validate_scene(s)
 
 
-def test_target_choice_uniform():
+def test_target_choice_uniform(monkeypatch):
     k = 10
-    cfg = scene.SceneConfig(min_objects=k, max_objects=k)
+    monkeypatch.setattr(scene, "MIN_OBJECTS", k)
+    monkeypatch.setattr(scene, "MAX_OBJECTS", k)
     n = 10_000
     hits = np.zeros(k)
     for seed in range(n):
-        s = scene.generate_scene(np.random.default_rng([5, seed]), cfg)
+        s = scene.generate_scene(np.random.default_rng([5, seed]))
+        assert len(s.objects) == k
         hits[s.target_index] += 1
     p = 1.0 / k
     bound = 3.0 * np.sqrt(p * (1 - p) / n)
@@ -102,6 +85,6 @@ def test_resampling_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(scene, "_PALETTE_CATEGORIES", (2, 2))
     monkeypatch.setattr(scene, "_PALETTE_COLORS", (2, 2))
     monkeypatch.setattr(scene, "GRID_SIZE", 1)
-    cfg = scene.SceneConfig(min_objects=20, max_objects=20)
+    monkeypatch.setattr(scene, "MIN_OBJECTS", 20)
     with pytest.raises(scene.SceneGenerationError):
-        scene.generate_scene(np.random.default_rng(0), cfg)
+        scene.generate_scene(np.random.default_rng(0))

@@ -142,17 +142,17 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
 def stage_selfplay(questioner, scenes, cfg: ExperimentConfig, length_mode: str, human,
                    seed: int, out):
     """Let the questioner replay the game of every `human` dialogue on its
-    scene for selfplay.turns turns (fixed length, stream 6 of replicate seed
-    `seed`) or as many as that dialogue (variable length, stream 7); writes
-    the dialogues to `out`. A replayed game takes its scene's id, so each
-    human game id must be its scene id, once."""
+    scene for selfplay.FIXED_TURNS turns (fixed length, stream 6 of
+    replicate seed `seed`) or as many as that dialogue (variable length,
+    stream 7); writes the dialogues to `out`. A replayed game takes its
+    scene's id, so each human game id must be its scene id, once."""
     for d in human:
         if d.game_id != d.scene_id:
             raise GameAlignmentError(f"human game id {d.game_id} is not its scene id "
                                      f"{d.scene_id}")
     corpus_mod.check_unique_games(human, "human")
     if length_mode == LENGTH_FIXED:
-        stream, policy = 6, selfplay.FixedLength(cfg["selfplay.turns"])
+        stream, policy = 6, selfplay.FixedLength(selfplay.FIXED_TURNS)
     else:
         stream, policy = 7, selfplay.MatchHuman({d.game_id: len(d.turns) for d in human})
     dialogues = selfplay.generate_selfplay_corpus(
@@ -189,12 +189,12 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
                               else (corpus_mod.human_pct(training), LENGTH_NONE))
     return metrics.evaluate(
         questioner, test_scenes, OracleConfig(cfg["selfplay.noise"]),
-        corpus_mod.question_set(training), turns=cfg["evaluate.turns"], seed=derive_seed(seed, 90),
+        corpus_mod.question_set(training), seed=derive_seed(seed, 90),
         pct_human=pct_human, length_mode=length_mode,
     )
 
 
-def stage_report(rows, cfg: ExperimentConfig, csv_path, ablation_path, md_path=None) -> int:
+def stage_report(rows, csv_path, ablation_path, md_path=None) -> int:
     """Write the report rows to `csv_path`, the generated-only ablation's,
     which have 0% human data, to `ablation_path` if there are any, and with
     `md_path` the markdown report: the test-protocol table, then the
@@ -205,7 +205,7 @@ def stage_report(rows, cfg: ExperimentConfig, csv_path, ablation_path, md_path=N
     if ablation:
         metrics.write_report_csv(ablation_path, ablation)
     if md_path:
-        md = metrics.report_markdown(rows, f"Test set, {cfg['evaluate.turns']}-question protocol")
+        md = metrics.report_markdown(rows, f"Test set, {metrics.TEST_TURNS}-question protocol")
         if ablation:
             md += "\n" + metrics.report_markdown(ablation, "Generated-only training (ablation)")
         Path(md_path).write_text(md, encoding="utf-8")
@@ -319,7 +319,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
         corpus_mod.write_stats_csv(seed_dir / "stats.csv", stats_rows)
         csv, ablation = seed_dir / "report.csv", seed_dir / "report_ablation.csv"
         written += [seed_dir / "stats.csv", csv]
-        if stage_report(report_rows, cfg, csv, ablation):
+        if stage_report(report_rows, csv, ablation):
             written.append(ablation)
     return stats_rows, report_rows, written
 
@@ -369,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
         written = [echo, out / "stats_mean.csv", out / "report_mean.csv", out / "report.md",
                    *(path for seed_paths in paths for path in seed_paths)]
-        if stage_report(reports, cfg, out / "report_mean.csv", out / "report_ablation_mean.csv",
+        if stage_report(reports, out / "report_mean.csv", out / "report_ablation_mean.csv",
                         out / "report.md"):
             written.append(out / "report_ablation_mean.csv")
         manifest = {
@@ -462,13 +462,11 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
 
 
 def _cmd_report(args, cfg: ExperimentConfig) -> None:
-    turns = cfg["evaluate.turns"]
     rows = [row for path in args.rows
-            for row in read_jsonl(path, lambda rec: metrics.checked_report_row(rec, turns),
-                                  "report row")]
+            for row in read_jsonl(path, metrics.checked_report_row, "report row")]
     out_csv = Path(args.out_csv)
     ablation_csv = out_csv.with_name(f"{out_csv.stem}_ablation.csv")
-    n_ablation = stage_report(rows, cfg, out_csv, ablation_csv, args.out_md)
+    n_ablation = stage_report(rows, out_csv, ablation_csv, args.out_md)
     print(f"wrote {len(rows) - n_ablation} rows to {out_csv}"
           + (f" and {n_ablation} to {ablation_csv}" if n_ablation else ""))
 
@@ -526,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("selfplay", _cmd_selfplay,
                 "let a trained model replay the games of a teacher corpus against the oracle",
-                ("selfplay.noise", "selfplay.turns"))
+                ("selfplay.noise",))
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--human", required=True,
@@ -547,15 +545,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", help="labelled from the mix manifest beside it, if any")
 
     p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row",
-                ("selfplay.noise", "evaluate.turns"))
+                ("selfplay.noise",))
     p.add_argument("--model", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--train-dialogues", required=True,
                    help="corpus the model was trained on: defines NQ, and its manifest the label")
     p.add_argument("--out", help="also write the row as JSON")
 
-    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown",
-                ("evaluate.turns",), seed=False)
+    p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=False)
     p.add_argument("--rows", nargs="+", required=True)
     p.add_argument("--out-csv", required=True,
                    help="rows with 0%% human data go to <stem>_ablation.csv beside it")

@@ -42,9 +42,7 @@ SCHEMA: dict[str, tuple] = {
     "teacher.noise": (float, 0.0, "oracle answer noise while collecting the teacher corpus"),
     "corpus.min_count": (int, 3, "vocabulary frequency threshold"),
     "selfplay.noise": (float, 0.1, "machine-oracle answer noise (self-play and evaluation)"),
-    "selfplay.turns": (int, 5, "fixed-length turn budget for generated dialogues"),
     "selfplay.checkpoint": (str, "last", "which checkpoint plays: last or best_val"),
-    "evaluate.turns": (int, 5, "questions per game in the test protocol"),
     **{key: (type(f.default), f.default, f.metadata["help"]) for key, f in _FIELDS.items()},
 }
 
@@ -76,8 +74,7 @@ class ExperimentConfig:
             if not (0.0 <= self[key] <= 1.0):
                 raise ConfigError(f"{key} must be in [0, 1]")
         for key in ("experiment.n_train_scenes", "experiment.n_test_scenes",
-                    "experiment.replicate_seeds", "selfplay.turns", "evaluate.turns",
-                    "corpus.min_count"):
+                    "experiment.replicate_seeds", "corpus.min_count"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key in ("experiment.seed", "experiment.n_val_scenes"):

@@ -23,9 +23,14 @@ def checked(value, *types):
 def read_jsonl(path: str | Path, build, kind: str) -> list:
     """`build` each decoded line into a record. The file comes from outside
     the program, so whatever `json.loads` or `build` raises on a line makes
-    it a malformed `kind` record: a ValueError naming the file and line."""
+    it a malformed `kind` record: a ValueError naming the file and line. A
+    file that cannot be opened, such as a directory, is a ValueError too."""
+    try:
+        f = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} file {path}: {exc}") from exc
     out = []
-    with open(path, "r", encoding="utf-8") as f:
+    with f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line:

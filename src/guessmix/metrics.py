@@ -29,6 +29,9 @@ from .lang import Vocabulary
 
 Tokens = tuple[str, ...]
 
+# questions per game in the test protocol every model plays
+TEST_TURNS = 5
+
 
 def ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
@@ -213,7 +216,7 @@ def evaluate(
     test_scenes,
     oracle_cfg,
     training_questions: set[Tokens],
-    turns: int = 5,
+    turns: int = TEST_TURNS,
     seed: int = 0,
     pct_human: float = 100.0,
     length_mode: str = "-",
@@ -269,16 +272,15 @@ def row_from_record(cls, rec: dict):
                   else checked(rec[f.name], int, float) for f in fields(cls)})
 
 
-def checked_report_row(rec: dict, turns: int) -> ReportRow:
+def checked_report_row(rec: dict) -> ReportRow:
     """The report row a decoded record holds, if `evaluate` could have made
-    it with `turns` questions per game: shares p and 100 - p for a p in
-    [0, 100], a whole p below 100 with length mode fixed or variable, ACC,
-    GRQ and GR in [0, 100], MO in [0, 1] and NQ in [0, turns]; else a
-    ValueError."""
+    it under the test protocol: shares p and 100 - p for a p in [0, 100], a
+    whole p below 100 with length mode fixed or variable, ACC, GRQ and GR in
+    [0, 100], MO in [0, 1] and NQ in [0, TEST_TURNS]; else a ValueError."""
     from .corpus import LENGTH_MODES, LENGTH_NONE  # deferred: corpus imports metrics
 
     row = row_from_record(ReportRow, rec)
-    for name, top in dict(pct_human=100, acc=100, grq=100, gr=100, mo=1, nq=turns).items():
+    for name, top in dict(pct_human=100, acc=100, grq=100, gr=100, mo=1, nq=TEST_TURNS).items():
         if not 0 <= getattr(row, name) <= top:
             raise ValueError(f"{name} {getattr(row, name)} is outside [0, {top}]")
     mixed = row.length_mode != LENGTH_NONE

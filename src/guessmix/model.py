@@ -98,11 +98,7 @@ _COORD_SCALE = float(GRID_SIZE - 1)
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the log collected so far."""
-
-    def __init__(self, message: str, log: list[EpochLog] | None = None):
-        super().__init__(message)
-        self.log = log
+    """Loss became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -727,9 +723,7 @@ def train(
         for bi, chunk in enumerate(batches):
             loss, grads, aux = loss_and_grads(params, vocab, chunk, phase)
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}", log=log
-                )
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}, batch {bi}")
             _apply_update(params, grads, cfg)
             qgen_sum += aux["qgen_nll"]
             guess_sum += aux["guesser_ce"]
@@ -796,8 +790,12 @@ def load_checkpoint(path: str | Path) -> Questioner:
     unknown format, an unknown, missing or extra array, key or setting, a
     setting of the wrong type, a misshapen array, a vocabulary other than
     the one `build_vocabulary` makes from its counts and min_count) is a
-    ValueError naming it."""
-    with open(path, "rb") as f:
+    ValueError naming it, and so is a file that cannot be opened."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise ValueError(f"cannot read checkpoint {path}: {exc}") from exc
+    with f:
         try:
             with np.load(f, allow_pickle=False) as z:
                 if set(z.files) != {"meta", *PARAM_FIELDS}:

@@ -28,6 +28,9 @@ from .scene import Scene
 
 log = logging.getLogger(__name__)
 
+# the paper's fixed-length generated dialogues take this many turns
+FIXED_TURNS = 5
+
 
 @dataclass(frozen=True)
 class FixedLength:

@@ -19,11 +19,8 @@ from .scene import Scene
 
 log = logging.getLogger(__name__)
 
-# kept games must be successful and strictly shorter than this many turns
-MAX_HUMAN_TURNS = 20
-
 # the teacher asks at most this many questions per game
-DEFAULT_MAX_TURNS = 8
+MAX_TURNS = 8
 
 
 def next_teacher_question(
@@ -66,14 +63,14 @@ def next_teacher_question(
 def play_teacher_game(
     scene: Scene,
     oracle_cfg: oracle.OracleConfig,
-    max_turns: int,
     rng: np.random.Generator,
 ) -> Dialogue:
-    """Play one full game; the dialogue is returned unfiltered."""
+    """Play one full game of at most MAX_TURNS questions; the dialogue is
+    returned unfiltered."""
     candidates = list(range(len(scene.objects)))
     asked: set[lang.QuestionSemantics] = set()
     turns: list[Turn] = []
-    while len(candidates) > 1 and len(turns) < max_turns:
+    while len(candidates) > 1 and len(turns) < MAX_TURNS:
         picked = next_teacher_question(scene, candidates, asked, rng)
         if picked is None:
             break
@@ -104,38 +101,22 @@ def play_teacher_game(
     )
 
 
-def keep_human_game(d: Dialogue) -> bool:
-    """The human-data filter: successful games shorter than MAX_HUMAN_TURNS."""
-    return d.success and len(d.turns) < MAX_HUMAN_TURNS
-
-
 def collect_teacher_corpus(
     scenes: list[Scene],
     oracle_cfg: oracle.OracleConfig,
-    max_turns: int = DEFAULT_MAX_TURNS,
     seed: int = 0,
 ) -> list[Dialogue]:
-    """Play every scene and keep the games passing keep_human_game.
+    """Play every scene and keep the successful games, the human-data filter.
 
     Each game runs on its own random stream derived from (seed, scene_id),
     so the corpus is a pure function of its arguments.
     """
-    if max_turns < 1:
-        raise ValueError(f"max_turns must be >= 1, got {max_turns}")
-    kept: list[Dialogue] = []
-    dropped = 0
-    for sc in scenes:
-        d = play_teacher_game(sc, oracle_cfg, max_turns, np.random.default_rng([seed, sc.scene_id]))
-        if keep_human_game(d):
-            kept.append(d)
-        else:
-            dropped += 1
-    if kept:
-        mean_turns = sum(len(d.turns) for d in kept) / len(kept)
-    else:
-        mean_turns = 0.0
+    played = (play_teacher_game(sc, oracle_cfg, np.random.default_rng([seed, sc.scene_id]))
+              for sc in scenes)
+    kept = [d for d in played if d.success]
+    mean_turns = sum(len(d.turns) for d in kept) / len(kept) if kept else 0.0
     log.info(
         "teacher corpus: kept %d of %d games (dropped %d), mean turns %.2f",
-        len(kept), len(scenes), dropped, mean_turns,
+        len(kept), len(scenes), len(scenes) - len(kept), mean_turns,
     )
     return kept

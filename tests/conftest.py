@@ -26,7 +26,7 @@ def started(monkeypatch):
 @pytest.fixture(scope="session")
 def small_teacher_corpus(small_scenes):
     return teacher.collect_teacher_corpus(
-        small_scenes, oracle.OracleConfig(0.0), max_turns=8, seed=3
+        small_scenes, oracle.OracleConfig(0.0), seed=3
     )
 
 

@@ -61,8 +61,7 @@ def test_criterion_2_count_metric_exactness(small_scenes, small_teacher_corpus):
     assert metrics.accuracy(games) == 46.3
 
     assert metrics.grq(small_teacher_corpus) == 0.0
-    noisy = teacher.collect_teacher_corpus(small_scenes, oracle.OracleConfig(0.2),
-                                           max_turns=8, seed=5)
+    noisy = teacher.collect_teacher_corpus(small_scenes, oracle.OracleConfig(0.2), seed=5)
     assert metrics.grq(noisy) == 0.0
     _report(2, "GRQ 30.0, GR 21.0, NQ 1.0, ACC 46.3 exact; teacher corpora GRQ = 0")
 
@@ -177,7 +176,7 @@ def test_criterion_7_directional_replication(tmp_path):
     })
     assert cfg["experiment.n_train_scenes"] == 2000
     assert cfg["experiment.n_test_scenes"] == 500
-    assert cfg["evaluate.turns"] == 5
+    assert metrics.TEST_TURNS == 5
     out = cli.run_experiment(cfg)
     elapsed = time.perf_counter() - t0
 

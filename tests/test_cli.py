@@ -169,13 +169,15 @@ class TestConfig:
     # each with a value its key took when it was a setting
     REMOVED_KEYS = {"corpus.require_generated_success": "no", "model.guesser_human_only": "no",
                     "scene.min_objects": "4", "scene.max_objects": "9",
-                    "teacher.max_turns": "7"}
+                    "teacher.max_turns": "7", "selfplay.turns": "4", "evaluate.turns": "6"}
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_switches_are_unknown_keys(self, tmp_path, capsys, key):
         # generated dialogues enter a mix whatever their outcome, and the
         # guesser trains on every dialogue; a scene holds 3 to 20 objects and
-        # the teacher asks at most 8 questions, as in the data. None is a setting
+        # the teacher asks at most 8 questions, as in the data; generated games
+        # of fixed length and test games take 5 turns, as in the paper. None
+        # is a setting
         value = self.REMOVED_KEYS[key]
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n"
@@ -226,8 +228,7 @@ class TestConfig:
             "experiment.n_val_scenes": 5, "experiment.output_dir": "runs/a b",
             "experiment.mix_specs": "100:-, 50:variable", "teacher.noise": 0.1,
             "corpus.min_count": 2, "selfplay.noise": 0.25,
-            "selfplay.turns": 4, "selfplay.checkpoint": "best_val", "evaluate.turns": 6,
-            "model.embed_dim": 8,
+            "selfplay.checkpoint": "best_val", "model.embed_dim": 8,
             "model.hidden_dim": 12, "model.learning_rate": 0.1, "model.grad_clip": 2.5,
             "model.modulo_n": 2, "model.epochs": 5, "model.batch_size": 16,
             "model.decode": "greedy", "model.max_question_len": 12,
@@ -363,7 +364,7 @@ class TestSubcommands:
         # share, and more novel questions than each test game asks
         (REPORT_ROWS, dict(GOOD_ROW, pct_human=100, pct_generated=0)),
         (REPORT_ROWS, dict(GOOD_ROW, pct_human=37.5, pct_generated=62.5, length_mode="variable")),
-        ([*REPORT_ROWS, "--evaluate.turns", "5"], dict(GOOD_ROW, nq=9)),
+        (REPORT_ROWS, dict(GOOD_ROW, nq=5.5)),
     ], ids=["dialogue-q-not-text", "dialogue-success-not-bool", "dialogue-guess-not-int",
             "dialogue-q-empty", "dialogue-q-blank",
             "scene-x-not-int", "scene-x-fractional", "report-row-missing-fields",
@@ -383,6 +384,22 @@ class TestSubcommands:
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         rc = cli.main(["stats", str(tmp_path / "nope.jsonl")])
         assert rc == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "{dir}"],
+        ["collect-human", "--scenes", "{dir}", "--out", "{out}"],
+        ["evaluate", "--model", "{dir}", "--scenes", "{dir}/s.jsonl",
+         "--train-dialogues", "{dir}/d.jsonl", "--out", "{out}"],
+    ], ids=["stats", "collect-human-scenes", "evaluate-model"])
+    def test_directory_input_is_validation_error(self, tmp_path, capsys, argv):
+        # an input that cannot be opened is an input error, like a missing one
+        folder, out = tmp_path / "inputs", tmp_path / "out.jsonl"
+        folder.mkdir()
+        rc = cli.main([a.format(dir=folder, out=out) for a in argv])
+        assert rc == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "cannot read" in captured.err and str(folder) in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_full_subcommand_chain(self, tmp_path, capsys):
         d = tmp_path
@@ -418,8 +435,7 @@ class TestSubcommands:
                    *TINY_MODEL_FLAGS, "--out", f"{d}/mixed.ckpt") == 0
         capsys.readouterr()
         assert run("evaluate", "--model", f"{d}/mixed.ckpt", "--scenes", f"{d}/test.jsonl",
-                   "--train-dialogues", f"{d}/mixed.jsonl", "--evaluate.turns", "5",
-                   "--out", f"{d}/row.json") == 0
+                   "--train-dialogues", f"{d}/mixed.jsonl", "--out", f"{d}/row.json") == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         parts = line.split(",")
         acc, grq, mo, nq, gr = map(float, parts[3:])
@@ -477,13 +493,17 @@ class TestSubcommands:
         rows.write_text(json.dumps({"pct_human": 100, "pct_generated": 0, "length_mode": "-",
                                     "acc": 50.0, "grq": 10.0, "mo": 0.1, "nq": 1.0,
                                     "gr": 90.0}) + "\n")
-        for turns in ("3", None):
-            md = tmp_path / f"report_{turns}.md"
-            argv = ["report", "--rows", str(rows), "--out-csv", str(tmp_path / "r.csv"),
-                    "--out-md", str(md)]
-            assert cli.main(argv + (["--evaluate.turns", turns] if turns else [])) == 0
-            want = f"## Test set, {turns or 5}-question protocol\n"
-            assert md.read_text(encoding="utf-8").startswith(want)
+        md, csv = tmp_path / "report.md", tmp_path / "r.csv"
+        argv = ["report", "--rows", str(rows), "--out-csv", str(csv), "--out-md", str(md)]
+        # the protocol length is fixed: neither command takes it as a flag
+        assert cli.main([*argv, "--evaluate.turns", "3"]) == cli.EXIT_VALIDATION
+        row = tmp_path / "row8.json"
+        assert cli.main(["evaluate", "--model", str(tmp_path / "m.ckpt"), "--scenes",
+                         str(tmp_path / "s.jsonl"), "--train-dialogues", str(rows),
+                         "--evaluate.turns", "8", "--out", str(row)]) == cli.EXIT_VALIDATION
+        assert not md.exists() and not csv.exists() and not row.exists()
+        assert cli.main(argv) == cli.EXIT_OK
+        assert md.read_text(encoding="utf-8").startswith("## Test set, 5-question protocol\n")
 
     def test_flag_defaults_follow_schema(self, monkeypatch):
         # every subcommand gets its settings from load_config: no key flags
@@ -514,12 +534,12 @@ class TestSubcommands:
                 assert {k for k in defaults if got[k] != defaults[k]} == {key, *partner}, key
 
     def test_bad_setting_fails_before_inputs_are_read(self, tmp_path, capsys):
-        rc = cli.main(["selfplay", "--selfplay.turns", "0", "--model", str(tmp_path / "no.ckpt"),
+        rc = cli.main(["selfplay", "--selfplay.noise", "2", "--model", str(tmp_path / "no.ckpt"),
                        "--scenes", str(tmp_path / "no.jsonl"), "--human", str(tmp_path / "no"),
                        "--out", str(tmp_path / "gen.jsonl")])
         assert rc == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "selfplay.turns" in err and "no.ckpt" not in err
+        assert "selfplay.noise" in err and "no.ckpt" not in err
 
     def test_bad_choice_is_validation_error(self, tmp_path, capsys):
         # a setting's value is checked by the config, not by argparse (exit 2)

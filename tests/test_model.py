@@ -700,9 +700,8 @@ class TestTrain:
         cfg = model.ModelConfig(embed_dim=8, hidden_dim=12, epochs=2, batch_size=4)
         params = model.init_params(cfg, vocab, seed=0)
         params.w_out[0, 0] = np.inf
-        with pytest.raises(model.TrainingDivergedError) as err:
+        with pytest.raises(model.TrainingDivergedError):
             model.train(params, vocab, dataset, cfg, seed=0)
-        assert err.value.log is not None
 
     def test_best_val_tracking(self, world):
         scenes, corpus, vocab, dataset = world

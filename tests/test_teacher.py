@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import make_dialogue
 from guessmix import lang, metrics, oracle, teacher
 from guessmix.scene import Scene, SceneObject
 
@@ -77,7 +76,7 @@ class TestNextQuestion:
         for target in range(8):
             scene = build_scene(specs, target=target)
             d = teacher.play_teacher_game(
-                scene, oracle.OracleConfig(0.0), max_turns=10, rng=np.random.default_rng(target)
+                scene, oracle.OracleConfig(0.0), rng=np.random.default_rng(target)
             )
             assert d.success
             assert len(d.turns) <= 4  # ceil(log2 8) plus one question of slack
@@ -103,25 +102,21 @@ class TestCollect:
         assert metrics.grq(small_teacher_corpus) == 0.0
         for d in small_teacher_corpus:
             assert d.source == "human"
-            assert len(d.turns) < teacher.MAX_HUMAN_TURNS
+            assert len(d.turns) <= teacher.MAX_TURNS
 
-    def test_filter_rejects_long_or_failed_games(self):
-        long_game = make_dialogue(["is it red ?"] * 0 or [f"is it q{i} ?" for i in range(21)],
-                                  success=True)
-        assert len(long_game.turns) == 21
-        assert not teacher.keep_human_game(long_game)
-        failed = make_dialogue(["is it red ?"], success=False)
-        assert not teacher.keep_human_game(failed)
-        good = make_dialogue([f"is it q{i} ?" for i in range(19)], success=True)
-        assert teacher.keep_human_game(good)
+    def test_games_stop_at_the_question_budget(self, small_scenes, monkeypatch):
+        monkeypatch.setattr(teacher, "MAX_TURNS", 2)
+        rng = np.random.default_rng(0)
+        lengths = [len(teacher.play_teacher_game(sc, oracle.OracleConfig(0.0), rng).turns)
+                   for sc in small_scenes]
+        assert max(lengths) == 2
 
     def test_noisy_collection_still_respects_filter(self, small_scenes):
-        corpus = teacher.collect_teacher_corpus(
-            small_scenes, oracle.OracleConfig(0.4), max_turns=25, seed=9
-        )
+        corpus = teacher.collect_teacher_corpus(small_scenes, oracle.OracleConfig(0.4), seed=9)
+        assert len(corpus) < len(small_scenes)  # the filter dropped a failed game
         for d in corpus:
             assert d.success
-            assert len(d.turns) < teacher.MAX_HUMAN_TURNS
+            assert len(d.turns) <= teacher.MAX_TURNS
 
     def test_determinism(self, small_scenes):
         a = teacher.collect_teacher_corpus(small_scenes, oracle.OracleConfig(0.0), seed=3)

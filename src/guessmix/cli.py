@@ -108,19 +108,19 @@ def best_val_path(out) -> Path:
     return Path(out).with_name(f"{Path(out).stem}_best_val.ckpt")
 
 
-def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pairs=None,
-                vocab_out=None):
+def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val=None):
     """Train a fresh Questioner on `dialogues` and save it to `out`; it
     initialises from stream 4 of replicate seed `seed` and orders its
-    batches from stream 5, so a run's models share both streams.
+    batches from stream 5, so a run's models share both streams. The
+    checkpoint holds the model's vocabulary.
 
-    Returns (questioner, best_val, train_log). With `val_pairs`, `best_val`
-    holds the parameters of the epoch with the lowest validation NLL and is
-    saved to `best_val_path(out)`; without, it is None. An empty
-    `val_pairs` has no best epoch, so it is refused before anything is written.
-    With `vocab_out`, the vocabulary is written there after the checkpoints,
-    so a training that fails writes no file.
+    Returns (questioner, best_val, train_log). With `val`, a (dialogues,
+    scenes) pair, `best_val` holds the parameters of the epoch with the
+    lowest validation NLL and is saved to `best_val_path(out)`; without, it
+    is None. An empty validation corpus has no best epoch, so it is refused
+    before anything is written.
     """
+    val_pairs = None if val is None else _pair_with_scenes(*val)
     if val_pairs is not None and not val_pairs:
         raise ValueError("the validation set is empty: no dialogue to pick a best-val model by")
     model_cfg = cfg.model_config()
@@ -134,8 +134,6 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val_pa
     if result.best_val_params is not None:
         best_val = model.Questioner(result.best_val_params, vocab, model_cfg)
         model.save_checkpoint(best_val_path(out), best_val)
-    if vocab_out:
-        lang.write_vocabulary(vocab_out, vocab)
     return questioner, best_val, result.log
 
 
@@ -194,16 +192,21 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
     )
 
 
-def stage_report(rows, csv_path, ablation_path, md_path=None) -> int:
+def ablation_path(csv_path) -> Path:
+    """Where `stage_report` writes the generated-only ablation's rows of report `csv_path`."""
+    return Path(csv_path).with_name(f"{Path(csv_path).stem}_ablation.csv")
+
+
+def stage_report(rows, csv_path, md_path=None) -> int:
     """Write the report rows to `csv_path`, the generated-only ablation's,
-    which have 0% human data, to `ablation_path` if there are any, and with
-    `md_path` the markdown report: the test-protocol table, then the
-    ablation's. Returns how many ablation rows there are."""
+    which have 0% human data, to `ablation_path(csv_path)` if there are
+    any, and with `md_path` the markdown report: the test-protocol table,
+    then the ablation's. Returns how many ablation rows there are."""
     ablation = [r for r in rows if r.pct_human == 0]
     rows = [r for r in rows if r.pct_human != 0]
     metrics.write_report_csv(csv_path, rows)
     if ablation:
-        metrics.write_report_csv(ablation_path, ablation)
+        metrics.write_report_csv(ablation_path(csv_path), ablation)
     if md_path:
         md = metrics.report_markdown(rows, f"Test set, {metrics.TEST_TURNS}-question protocol")
         if ablation:
@@ -254,18 +257,16 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
     with _stage("teacher", replicate):
         human = stage_collect(train_scenes, cfg, rep_seed, seed_dir / "human.jsonl")
         written.append(seed_dir / "human.jsonl")
-        val_pairs = None
+        val = None
         if n_val:
             [val_scenes] = val_split
-            val = stage_collect(val_scenes, cfg, rep_seed, seed_dir / "val.jsonl")
-            val_pairs = _pair_with_scenes(val, val_scenes)
+            val = (stage_collect(val_scenes, cfg, rep_seed, seed_dir / "val.jsonl"), val_scenes)
             written.append(seed_dir / "val.jsonl")
 
     with _stage("base-train", replicate):
         base, best_val, _ = stage_train(human, train_scenes, cfg, rep_seed,
-                                        seed_dir / "model_100.ckpt", val_pairs=val_pairs,
-                                        vocab_out=seed_dir / "vocab_100.jsonl")
-        written += [seed_dir / "model_100.ckpt", seed_dir / "vocab_100.jsonl"]
+                                        seed_dir / "model_100.ckpt", val=val)
+        written.append(seed_dir / "model_100.ckpt")
         if best_val is not None:
             written.append(best_val_path(seed_dir / "model_100.ckpt"))
         player = best_val if cfg["selfplay.checkpoint"] == "best_val" else base
@@ -317,10 +318,10 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
 
     with _stage("report", replicate):
         corpus_mod.write_stats_csv(seed_dir / "stats.csv", stats_rows)
-        csv, ablation = seed_dir / "report.csv", seed_dir / "report_ablation.csv"
+        csv = seed_dir / "report.csv"
         written += [seed_dir / "stats.csv", csv]
-        if stage_report(report_rows, csv, ablation):
-            written.append(ablation)
+        if stage_report(report_rows, csv):
+            written.append(ablation_path(csv))
     return stats_rows, report_rows, written
 
 
@@ -369,9 +370,8 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
         written = [echo, out / "stats_mean.csv", out / "report_mean.csv", out / "report.md",
                    *(path for seed_paths in paths for path in seed_paths)]
-        if stage_report(reports, out / "report_mean.csv", out / "report_ablation_mean.csv",
-                        out / "report.md"):
-            written.append(out / "report_ablation_mean.csv")
+        if stage_report(reports, out / "report_mean.csv", out / "report.md"):
+            written.append(ablation_path(out / "report_mean.csv"))
         manifest = {
             "config": cfg.values,
             # the Python and numpy versions and the BLAS thread count set (None
@@ -414,17 +414,13 @@ def _cmd_train(args, cfg: ExperimentConfig) -> None:
         raise ConfigError("--val-dialogues needs model.epochs >= 1 to pick a best-val checkpoint")
     dialogues = read_dialogues(args.dialogues)
     scenes = read_scenes(args.scenes)
-    val_pairs = None
+    val = None
     if args.val_dialogues:
-        val_pairs = _pair_with_scenes(read_dialogues(args.val_dialogues),
-                                      read_scenes(args.val_scenes))
-    _, best_val, train_log = stage_train(dialogues, scenes, cfg, args.seed, args.out,
-                                         val_pairs=val_pairs, vocab_out=args.vocab_out)
+        val = (read_dialogues(args.val_dialogues), read_scenes(args.val_scenes))
+    _, best_val, train_log = stage_train(dialogues, scenes, cfg, args.seed, args.out, val=val)
     if train_log:
         print(f"trained {len(train_log)} epochs, final question NLL {train_log[-1].qgen_nll:.4f}")
     print(f"wrote checkpoint to {args.out}")
-    if args.vocab_out:
-        print(f"wrote vocabulary to {args.vocab_out}")
     if best_val is not None:
         print(f"wrote best-validation checkpoint to {best_val_path(args.out)}")
 
@@ -464,11 +460,9 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
 def _cmd_report(args, cfg: ExperimentConfig) -> None:
     rows = [row for path in args.rows
             for row in read_jsonl(path, metrics.checked_report_row, "report row")]
-    out_csv = Path(args.out_csv)
-    ablation_csv = out_csv.with_name(f"{out_csv.stem}_ablation.csv")
-    n_ablation = stage_report(rows, out_csv, ablation_csv, args.out_md)
-    print(f"wrote {len(rows) - n_ablation} rows to {out_csv}"
-          + (f" and {n_ablation} to {ablation_csv}" if n_ablation else ""))
+    n_ablation = stage_report(rows, args.out_csv, args.out_md)
+    print(f"wrote {len(rows) - n_ablation} rows to {args.out_csv}"
+          + (f" and {n_ablation} to {ablation_path(args.out_csv)}" if n_ablation else ""))
 
 
 def _cmd_run(args, cfg: ExperimentConfig) -> None:
@@ -520,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-scenes")
     p.add_argument("--out", required=True,
                    help="checkpoint; with validation data, also <stem>_best_val.ckpt")
-    p.add_argument("--vocab-out", help="also write the vocabulary the model was built on")
 
     p = command("selfplay", _cmd_selfplay,
                 "let a trained model replay the games of a teacher corpus against the oracle",
@@ -579,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
                  if key in SCHEMA and value is not None}
         args.func(args, load_config(args.config, flags))
         return EXIT_OK
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:  # a ConfigError too: bad settings or input files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - map anything else to a runtime failure

@@ -67,7 +67,7 @@ class ExperimentConfig:
             if key not in SCHEMA:
                 raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            self.model_config().validate()
+            self.model_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for key in ("teacher.noise", "selfplay.noise"):

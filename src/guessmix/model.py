@@ -116,7 +116,7 @@ class ModelConfig:
                              metadata={"help": "question decoding: sample or greedy"})
     max_question_len: int = field(default=10, metadata={"help": "generation length cap"})
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise ValueError("embed_dim and hidden_dim must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -171,7 +171,6 @@ def param_shapes(cfg: ModelConfig, n_words: int) -> dict[str, tuple[int, ...]]:
 
 def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
     """All entries uniform in [-s, s] with s = 1/sqrt(hidden_dim)."""
-    cfg.validate()
     if vocab.n_words == 0:
         raise ValueError("cannot initialize a model over an empty vocabulary")
     s = 1.0 / math.sqrt(cfg.hidden_dim)
@@ -705,7 +704,6 @@ def train(
     supplied, the parameters at the epoch with the lowest validation NLL are
     returned as best_val_params alongside the final ones.
     """
-    cfg.validate()
     if not dataset:
         raise ValueError("empty training dataset")
     _keep_freed_memory()
@@ -814,7 +812,6 @@ def load_checkpoint(path: str | Path) -> Questioner:
             config = ModelConfig(**{fd.name: checked(meta["config"][fd.name],
                                                      *_SETTING_TYPES[fd.type])
                                     for fd in fields(ModelConfig)})
-            config.validate()
             counts = {k: checked(v, int) for k, v in meta["vocab"]["counts"].items()}
             vocab = Vocabulary(counts, checked(meta["vocab"]["min_count"], int))
             if vocab.words != meta["vocab"]["words"] or vocab.counts != counts:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from guessmix import cli, config, dialogue, metrics, model, parallel, scene, selfplay
+from guessmix import cli, config, dialogue, lang, metrics, model, parallel, scene, selfplay
 from guessmix.config import ConfigError, ExperimentConfig, load_config
 from guessmix.corpus import MixSpec
 from guessmix.model import ModelConfig
@@ -763,31 +763,27 @@ class TestDerivedInputs:
                                                               capsys):
         # an empty validation set has no best epoch, so the promised
         # <stem>_best_val.ckpt cannot be written; nothing else is written either
-        d, out, vocab = mixed_chain, tmp_path / "m.ckpt", tmp_path / "vocab.jsonl"
+        d, out = mixed_chain, tmp_path / "m.ckpt"
         empty = tmp_path / "val.jsonl"
         empty.write_text("")
         assert cli.main(["train", "--dialogues", str(d / "human.jsonl"),
                          "--scenes", str(d / "scenes.jsonl"), *TINY_MODEL_FLAGS,
                          "--val-dialogues", str(empty), "--val-scenes", str(d / "scenes.jsonl"),
-                         "--vocab-out", str(vocab), "--out", str(out)]) == cli.EXIT_VALIDATION
+                         "--out", str(out)]) == cli.EXIT_VALIDATION
         assert "validation set is empty" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "m_best_val.ckpt").exists()
-        assert not vocab.exists()
 
     def test_failed_training_writes_no_file(self, mixed_chain, tmp_path, capsys):
-        # the vocabulary is written after the checkpoints, so a training that
-        # fails leaves neither file
-        d, out, vocab = mixed_chain, tmp_path / "m.ckpt", tmp_path / "vocab.jsonl"
+        d, out = mixed_chain, tmp_path / "m.ckpt"
         empty, one_scene = tmp_path / "empty.jsonl", tmp_path / "one_scene.jsonl"
         empty.write_text("")
         scene.write_scenes(one_scene, scene.read_scenes(d / "scenes.jsonl")[:1])
         for dialogues, scenes, message in ((empty, d / "scenes.jsonl", "empty training dataset"),
                                            (d / "human.jsonl", one_scene, "no scene for")):
             assert cli.main(["train", "--dialogues", str(dialogues), "--scenes", str(scenes),
-                             *TINY_MODEL_FLAGS, "--vocab-out", str(vocab),
-                             "--out", str(out)]) == cli.EXIT_VALIDATION
+                             *TINY_MODEL_FLAGS, "--out", str(out)]) == cli.EXIT_VALIDATION
             assert message in capsys.readouterr().err
-            assert not out.exists() and not vocab.exists()
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag, corpus", [("--val-scenes", "scenes.jsonl"),
                                               ("--val-dialogues", "human.jsonl")])
@@ -1013,13 +1009,14 @@ class TestRunExperiment:
                    if p.is_file() and p.name not in (".lock", "manifest.json")}
         assert files.keys() == on_disk
         for name in ("seed_1/model_100_best_val.ckpt", "seed_1/report_ablation.csv",
-                     "report_ablation_mean.csv", "seed_1/mixed_0_variable.manifest.json"):
+                     "report_mean_ablation.csv", "seed_1/mixed_0_variable.manifest.json"):
             assert name in files
 
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
         # every step takes the replicate seed R that manifest.json lists
         seed_dir = tiny_run / "seed_0"
-        [rep_seed] = json.loads((tiny_run / "manifest.json").read_text())["replicate_seeds"]
+        manifest = json.loads((tiny_run / "manifest.json").read_text())
+        [rep_seed] = manifest["replicate_seeds"]
         run = lambda *args: cli.main([str(a) for a in args])
         assert run("gen-scenes", "--n", 60, "--seed", rep_seed,
                    "--out", tmp_path / "scenes_train.jsonl") == 0
@@ -1046,18 +1043,14 @@ class TestRunExperiment:
         report_lines = (seed_dir / "report.csv").read_text().splitlines()
         # mix j of TINY_CONFIG: (corpus, checkpoint); the labels come from
         # the corpus's manifest, or for human.jsonl, which has none, from its share.
-        # Every model of the replicate trains and plays on the streams of R;
-        # the base model's vocabulary is saved beside it
-        mixes = [("human.jsonl", "model_100.ckpt", "vocab_100.jsonl"),
-                 ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt", None)]
-        for j, (corpus, ckpt, vocab) in enumerate(mixes):
+        # Every model of the replicate trains and plays on the streams of R
+        mixes = [("human.jsonl", "model_100.ckpt"), ("mixed_50_fixed.jsonl", "model_50_fixed.ckpt")]
+        for j, (corpus, ckpt) in enumerate(mixes):
             assert run("train", "--dialogues", seed_dir / corpus,
                        "--scenes", seed_dir / "scenes_train.jsonl", "--seed", rep_seed,
                        "--model.embed_dim", 8, "--model.hidden_dim", 12, "--model.epochs", 2,
-                       "--model.batch_size", 8, "--out", tmp_path / ckpt,
-                       *(("--vocab-out", tmp_path / vocab) if vocab else ())) == 0
-            for name in filter(None, (ckpt, vocab)):
-                assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes(), name
+                       "--model.batch_size", 8, "--out", tmp_path / ckpt) == 0
+            assert (tmp_path / ckpt).read_bytes() == (seed_dir / ckpt).read_bytes(), ckpt
             capsys.readouterr()
             assert run("stats", seed_dir / corpus) == 0
             assert capsys.readouterr().out.strip() == stats_lines[1 + j]
@@ -1065,6 +1058,9 @@ class TestRunExperiment:
                        "--scenes", seed_dir / "scenes_test.jsonl",
                        "--train-dialogues", seed_dir / corpus, "--seed", rep_seed) == 0
             assert capsys.readouterr().out.strip() == report_lines[1 + j]
+        # the base model's vocabulary is the one its checkpoint holds
+        assert model.load_checkpoint(seed_dir / "model_100.ckpt").vocab == lang.build_vocabulary(
+            dialogue.read_dialogues(seed_dir / "human.jsonl"), manifest["config"]["corpus.min_count"])
 
     def test_replicate_means(self, tmp_path):
         out = cli.run_experiment(load_config(None, {
@@ -1120,7 +1116,7 @@ class TestRunExperiment:
         assert any(line.startswith("0,100,") for line in stats[1:])
         report = (out / "report_mean.csv").read_text().splitlines()
         assert len(report) == 1 + 2  # ablation rows kept out of the main report
-        ablation = (out / "report_ablation_mean.csv").read_text().splitlines()
+        ablation = (out / "report_mean_ablation.csv").read_text().splitlines()
         assert len(ablation) == 1 + 2
         assert "ablation" in (out / "report.md").read_text()
 
@@ -1226,6 +1222,18 @@ class TestRunExperiment:
                        "--experiment.n_train_scenes", "10",
                        "--experiment.n_test_scenes", "5"])
         assert rc == cli.EXIT_RUNTIME
+
+    def test_output_in_a_missing_dir_is_runtime_error(self, tmp_path, capsys):
+        # an output that cannot be written exits 2 whatever its errno; a
+        # missing input is still a validation error
+        out = tmp_path / "nodir" / "x.jsonl"
+        assert cli.main(["gen-scenes", "--n", "2", "--seed", "1",
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not out.parent.exists()
+        assert cli.main(["collect-human", "--scenes", str(out),
+                         "--out", str(tmp_path / "h.jsonl")]) == cli.EXIT_VALIDATION
+        assert "cannot read scene file" in capsys.readouterr().err
 
     def test_report_rebuilds_the_run_report_md(self, tmp_path, capsys):
         # `report` moves the 0%-human rows to the ablation table and CSV, as

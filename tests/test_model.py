@@ -797,17 +797,17 @@ class TestCheckpoint:
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
-            model.ModelConfig(embed_dim=0).validate()
+            model.ModelConfig(embed_dim=0)
         with pytest.raises(ValueError):
-            model.ModelConfig(learning_rate=-1.0).validate()
+            model.ModelConfig(learning_rate=-1.0)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="learning_rate must be finite"):
-                model.ModelConfig(learning_rate=bad).validate()
+                model.ModelConfig(learning_rate=bad)
             with pytest.raises(ValueError, match="grad_clip must be finite"):
-                model.ModelConfig(grad_clip=bad).validate()
+                model.ModelConfig(grad_clip=bad)
         with pytest.raises(ValueError):
-            model.ModelConfig(modulo_n=0).validate()
+            model.ModelConfig(modulo_n=0)
         with pytest.raises(ValueError):
-            model.ModelConfig(decode_mode="beam").validate()
+            model.ModelConfig(decode_mode="beam")
         with pytest.raises(ValueError):
-            model.ModelConfig(max_question_len=2).validate()
+            model.ModelConfig(max_question_len=2)

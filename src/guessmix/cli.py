@@ -192,27 +192,14 @@ def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
     )
 
 
-def ablation_path(csv_path) -> Path:
-    """Where `stage_report` writes the generated-only ablation's rows of report `csv_path`."""
-    return Path(csv_path).with_name(f"{Path(csv_path).stem}_ablation.csv")
-
-
-def stage_report(rows, csv_path, md_path=None) -> int:
-    """Write the report rows to `csv_path`, the generated-only ablation's,
-    which have 0% human data, to `ablation_path(csv_path)` if there are
-    any, and with `md_path` the markdown report: the test-protocol table,
-    then the ablation's. Returns how many ablation rows there are."""
-    ablation = [r for r in rows if r.pct_human == 0]
-    rows = [r for r in rows if r.pct_human != 0]
+def stage_report(rows, csv_path, md_path=None) -> None:
+    """Write the report rows to `csv_path` and, with `md_path`, the markdown
+    report: one test-protocol table."""
     metrics.write_report_csv(csv_path, rows)
-    if ablation:
-        metrics.write_report_csv(ablation_path(csv_path), ablation)
     if md_path:
-        md = metrics.report_markdown(rows, f"Test set, {metrics.TEST_TURNS}-question protocol")
-        if ablation:
-            md += "\n" + metrics.report_markdown(ablation, "Generated-only training (ablation)")
-        Path(md_path).write_text(md, encoding="utf-8")
-    return len(ablation)
+        Path(md_path).write_text(
+            metrics.report_markdown(rows, f"Test set, {metrics.TEST_TURNS}-question protocol"),
+            encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +305,8 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
 
     with _stage("report", replicate):
         corpus_mod.write_stats_csv(seed_dir / "stats.csv", stats_rows)
-        csv = seed_dir / "report.csv"
-        written += [seed_dir / "stats.csv", csv]
-        if stage_report(report_rows, csv):
-            written.append(ablation_path(csv))
+        stage_report(report_rows, seed_dir / "report.csv")
+        written += [seed_dir / "stats.csv", seed_dir / "report.csv"]
     return stats_rows, report_rows, written
 
 
@@ -370,8 +355,7 @@ def run_experiment(cfg: ExperimentConfig) -> Path:
         corpus_mod.write_stats_csv(out / "stats_mean.csv", stats)
         written = [echo, out / "stats_mean.csv", out / "report_mean.csv", out / "report.md",
                    *(path for seed_paths in paths for path in seed_paths)]
-        if stage_report(reports, out / "report_mean.csv", out / "report.md"):
-            written.append(ablation_path(out / "report_mean.csv"))
+        stage_report(reports, out / "report_mean.csv", out / "report.md")
         manifest = {
             "config": cfg.values,
             # the Python and numpy versions and the BLAS thread count set (None
@@ -452,7 +436,7 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
     training = read_dialogues(args.train_dialogues)
     mix = corpus_mod.mix_of(args.train_dialogues)
     row = stage_evaluate(questioner, training, scenes, cfg, mix, args.seed)
-    print(metrics.format_report_row(row))
+    print(metrics.format_row(row))
     if args.out:
         write_jsonl(args.out, [asdict(row)])
 
@@ -460,9 +444,8 @@ def _cmd_evaluate(args, cfg: ExperimentConfig) -> None:
 def _cmd_report(args, cfg: ExperimentConfig) -> None:
     rows = [row for path in args.rows
             for row in read_jsonl(path, metrics.checked_report_row, "report row")]
-    n_ablation = stage_report(rows, args.out_csv, args.out_md)
-    print(f"wrote {len(rows) - n_ablation} rows to {args.out_csv}"
-          + (f" and {n_ablation} to {ablation_path(args.out_csv)}" if n_ablation else ""))
+    stage_report(rows, args.out_csv, args.out_md)
+    print(f"wrote {len(rows)} rows to {args.out_csv}")
 
 
 def _cmd_run(args, cfg: ExperimentConfig) -> None:
@@ -547,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("report", _cmd_report, "assemble evaluation rows into CSV/markdown", seed=False)
     p.add_argument("--rows", nargs="+", required=True)
-    p.add_argument("--out-csv", required=True,
-                   help="rows with 0%% human data go to <stem>_ablation.csv beside it")
+    p.add_argument("--out-csv", required=True)
     p.add_argument("--out-md")
 
     p = command("run", _cmd_run, "run the full two-step experiment from a config file", SCHEMA,

@@ -171,8 +171,6 @@ def param_shapes(cfg: ModelConfig, n_words: int) -> dict[str, tuple[int, ...]]:
 
 def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
     """All entries uniform in [-s, s] with s = 1/sqrt(hidden_dim)."""
-    if vocab.n_words == 0:
-        raise ValueError("cannot initialize a model over an empty vocabulary")
     s = 1.0 / math.sqrt(cfg.hidden_dim)
     rng = np.random.default_rng(seed)
     return ModelParams(**{name: rng.uniform(-s, s, shape)

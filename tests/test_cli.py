@@ -962,7 +962,7 @@ class TestRunExperiment:
 
     def test_run_of_another_config_is_refused(self, tmp_path, capsys):
         # the second run's manifest used to list every file of the first
-        # that it did not overwrite: seed_1/, the ablation reports and more
+        # that it did not overwrite: seed_1/, the 0:fixed cell's files and more
         out = tmp_path / "run"
         path = _tiny_config(tmp_path, out)
         assert cli.main(["run", "--config", str(path), "--experiment.replicate_seeds", "2",
@@ -998,7 +998,7 @@ class TestRunExperiment:
         assert (out / "seed_0" / "notes.txt").read_text() == "mine\n"
 
     def test_manifest_lists_every_file_a_fresh_run_writes(self, tmp_path):
-        # two replicates with validation data and a generated-only ablation
+        # two replicates with validation data and a generated-only cell
         # write every kind of file a run can write
         out = tmp_path / "run"
         assert cli.main(["run", "--config", str(_tiny_config(tmp_path, out)),
@@ -1008,9 +1008,11 @@ class TestRunExperiment:
         on_disk = {str(p.relative_to(out)) for p in out.rglob("*")
                    if p.is_file() and p.name not in (".lock", "manifest.json")}
         assert files.keys() == on_disk
-        for name in ("seed_1/model_100_best_val.ckpt", "seed_1/report_ablation.csv",
-                     "report_mean_ablation.csv", "seed_1/mixed_0_variable.manifest.json"):
+        for name in ("seed_1/model_100_best_val.ckpt", "seed_1/mixed_0_variable.manifest.json"):
             assert name in files
+        # the generated-only cell's rows are in the one report of each table
+        assert {name for name in files if Path(name).name.startswith("report")} == {
+            "report_mean.csv", "report.md", "seed_0/report.csv", "seed_1/report.csv"}
 
     def test_subcommands_reproduce_run_files(self, tiny_run, tmp_path, capsys):
         # every step takes the replicate seed R that manifest.json lists
@@ -1099,9 +1101,10 @@ class TestRunExperiment:
         shares = [rows(out / f"seed_{r}" / "stats.csv")[1][0] for r in range(2)]
         assert shares[0] != shares[1]
 
-    def test_generated_only_rows_are_ablation(self, tmp_path):
+    def test_generated_only_rows_join_the_report(self, tmp_path):
+        # a 0%-human cell is one row of every table, in spec order, as in the stats
         cfg = load_config(None, {
-            "experiment.output_dir": str(tmp_path / "ablation"),
+            "experiment.output_dir": str(tmp_path / "run"),
             "experiment.n_train_scenes": "50",
             "experiment.n_test_scenes": "15",
             "experiment.mix_specs": "100:-,50:fixed,0:fixed,0:variable",
@@ -1111,14 +1114,17 @@ class TestRunExperiment:
             "model.batch_size": "8",
         })
         out = cli.run_experiment(cfg)
-        stats = (out / "stats_mean.csv").read_text().splitlines()
-        assert len(stats) == 1 + 4  # 100, 50/fixed, 0/fixed, 0/variable
-        assert any(line.startswith("0,100,") for line in stats[1:])
-        report = (out / "report_mean.csv").read_text().splitlines()
-        assert len(report) == 1 + 2  # ablation rows kept out of the main report
-        ablation = (out / "report_mean_ablation.csv").read_text().splitlines()
-        assert len(ablation) == 1 + 2
-        assert "ablation" in (out / "report.md").read_text()
+        # a stats row measures its human share, so the labels compare it rounded
+        labels = lambda path: [(round(float(line.split(",")[0])), line.split(",")[2])
+                               for line in path.read_text().splitlines()[1:]]
+        want = [(100, "-"), (50, "fixed"), (0, "fixed"), (0, "variable")]
+        for stats, report in ((out / "stats_mean.csv", out / "report_mean.csv"),
+                              (out / "seed_0" / "stats.csv", out / "seed_0" / "report.csv")):
+            assert labels(stats) == labels(report) == want, report
+        assert not list(out.rglob("*_ablation.csv"))
+        md = (out / "report.md").read_text()
+        assert md.count("## ") == 1
+        assert sum(line.startswith("| 0 ") for line in md.splitlines()) == 2
 
     def test_corrupt_checkpoint_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "model.ckpt"
@@ -1236,9 +1242,9 @@ class TestRunExperiment:
         assert "cannot read scene file" in capsys.readouterr().err
 
     def test_report_rebuilds_the_run_report_md(self, tmp_path, capsys):
-        # `report` moves the 0%-human rows to the ablation table and CSV, as
-        # `run` does, so the evaluated rows of a run rebuild its report.md,
-        # report.csv and report_ablation.csv
+        # `report` keeps the 0%-human row in its table and CSV, as `run`
+        # does, so the evaluated rows of a run rebuild its report.md and
+        # report.csv
         specs = ["100:-", "50:fixed", "0:fixed"]
         path = _tiny_config(tmp_path, tmp_path / "run")
         assert cli.main(["run", "--config", str(path),
@@ -1259,12 +1265,12 @@ class TestRunExperiment:
                          str(tmp_path / "report.csv"), "--out-md",
                          str(tmp_path / "report.md")]) == cli.EXIT_OK
         want = (tmp_path / "run" / "report.md").read_bytes()
-        assert b"Generated-only training (ablation)" in want
+        assert want.count(b"## ") == 1
         assert (tmp_path / "report.md").read_bytes() == want
-        for name in ("report.csv", "report_ablation.csv"):
-            assert (tmp_path / name).read_bytes() == (seed_dir / name).read_bytes(), name
-        assert (f"wrote 2 rows to {tmp_path / 'report.csv'} and 1 to "
-                f"{tmp_path / 'report_ablation.csv'}") in capsys.readouterr().out
+        assert (tmp_path / "report.csv").read_bytes() == (seed_dir / "report.csv").read_bytes()
+        assert len((tmp_path / "report.csv").read_text().splitlines()) == 1 + 3
+        assert not list(tmp_path.rglob("*_ablation.csv"))
+        assert capsys.readouterr().out.endswith(f"wrote 3 rows to {tmp_path / 'report.csv'}\n")
 
     def test_module_run_logs_as_guessmix_cli(self, tmp_path):
         path = _tiny_config(tmp_path, tmp_path / "run")

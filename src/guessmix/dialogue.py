@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import lang
-from .jsonl import checked, read_jsonl, write_jsonl
+from .jsonl import checked, expect_keys, read_jsonl, write_jsonl
 
 SOURCE_HUMAN = "human"
 SOURCE_GENERATED = "generated"
@@ -81,12 +81,22 @@ def _dialogue_record(d: Dialogue) -> dict:
     }
 
 
+_DIALOGUE_KEYS = ("game_id", "scene_id", "source", "turns", "guess", "success")
+_TURN_KEYS = ("q", "a")
+
+
+def _turn_from_record(rec: dict) -> Turn:
+    expect_keys(rec, _TURN_KEYS)
+    return make_turn(checked(rec["q"], str).split(), rec["a"])
+
+
 def _dialogue_from_record(rec: dict) -> Dialogue:
+    expect_keys(rec, _DIALOGUE_KEYS)
     d = Dialogue(
         game_id=checked(rec["game_id"], int),
         scene_id=checked(rec["scene_id"], int),
         source=rec["source"],
-        turns=tuple(make_turn(checked(t["q"], str).split(), t["a"]) for t in rec["turns"]),
+        turns=tuple(map(_turn_from_record, rec["turns"])),
         guess=checked(rec["guess"], int),
         success=checked(rec["success"], bool),
     )

@@ -20,6 +20,12 @@ def checked(value, *types):
     return value
 
 
+def expect_keys(rec: dict, keys: tuple[str, ...]) -> None:
+    """Refuse a decoded record that holds other keys than exactly `keys`."""
+    if set(rec) != set(keys):
+        raise ValueError(f"keys {sorted(rec)} are not {', '.join(keys)}")
+
+
 def read_jsonl(path: str | Path, build, kind: str) -> list:
     """`build` each decoded line into a record. The file comes from outside
     the program, so whatever `json.loads` or `build` raises on a line makes

@@ -3,7 +3,10 @@ decoder and a dot-product guesser, trained by plain SGD with exact
 hand-derived gradients.
 
 Architecture. Objects are featurized symbolically (one-hot category, color,
-size plus normalized grid coordinates; 25 dims). The dialogue state is an
+size plus normalized grid coordinates; 25 dims) from the scene's attribute
+codes: `_scene_codes` reads `Scene.codes` as an (objects, 5) int8 array that
+shares the scene's bytes, whose first three columns are the one-hot columns
+and whose last two are the cell. The dialogue state is an
 H-dimensional vector initialized from a projection of the mean object
 feature and updated by an Elman cell
 
@@ -17,7 +20,7 @@ as the dot product of the state with a linear embedding of its features.
 Training minimizes mean per-token negative log-likelihood of the questions
 under teacher forcing, plus (in joint phase) the guesser cross-entropy on
 the target index. `train` turns each (Dialogue, Scene) pair into an
-`Example` of token ids and object codes once, and a batch concatenates
+`Example` of token ids and the scene's codes once, and a batch concatenates
 those. A batch runs as two recurrences. The encoder reads each
 dialogue as one token stream (every turn's question tokens, then its
 answer), suffix-padded to the longest stream; the guesser reads the state
@@ -76,7 +79,7 @@ from . import corpus
 from .dialogue import Dialogue
 from .jsonl import checked
 from .lang import Vocabulary
-from .scene import CATEGORIES, COLORS, GRID_SIZE, SIZES, Scene, SceneObject
+from .scene import CATEGORIES, CODES_PER_OBJECT, COLORS, GRID_SIZE, SIZES, Scene
 from .seeding import derive_seed
 
 FEATURE_DIM = len(CATEGORIES) + len(COLORS) + len(SIZES) + 2  # 25
@@ -89,11 +92,6 @@ DECODE_SAMPLE = "sample"
 
 PARAM_FIELDS = ("embeddings", "w_scene", "w_in", "w_h", "b_h", "w_out", "w_obj")
 
-_CAT_INDEX = {c: i for i, c in enumerate(CATEGORIES)}
-_COLOR_INDEX = {c: i for i, c in enumerate(COLORS)}
-_SIZE_INDEX = {s: i for i, s in enumerate(SIZES)}
-_COLOR_OFFSET = len(CATEGORIES)
-_SIZE_OFFSET = len(CATEGORIES) + len(COLORS)
 _COORD_SCALE = float(GRID_SIZE - 1)
 
 
@@ -177,16 +175,13 @@ def init_params(cfg: ModelConfig, vocab: Vocabulary, seed: int) -> ModelParams:
                           for name, shape in param_shapes(cfg, vocab.n_words).items()})
 
 
-def _object_codes(objects: tuple[SceneObject, ...] | list[SceneObject]) -> np.ndarray:
-    """(n, 5) ints: the category, color and size columns of each object's
-    one-hots, then its cell x, y."""
-    return np.array([(_CAT_INDEX[o.category], _COLOR_OFFSET + _COLOR_INDEX[o.color],
-                      _SIZE_OFFSET + _SIZE_INDEX[o.size], o.cell_x, o.cell_y)
-                     for o in objects], dtype=np.int8).reshape(-1, 5)
+def _scene_codes(scene: Scene) -> np.ndarray:
+    """(objects, 5) int8, read-only: the scene's codes, sharing its bytes."""
+    return np.frombuffer(scene.codes, dtype=np.int8).reshape(-1, CODES_PER_OBJECT)
 
 
 def _features(codes: np.ndarray) -> np.ndarray:
-    """The feature rows of objects given by their `_object_codes`."""
+    """The feature rows of objects given by their `_scene_codes`."""
     n = len(codes)
     f = np.zeros((n, FEATURE_DIM))
     f[np.arange(n)[:, None], codes[:, :3]] = 1.0
@@ -194,13 +189,13 @@ def _features(codes: np.ndarray) -> np.ndarray:
     return f
 
 
-def object_feature_matrix(objects: tuple[SceneObject, ...] | list[SceneObject]) -> np.ndarray:
+def object_feature_matrix(scene: Scene) -> np.ndarray:
     """One FEATURE_DIM row per object: category, color and size one-hots, then x, y."""
-    return _features(_object_codes(objects))
+    return _features(_scene_codes(scene))
 
 
 def scene_features(scene: Scene) -> np.ndarray:
-    return object_feature_matrix(scene.objects).mean(axis=0)
+    return object_feature_matrix(scene).mean(axis=0)
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -391,7 +386,7 @@ def decode_questions(
 
 def guesser_scores(params: ModelParams, state: np.ndarray, scene: Scene) -> np.ndarray:
     """Dot product of the dialogue state with each object's linear embedding."""
-    feats = object_feature_matrix(scene.objects)
+    feats = object_feature_matrix(scene)
     return (feats @ params.w_obj.T) @ np.asarray(state, dtype=float)
 
 
@@ -412,7 +407,7 @@ class Example:
 
     source: str
     target: int          # the scene's target index
-    objects: np.ndarray  # (objects, 5) int8: the scene's `_object_codes`
+    objects: np.ndarray  # (objects, 5) int8: the scene's `_scene_codes`
     stream: np.ndarray   # int32: every turn's question ids, then its answer id
     q_len: np.ndarray    # int32: the question length of each turn
 
@@ -424,7 +419,7 @@ def encode_example(vocab: Vocabulary, dialogue: Dialogue, scene: Scene) -> Examp
         stream += [vocab.token_id(t) for t in turn.question]
         stream.append(vocab.answer_id(turn.answer))
     q_len = [len(turn.question) for turn in dialogue.turns]
-    return Example(dialogue.source, scene.target_index, _object_codes(scene.objects),
+    return Example(dialogue.source, scene.target_index, _scene_codes(scene),
                    np.array(stream, dtype=np.int32), np.array(q_len, dtype=np.int32))
 
 
@@ -743,6 +738,8 @@ def train(
 
 
 CHECKPOINT_VERSION = 2
+# the first bytes of the .npz (zip) archive `save_checkpoint` writes
+_ZIP_MAGIC = b"PK\x03\x04"
 
 # the JSON types a checkpoint's setting may take, by its ModelConfig annotation
 _SETTING_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
@@ -793,6 +790,10 @@ def load_checkpoint(path: str | Path) -> Questioner:
         raise ValueError(f"cannot read checkpoint {path}: {exc}") from exc
     with f:
         try:
+            # np.load would take any other file for a pickle or a .npy array
+            if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                raise ValueError("not a checkpoint (.npz) archive")
+            f.seek(0)
             with np.load(f, allow_pickle=False) as z:
                 if set(z.files) != {"meta", *PARAM_FIELDS}:
                     raise ValueError(f"arrays {sorted(z.files)} are not meta and {PARAM_FIELDS}")

@@ -5,6 +5,11 @@ far and greedily asks the unasked question that splits that set most evenly,
 with a random template for surface variety. It never repeats a question and
 stops as soon as a single candidate remains, so its dialogues look like the
 clean, variable-length games a careful human would play.
+
+A game reads its scene's attribute codes once: it keeps one bitmask of the
+objects each question is true of (`oracle.truth_mask`), and the candidates
+as a bitmask too, so counting the candidates a question is true of is one
+popcount.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ def next_teacher_question(
     rng: np.random.Generator,
 ) -> tuple[lang.QuestionSemantics, int] | None:
     """Pick the most balanced split of the `candidates` (object indices) by
-    a question not in `asked`.
+    a question not in `asked`, as `play_teacher_game` does.
 
     Balance is |#yes - #no| over candidates; ties are broken uniformly at
     random. Questions whose answer is already determined (all candidates on
@@ -39,16 +44,31 @@ def next_teacher_question(
     """
     if len(candidates) < 2:
         raise ValueError("teacher needs at least two candidates to ask about")
-    objs = [scene.objects[i] for i in candidates]
+    return _next_question(_truth_masks(scene), sum(1 << i for i in candidates), asked, rng)
+
+
+def _truth_masks(scene: Scene) -> dict[lang.QuestionSemantics, int]:
+    return {sem: oracle.truth_mask(scene, sem) for sem in lang.all_semantics()}
+
+
+def _next_question(
+    masks: dict[lang.QuestionSemantics, int],
+    candidates: int,
+    asked: set[lang.QuestionSemantics],
+    rng: np.random.Generator,
+) -> tuple[lang.QuestionSemantics, int] | None:
+    """`next_teacher_question` over the scene's `_truth_masks`, with the
+    candidates as a bitmask."""
+    n = candidates.bit_count()
     best_score = None
     best: list[lang.QuestionSemantics] = []
-    for sem in lang.all_semantics():
+    for sem, mask in masks.items():
         if sem in asked:
             continue
-        n_yes = sum(1 for o in objs if oracle.eval_predicate(o, sem))
-        if n_yes == 0 or n_yes == len(objs):
+        n_yes = (mask & candidates).bit_count()
+        if n_yes == 0 or n_yes == n:
             continue  # zero-information question
-        score = abs(2 * n_yes - len(objs))
+        score = abs(2 * n_yes - n)
         if best_score is None or score < best_score:
             best_score, best = score, [sem]
         elif score == best_score:
@@ -67,11 +87,12 @@ def play_teacher_game(
 ) -> Dialogue:
     """Play one full game of at most MAX_TURNS questions; the dialogue is
     returned unfiltered."""
-    candidates = list(range(len(scene.objects)))
+    masks = _truth_masks(scene)
+    candidates = (1 << scene.n_objects) - 1
     asked: set[lang.QuestionSemantics] = set()
     turns: list[Turn] = []
-    while len(candidates) > 1 and len(turns) < MAX_TURNS:
-        picked = next_teacher_question(scene, candidates, asked, rng)
+    while candidates.bit_count() > 1 and len(turns) < MAX_TURNS:
+        picked = _next_question(masks, candidates, asked, rng)
         if picked is None:
             break
         sem, template_id = picked
@@ -79,18 +100,13 @@ def play_teacher_game(
         ans = oracle.answer(scene, question, oracle_cfg, rng)
         turns.append(make_turn(question, ans))
         asked.add(sem)
-        keep = [
-            i for i in candidates
-            if oracle.eval_predicate(scene.objects[i], sem) == (ans == YES)
-        ]
+        keep = candidates & (masks[sem] if ans == YES else ~masks[sem])
         # a noisy answer can contradict every candidate; ignore it rather
         # than ending up with nothing to guess
         if keep:
             candidates = keep
-    if len(candidates) == 1:
-        guess = candidates[0]
-    else:
-        guess = candidates[int(rng.integers(len(candidates)))]
+    left = [i for i in range(scene.n_objects) if candidates >> i & 1]
+    guess = left[0] if len(left) == 1 else left[int(rng.integers(len(left)))]
     return Dialogue(
         game_id=scene.scene_id,
         scene_id=scene.scene_id,

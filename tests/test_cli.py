@@ -348,6 +348,15 @@ class TestSubcommands:
          scene_record(x="1")),
         (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
          scene_record(x=1.5)),
+        # keys the writers never write
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, extra=1)),
+        (["stats", "{bad}"], dict(GOOD_DIALOGUE, turns=[{"q": "is it red ?", "a": "yes",
+                                                         "conf": 0.9}])),
+        (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
+         dict(scene_record(x=1), note="mine")),
+        (["collect-human", "--scenes", "{bad}", "--out", "{dir}/human.jsonl"],
+         dict(scene_record(x=1), objects=[dict(o, shape="round")
+                                          for o in scene_record(x=1)["objects"]])),
         (REPORT_ROWS, {"pct_human": 50, "pct_generated": 50, "length_mode": "fixed"}),
         (REPORT_ROWS, dict(GOOD_ROW, acc="x")),
         (REPORT_ROWS, dict(GOOD_ROW, extra=1.0)),
@@ -367,7 +376,9 @@ class TestSubcommands:
         (REPORT_ROWS, dict(GOOD_ROW, nq=5.5)),
     ], ids=["dialogue-q-not-text", "dialogue-success-not-bool", "dialogue-guess-not-int",
             "dialogue-q-empty", "dialogue-q-blank",
-            "scene-x-not-int", "scene-x-fractional", "report-row-missing-fields",
+            "scene-x-not-int", "scene-x-fractional", "dialogue-extra-key",
+            "dialogue-turn-extra-key", "scene-extra-key", "scene-object-extra-key",
+            "report-row-missing-fields",
             "report-row-acc-not-number", "report-row-extra-field", "report-row-mode-not-text",
             "report-row-share-over-100", "report-row-shares-not-summing-to-100",
             "report-row-unknown-length-mode", "report-row-negative-acc", "report-row-grq-over-100",

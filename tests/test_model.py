@@ -8,7 +8,7 @@ import pytest
 from model_reference import gradient_check, softmax, tiny_vocab
 from guessmix import lang, model, oracle, scene, teacher
 from guessmix.dialogue import Dialogue, Turn
-from guessmix.scene import Scene, SceneObject
+from guessmix.scene import SceneObject, make_scene
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestFeatures:
     def test_one_hot_layout(self):
         o = SceneObject(id=0, category=scene.CATEGORIES[0], color=scene.COLORS[0],
                         size=scene.SIZES[0], cell_x=0, cell_y=0)
-        f = model.object_feature_matrix([o])[0]
+        f = model.object_feature_matrix(make_scene(0, [o], 0))[0]
         assert f[0] == 1.0
         assert np.all(f[1:12] == 0.0)
         assert f[12] == 1.0 and np.all(f[13:20] == 0.0)
@@ -64,7 +64,7 @@ class TestFeatures:
 
     def test_coordinates_normalized(self):
         o = SceneObject(id=0, category="cat", color="red", size="small", cell_x=4, cell_y=2)
-        f = model.object_feature_matrix([o])[0]
+        f = model.object_feature_matrix(make_scene(0, [o], 0))[0]
         assert f[23] == pytest.approx(1.0)
         assert f[24] == pytest.approx(0.5)
 
@@ -76,10 +76,10 @@ class TestFeatures:
             SceneObject(id=i, category="cat", color="red", size="small", cell_x=i, cell_y=0)
             for i in range(3)
         )
-        sc = Scene(scene_id=0, objects=objs, target_index=0)
+        sc = make_scene(0, objs, 0)
         f = model.scene_features(sc)
         # identical except x: mean equals shared one-hots, averaged coordinate
-        per = model.object_feature_matrix(objs)
+        per = model.object_feature_matrix(sc)
         assert np.allclose(f, np.mean(per, axis=0))
 
     def test_matrix_matches_per_object_construction(self):
@@ -94,7 +94,7 @@ class TestFeatures:
 
         for sc in scene.generate_scene_set(50, seed=11):
             old = np.stack([one_object(o) for o in sc.objects])
-            assert model.object_feature_matrix(sc.objects).tobytes() == old.tobytes()
+            assert model.object_feature_matrix(sc).tobytes() == old.tobytes()
             old_mean = np.mean([one_object(o) for o in sc.objects], axis=0)
             assert model.scene_features(sc).tobytes() == old_mean.tobytes()
 
@@ -329,14 +329,14 @@ class TestGuesser:
             SceneObject(id=1, category="dog", color="blue", size="large", cell_x=4, cell_y=4),
             SceneObject(id=2, category="cup", color="green", size="medium", cell_x=2, cell_y=2),
         )
-        return Scene(scene_id=0, objects=objs, target_index=1)
+        return make_scene(0, objs, 1)
 
     def test_orthonormal_embeddings_pick_matching_object(self):
         sc = self._scene()
         cfg = model.ModelConfig(embed_dim=4, hidden_dim=6)
         vocab = tiny_vocab()
         params = model.init_params(cfg, vocab, seed=0)
-        feats = model.object_feature_matrix(sc.objects)
+        feats = model.object_feature_matrix(sc)
         # craft a featurizer mapping object i to coordinate axis i
         params.w_obj[...] = 0.0
         q, _ = np.linalg.qr(feats.T)  # (25, 3) orthonormal columns
@@ -357,7 +357,7 @@ class TestGuesser:
         state = np.array([1.0, 2.0])
         scores = model.guesser_scores(params, state, sc)
         expected = []
-        for f in model.object_feature_matrix(sc.objects):
+        for f in model.object_feature_matrix(sc):
             g = (f[0] * 1.0, f[23] * 2.0)
             expected.append(1.0 * g[0] + 2.0 * g[1])
         assert scores == pytest.approx(expected, abs=1e-12)
@@ -370,7 +370,7 @@ class TestGuesser:
         state = np.random.default_rng(0).uniform(-1, 1, 6)
         scores = model.guesser_scores(params, state, sc)
         const = np.random.default_rng(1).uniform(-1, 1, 6)
-        feats = model.object_feature_matrix(sc.objects)
+        feats = model.object_feature_matrix(sc)
         shifted = feats @ params.w_obj.T + const
         shifted_scores = shifted @ state
         assert shifted_scores == pytest.approx(scores + state @ const, abs=1e-12)
@@ -539,7 +539,9 @@ class TestEncodedExamples:
             ex = model.encode_example(vocab, d, sc)
             assert ex.source == d.source and ex.target == sc.target_index
             assert np.array_equal(model._features(ex.objects),
-                                  model.object_feature_matrix(sc.objects))
+                                  model.object_feature_matrix(sc))
+            # the example holds the scene's own codes, not a copy of them
+            assert np.shares_memory(ex.objects, np.frombuffer(sc.codes, dtype=np.int8))
             assert ex.stream.tolist() == [
                 i for turn in d.turns for i in
                 [vocab.token_id(tok) for tok in turn.question] + [vocab.answer_id(turn.answer)]]
@@ -792,6 +794,19 @@ class TestCheckpoint:
             np.savez(f, meta=np.array(json.dumps(meta)), **arrays)
         with pytest.raises(ValueError, match="malformed checkpoint"):
             model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["scenes", "npy"])
+    def test_refuses_a_file_that_is_no_checkpoint_archive(self, tmp_path, kind):
+        # np.load reads a .npy array, and takes other bytes for a pickle
+        path = tmp_path / "s.jsonl"
+        if kind == "scenes":
+            scene.write_scenes(path, scene.generate_scene_set(3, seed=1))
+        else:
+            with open(path, "wb") as f:
+                np.save(f, np.zeros(3))
+        with pytest.raises(ValueError) as err:
+            model.load_checkpoint(path)
+        assert str(err.value) == f"{path}: malformed checkpoint: not a checkpoint (.npz) archive"
 
 
 class TestConfigValidation:

@@ -2,49 +2,54 @@ import numpy as np
 import pytest
 
 from guessmix import lang, oracle
-from guessmix.scene import Scene, SceneObject
+from guessmix.scene import Scene, SceneObject, make_scene
 
 
 def obj(category="cat", color="red", size="small", x=0, y=0, oid=0):
     return SceneObject(id=oid, category=category, color=color, size=size, cell_x=x, cell_y=y)
 
 
+def row(**attributes):
+    """The code row of `obj(**attributes)`."""
+    return obj(**attributes).codes()
+
+
 def one_object_scene(target: SceneObject) -> Scene:
     # padding objects so the scene is structurally valid
     extra1 = SceneObject(id=1, category="dog", color="blue", size="large", cell_x=4, cell_y=4)
     extra2 = SceneObject(id=2, category="bird", color="green", size="medium", cell_x=3, cell_y=3)
-    return Scene(scene_id=0, objects=(target, extra1, extra2), target_index=0)
+    return make_scene(0, (target, extra1, extra2), 0)
 
 
 class TestEvalPredicate:
     def test_color_match(self):
-        assert oracle.eval_predicate(obj(color="red"), lang.QuestionSemantics("color", "red"))
-        assert not oracle.eval_predicate(obj(color="blue"), lang.QuestionSemantics("color", "red"))
+        assert oracle.eval_predicate(row(color="red"), lang.QuestionSemantics("color", "red"))
+        assert not oracle.eval_predicate(row(color="blue"), lang.QuestionSemantics("color", "red"))
 
     def test_category_and_size(self):
-        assert oracle.eval_predicate(obj(category="cat"), lang.QuestionSemantics("category", "cat"))
-        assert oracle.eval_predicate(obj(size="small"), lang.QuestionSemantics("size", "small"))
+        assert oracle.eval_predicate(row(category="cat"), lang.QuestionSemantics("category", "cat"))
+        assert oracle.eval_predicate(row(size="small"), lang.QuestionSemantics("size", "small"))
 
     def test_region_right_excludes_left_column(self):
-        assert not oracle.eval_predicate(obj(x=0), lang.QuestionSemantics("region", "right"))
+        assert not oracle.eval_predicate(row(x=0), lang.QuestionSemantics("region", "right"))
 
     def test_region_center(self):
-        assert oracle.eval_predicate(obj(x=2, y=2), lang.QuestionSemantics("region", "center"))
-        assert not oracle.eval_predicate(obj(x=2, y=1), lang.QuestionSemantics("region", "center"))
+        assert oracle.eval_predicate(row(x=2, y=2), lang.QuestionSemantics("region", "center"))
+        assert not oracle.eval_predicate(row(x=2, y=1), lang.QuestionSemantics("region", "center"))
 
     def test_region_bands(self):
         for x in range(5):
-            assert oracle.eval_predicate(obj(x=x), lang.QuestionSemantics("region", "left")) == (x <= 1)
-            assert oracle.eval_predicate(obj(x=x), lang.QuestionSemantics("region", "right")) == (x >= 3)
+            assert oracle.eval_predicate(row(x=x), lang.QuestionSemantics("region", "left")) == (x <= 1)
+            assert oracle.eval_predicate(row(x=x), lang.QuestionSemantics("region", "right")) == (x >= 3)
         for y in range(5):
-            assert oracle.eval_predicate(obj(y=y), lang.QuestionSemantics("region", "top")) == (y <= 1)
-            assert oracle.eval_predicate(obj(y=y), lang.QuestionSemantics("region", "bottom")) == (y >= 3)
+            assert oracle.eval_predicate(row(y=y), lang.QuestionSemantics("region", "top")) == (y <= 1)
+            assert oracle.eval_predicate(row(y=y), lang.QuestionSemantics("region", "bottom")) == (y >= 3)
 
     def test_every_cell_lies_in_some_region(self):
         for x in range(5):
             for y in range(5):
                 hit = any(
-                    oracle.eval_predicate(obj(x=x, y=y), lang.QuestionSemantics("region", r))
+                    oracle.eval_predicate(row(x=x, y=y), lang.QuestionSemantics("region", r))
                     for r in lang.REGIONS
                 )
                 assert hit, (x, y)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,3 +90,31 @@ def test_resampling_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(scene, "MIN_OBJECTS", 20)
     with pytest.raises(scene.SceneGenerationError):
         scene.generate_scene(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (200, 0, "c94b80f43bee33c994ebe956393d489e41536e4cde69167b5f200f2f515224e3"),
+    (300, 7, "24327c76e52a6c5cb7f707595d5b8d922ecf34609d22b3dcf4c814063ddddbec"),
+    (150, 12345, "43800308f3dc02d06fa462ed4f214bccbd364a18875a05e08e45eaf8ef11b54d"),
+])
+def test_scene_files_keep_their_bytes(tmp_path, n, seed, digest):
+    # the digests of the files the program wrote when a scene held one
+    # record per object: the codes draw and write the same scenes
+    path, again = tmp_path / "scenes.jsonl", tmp_path / "again.jsonl"
+    scene.write_scenes(path, scene.generate_scene_set(n, seed))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    scene.write_scenes(again, scene.read_scenes(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_thousand_scenes_hold_under_400_kb():
+    # one bytes of codes per scene; a tuple of object records took 1 MB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scenes = scene.generate_scene_set(1000, seed=3)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(scenes) == 1000
+    assert held < 400 * 1024

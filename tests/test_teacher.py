@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from guessmix import lang, metrics, oracle, teacher
-from guessmix.scene import Scene, SceneObject
+import teacher_reference
+from guessmix import lang, metrics, oracle, scene, teacher
+from guessmix.scene import SceneObject, make_scene
 
 
 def build_scene(specs, target=0, scene_id=0):
@@ -11,7 +12,7 @@ def build_scene(specs, target=0, scene_id=0):
         SceneObject(id=i, category=c, color=col, size=s, cell_x=x, cell_y=y)
         for i, (c, col, s, x, y) in enumerate(specs)
     )
-    return Scene(scene_id=scene_id, objects=objects, target_index=target)
+    return make_scene(scene_id, objects, target)
 
 
 class TestNextQuestion:
@@ -27,7 +28,7 @@ class TestNextQuestion:
             sem, _ = teacher.next_teacher_question(scene, candidates, set(),
                                                    np.random.default_rng(seed))
             n_yes = sum(
-                oracle.eval_predicate(scene.objects[i], sem) for i in candidates
+                oracle.eval_predicate(scene.objects[i].codes(), sem) for i in candidates
             )
             assert abs(2 * n_yes - 4) == 0  # perfectly balanced
         assert any(
@@ -132,3 +133,13 @@ class TestCollect:
         for d in small_teacher_corpus:
             for t in d.turns:
                 assert lang.parse_question(t.question) is not None
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.2])
+def test_bitmask_teacher_plays_the_per_object_dialogues(noise):
+    cfg = oracle.OracleConfig(noise)
+    scenes = scene.generate_scene_set(250, seed=21)
+    for sc in scenes:
+        assert (teacher.play_teacher_game(sc, cfg, np.random.default_rng([4, sc.scene_id]))
+                == teacher_reference.play_teacher_game(sc, cfg,
+                                                       np.random.default_rng([4, sc.scene_id])))

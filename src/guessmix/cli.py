@@ -93,12 +93,12 @@ def stage_scenes(splits, seed: int):
     return parts
 
 
-def stage_collect(scenes, cfg: ExperimentConfig, seed: int, out):
-    """Play the scripted teacher on every scene on stream 2 of replicate seed
-    `seed`, which validation games share: each game seeds itself from (stream,
-    scene id), and their scene ids are disjoint. Returns the kept dialogues."""
-    dialogues = teacher.collect_teacher_corpus(
-        scenes, OracleConfig(cfg["teacher.noise"]), seed=derive_seed(seed, 2))
+def stage_collect(scenes, seed: int, out):
+    """Play the scripted teacher on every scene, against an oracle that never
+    errs, on stream 2 of replicate seed `seed`, which validation games share:
+    each game seeds itself from (stream, scene id), and their scene ids are
+    disjoint. Returns the kept dialogues."""
+    dialogues = teacher.collect_teacher_corpus(scenes, OracleConfig(), seed=derive_seed(seed, 2))
     write_dialogues(out, dialogues)
     return dialogues
 
@@ -124,7 +124,7 @@ def stage_train(dialogues, scenes, cfg: ExperimentConfig, seed: int, out, val=No
     if val_pairs is not None and not val_pairs:
         raise ValueError("the validation set is empty: no dialogue to pick a best-val model by")
     model_cfg = cfg.model_config()
-    vocab = lang.build_vocabulary(dialogues, cfg["corpus.min_count"])
+    vocab = lang.build_vocabulary(dialogues)
     params = model.init_params(model_cfg, vocab, derive_seed(seed, 4))
     result = model.train(params, vocab, _pair_with_scenes(dialogues, scenes), model_cfg,
                          derive_seed(seed, 5), val_dataset=val_pairs)
@@ -171,11 +171,10 @@ def stage_mix(human, generated, spec: MixSpec, seed: int, out):
     return mixed
 
 
-def stage_stats(corpus, cfg: ExperimentConfig, mix: MixSpec | None):
+def stage_stats(corpus, mix: MixSpec | None):
     """The statistics row of a training corpus made with `mix` (None if
     unknown, labelled `-`); its percentages are measured."""
-    return corpus_mod.corpus_stats(corpus, cfg["corpus.min_count"],
-                                   mix.length_mode if mix else LENGTH_NONE)
+    return corpus_mod.corpus_stats(corpus, length_mode=mix.length_mode if mix else LENGTH_NONE)
 
 
 def stage_evaluate(questioner, training, test_scenes, cfg: ExperimentConfig,
@@ -242,12 +241,12 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
         written = [path for path, _ in splits]
 
     with _stage("teacher", replicate):
-        human = stage_collect(train_scenes, cfg, rep_seed, seed_dir / "human.jsonl")
+        human = stage_collect(train_scenes, rep_seed, seed_dir / "human.jsonl")
         written.append(seed_dir / "human.jsonl")
         val = None
         if n_val:
             [val_scenes] = val_split
-            val = (stage_collect(val_scenes, cfg, rep_seed, seed_dir / "val.jsonl"), val_scenes)
+            val = (stage_collect(val_scenes, rep_seed, seed_dir / "val.jsonl"), val_scenes)
             written.append(seed_dir / "val.jsonl")
 
     with _stage("base-train", replicate):
@@ -291,7 +290,7 @@ def _run_seed(cfg: ExperimentConfig, replicate: int, rep_seed: int, seed_dir: Pa
                 questioner, _, _ = stage_train(mixed, train_scenes, cfg, rep_seed, ckpt)
             paths = [corpus, corpus.with_suffix(corpus_mod.MANIFEST_SUFFIX), ckpt]
         with _stage(f"evaluate-{tag}", replicate):
-            stats_row = stage_stats(mixed, cfg, spec)
+            stats_row = stage_stats(mixed, spec)
             report_row = stage_evaluate(questioner, mixed, test_scenes, cfg, spec, rep_seed)
         log.info("cell %s of replicate %d: %.2f s in %s", tag, replicate,
                  time.perf_counter() - start,
@@ -387,7 +386,7 @@ def _cmd_gen_scenes(args, cfg: ExperimentConfig) -> None:
 
 def _cmd_collect_human(args, cfg: ExperimentConfig) -> None:
     scenes = read_scenes(args.scenes)
-    dialogues = stage_collect(scenes, cfg, args.seed, args.out)
+    dialogues = stage_collect(scenes, args.seed, args.out)
     print(f"wrote {len(dialogues)} teacher dialogues to {args.out}")
 
 
@@ -426,7 +425,7 @@ def _cmd_mix(args, cfg: ExperimentConfig) -> None:
 
 def _cmd_stats(args, cfg: ExperimentConfig) -> None:
     dialogues = read_dialogues(args.corpus)
-    stats = stage_stats(dialogues, cfg, corpus_mod.mix_of(args.corpus))
+    stats = stage_stats(dialogues, corpus_mod.mix_of(args.corpus))
     print(metrics.format_row(stats))
 
 
@@ -484,13 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file",
-                ("teacher.noise",))
+    p = command("collect-human", _cmd_collect_human, "play the scripted teacher on a scene file")
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", required=True)
 
     p = command("train", _cmd_train, "train a questioner on a dialogue corpus",
-                ("corpus.min_count", *(key for key in SCHEMA if key.startswith("model."))))
+                [key for key in SCHEMA if key.startswith("model.")])
     p.add_argument("--dialogues", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--val-dialogues")
@@ -516,8 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", choices=corpus_mod.LENGTH_MODES, default=LENGTH_FIXED)
     p.add_argument("--out", required=True)
 
-    p = command("stats", _cmd_stats, "print the statistics row of a corpus",
-                ("corpus.min_count",), seed=False)
+    p = command("stats", _cmd_stats, "print the statistics row of a corpus", seed=False)
     p.add_argument("corpus", help="labelled from the mix manifest beside it, if any")
 
     p = command("evaluate", _cmd_evaluate, "play the test protocol and print a report row",

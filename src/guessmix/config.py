@@ -39,8 +39,6 @@ SCHEMA: dict[str, tuple] = {
         "comma list of pct_human:length_mode; 0:fixed and 0:variable are the "
         "generated-only ablation",
     ),
-    "teacher.noise": (float, 0.0, "oracle answer noise while collecting the teacher corpus"),
-    "corpus.min_count": (int, 3, "vocabulary frequency threshold"),
     "selfplay.noise": (float, 0.1, "machine-oracle answer noise (self-play and evaluation)"),
     "selfplay.checkpoint": (str, "last", "which checkpoint plays: last or best_val"),
     **{key: (type(f.default), f.default, f.metadata["help"]) for key, f in _FIELDS.items()},
@@ -70,11 +68,10 @@ class ExperimentConfig:
             self.model_config()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for key in ("teacher.noise", "selfplay.noise"):
-            if not (0.0 <= self[key] <= 1.0):
-                raise ConfigError(f"{key} must be in [0, 1]")
+        if not (0.0 <= self["selfplay.noise"] <= 1.0):
+            raise ConfigError("selfplay.noise must be in [0, 1]")
         for key in ("experiment.n_train_scenes", "experiment.n_test_scenes",
-                    "experiment.replicate_seeds", "corpus.min_count"):
+                    "experiment.replicate_seeds"):
             if self[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for key in ("experiment.seed", "experiment.n_val_scenes"):

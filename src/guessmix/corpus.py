@@ -19,7 +19,7 @@ import numpy as np
 from . import metrics
 from .dialogue import Dialogue, GameAlignmentError, SOURCE_HUMAN
 from .jsonl import checked, read_jsonl, write_jsonl
-from .lang import build_vocabulary
+from .lang import MIN_COUNT, build_vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +192,8 @@ def human_pct(corpus: list[Dialogue]) -> float:
     return 100.0 * sum(1 for d in corpus if d.source == SOURCE_HUMAN) / len(corpus)
 
 
-def corpus_stats(corpus: list[Dialogue], min_count: int = 3, length_mode: str = LENGTH_NONE) -> StatsRow:
+def corpus_stats(corpus: list[Dialogue], min_count: int = MIN_COUNT,
+                 length_mode: str = LENGTH_NONE) -> StatsRow:
     """Training-set statistics: vocabulary size, mutual overlap, repeat rate."""
     pct_human = human_pct(corpus)
     vocab = build_vocabulary(corpus, min_count)

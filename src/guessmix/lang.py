@@ -41,6 +41,8 @@ YES_TOKEN = "<yes>"
 NO_TOKEN = "<no>"
 UNK = "<unk>"
 SPECIAL_TOKENS = (SOQ, EOQ, YES_TOKEN, NO_TOKEN, UNK)
+# a vocabulary keeps the words seen at least this often: a model's, so GR's, and Voc size's
+MIN_COUNT = 3
 
 SLOT = "<slot>"
 
@@ -165,7 +167,7 @@ class Vocabulary:
         return self._ids[YES_TOKEN] if answer == "yes" else self._ids[NO_TOKEN]
 
 
-def build_vocabulary(corpus: list[Dialogue], min_count: int = 3) -> Vocabulary:
+def build_vocabulary(corpus: list[Dialogue], min_count: int = MIN_COUNT) -> Vocabulary:
     """Count question tokens across the corpus and keep those above threshold.
 
     Answers are encoded by the yes/no special tokens and do not contribute to

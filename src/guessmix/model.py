@@ -253,8 +253,8 @@ def decode_question(
     params: ModelParams,
     vocab: Vocabulary,
     state: np.ndarray,
-    mode: str = DECODE_GREEDY,
-    max_len: int = 10,
+    mode: str,
+    max_len: int,
     rng: np.random.Generator | None = None,
 ) -> list[str]:
     """Generate one question autoregressively from the dialogue state.
@@ -337,8 +337,8 @@ def decode_questions(
     params: ModelParams,
     vocab: Vocabulary,
     states: np.ndarray,
-    mode: str = DECODE_GREEDY,
-    max_len: int = 10,
+    mode: str,
+    max_len: int,
     rngs: list[np.random.Generator] | None = None,
 ) -> list[list[str]]:
     """`decode_question` for every row of the (G, H) `states` at once, row g

@@ -25,7 +25,7 @@ DATA_DIR = Path(__file__).parent / "data"
 SRC = Path(cli.__file__).resolve().parents[1]
 
 TINY_MODEL_FLAGS = ("--model.embed_dim", "8", "--model.hidden_dim", "12", "--model.epochs", "2",
-                    "--model.batch_size", "8", "--corpus.min_count", "1")
+                    "--model.batch_size", "8")
 
 TINY_CONFIG = """
 # tiny smoke experiment
@@ -56,10 +56,10 @@ class TestConfig:
 
     def test_file_parsing_and_override(self, tmp_path):
         path = tmp_path / "exp.cfg"
-        path.write_text("model.epochs = 7\n# comment\n\ncorpus.min_count=4\n")
+        path.write_text("model.epochs = 7\n# comment\n\nexperiment.n_test_scenes=4\n")
         cfg = load_config(path, {"model.batch_size": "16"})
         assert cfg["model.epochs"] == 7
-        assert cfg["corpus.min_count"] == 4
+        assert cfg["experiment.n_test_scenes"] == 4
         assert cfg["model.batch_size"] == 16
 
     def test_comment_after_a_value(self, tmp_path):
@@ -169,15 +169,17 @@ class TestConfig:
     # each with a value its key took when it was a setting
     REMOVED_KEYS = {"corpus.require_generated_success": "no", "model.guesser_human_only": "no",
                     "scene.min_objects": "4", "scene.max_objects": "9",
-                    "teacher.max_turns": "7", "selfplay.turns": "4", "evaluate.turns": "6"}
+                    "teacher.max_turns": "7", "selfplay.turns": "4", "evaluate.turns": "6",
+                    "teacher.noise": "0.1", "corpus.min_count": "2"}
 
     @pytest.mark.parametrize("key", REMOVED_KEYS)
     def test_removed_switches_are_unknown_keys(self, tmp_path, capsys, key):
         # generated dialogues enter a mix whatever their outcome, and the
         # guesser trains on every dialogue; a scene holds 3 to 20 objects and
         # the teacher asks at most 8 questions, as in the data; generated games
-        # of fixed length and test games take 5 turns, as in the paper. None
-        # is a setting
+        # of fixed length and test games take 5 turns, as in the paper; the
+        # teacher's oracle never errs, and a vocabulary keeps the words seen
+        # lang.MIN_COUNT times. None is a setting
         value = self.REMOVED_KEYS[key]
         path = tmp_path / "exp.cfg"
         path.write_text(TINY_CONFIG + f"experiment.output_dir = {tmp_path / 'run'}\n"
@@ -226,8 +228,7 @@ class TestConfig:
             "experiment.seed": 3, "experiment.replicate_seeds": 2,
             "experiment.n_train_scenes": 40, "experiment.n_test_scenes": 10,
             "experiment.n_val_scenes": 5, "experiment.output_dir": "runs/a b",
-            "experiment.mix_specs": "100:-, 50:variable", "teacher.noise": 0.1,
-            "corpus.min_count": 2, "selfplay.noise": 0.25,
+            "experiment.mix_specs": "100:-, 50:variable", "selfplay.noise": 0.25,
             "selfplay.checkpoint": "best_val", "model.embed_dim": 8,
             "model.hidden_dim": 12, "model.learning_rate": 0.1, "model.grad_clip": 2.5,
             "model.modulo_n": 2, "model.epochs": 5, "model.batch_size": 16,
@@ -312,7 +313,7 @@ class TestSubcommands:
         assert cli.main(["collect-human", "--scenes", str(scenes_path),
                          "--out", str(human_path), "--seed", "2"]) == 0
         capsys.readouterr()
-        assert cli.main(["stats", str(human_path), "--corpus.min_count", "1"]) == 0
+        assert cli.main(["stats", str(human_path)]) == 0
         line = capsys.readouterr().out.strip()
         parts = line.split(",")
         assert parts[0] == "100" and parts[1] == "0"
@@ -1008,6 +1009,13 @@ class TestRunExperiment:
         assert (out / "manifest.json").read_bytes() == first
         assert (out / "seed_0" / "notes.txt").read_text() == "mine\n"
 
+    def test_rerun_from_its_echo_keeps_the_manifest(self, tiny_run):
+        # config.txt reads back as the run's settings, so a run from it passes
+        # the directory's configuration check and writes the same files
+        first = (tiny_run / "manifest.json").read_bytes()
+        assert cli.main(["run", "--config", str(tiny_run / "config.txt")]) == cli.EXIT_OK
+        assert (tiny_run / "manifest.json").read_bytes() == first
+
     def test_manifest_lists_every_file_a_fresh_run_writes(self, tmp_path):
         # two replicates with validation data and a generated-only cell
         # write every kind of file a run can write
@@ -1073,7 +1081,7 @@ class TestRunExperiment:
             assert capsys.readouterr().out.strip() == report_lines[1 + j]
         # the base model's vocabulary is the one its checkpoint holds
         assert model.load_checkpoint(seed_dir / "model_100.ckpt").vocab == lang.build_vocabulary(
-            dialogue.read_dialogues(seed_dir / "human.jsonl"), manifest["config"]["corpus.min_count"])
+            dialogue.read_dialogues(seed_dir / "human.jsonl"), lang.MIN_COUNT)
 
     def test_replicate_means(self, tmp_path):
         out = cli.run_experiment(load_config(None, {

@@ -170,7 +170,7 @@ class TestDecode:
         vocab = tiny_vocab()
         params = model.init_params(cfg, vocab, seed=0)
         with pytest.raises(ValueError):
-            model.decode_question(params, vocab, np.zeros(6), mode="sample")
+            model.decode_question(params, vocab, np.zeros(6), mode="sample", max_len=10)
 
     def test_logit_shift_invariance(self):
         # adding a constant to all output logits never changes the argmax

@@ -85,14 +85,10 @@ TEMPLATES: dict[str, tuple[tuple[str, ...], ...]] = {
     ),
 }
 
-_ALL_SEMANTICS = tuple(
+# the full question space; its order is the teacher's tie-break order
+ALL_SEMANTICS = tuple(
     QuestionSemantics(kind, v) for kind in KINDS for v in SLOT_VALUES[kind]
 )
-
-
-def all_semantics() -> tuple[QuestionSemantics, ...]:
-    """The full question space, in a fixed enumeration order."""
-    return _ALL_SEMANTICS
 
 
 def realize(semantics: QuestionSemantics, template_id: int) -> list[str]:
@@ -106,7 +102,7 @@ def realize(semantics: QuestionSemantics, template_id: int) -> list[str]:
 # every surface of the grammar; no two (semantics, template) pairs share one
 SURFACES: dict[tuple[str, ...], QuestionSemantics] = {
     tuple(realize(sem, i)): sem
-    for sem in _ALL_SEMANTICS
+    for sem in ALL_SEMANTICS
     for i in range(len(TEMPLATES[sem.kind]))
 }
 

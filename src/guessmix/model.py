@@ -194,10 +194,6 @@ def object_feature_matrix(scene: Scene) -> np.ndarray:
     return _features(_scene_codes(scene))
 
 
-def scene_features(scene: Scene) -> np.ndarray:
-    return object_feature_matrix(scene).mean(axis=0)
-
-
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     """The log-softmax of `x` over its last axis, written over `x`."""
     m = x.max(axis=-1, keepdims=True)
@@ -208,7 +204,7 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 
 
 def initial_state(params: ModelParams, scene: Scene) -> np.ndarray:
-    return np.tanh(params.w_scene @ scene_features(scene))
+    return np.tanh(params.w_scene @ object_feature_matrix(scene).mean(axis=0))
 
 
 def _input_projection(params: ModelParams) -> np.ndarray:

@@ -56,7 +56,7 @@ def _ranges(semantics: lang.QuestionSemantics) -> tuple[tuple[int, int, int], ..
     return ((column, code, code + 1),)
 
 
-_RANGES = {sem: _ranges(sem) for sem in lang.all_semantics()}
+_RANGES = {sem: _ranges(sem) for sem in lang.ALL_SEMANTICS}
 
 
 def eval_predicate(codes: bytes, semantics: lang.QuestionSemantics, i: int = 0) -> bool:
@@ -77,10 +77,6 @@ def truth_mask(scene: Scene, semantics: lang.QuestionSemantics) -> int:
     return mask
 
 
-def truthful_answer(scene: Scene, semantics: lang.QuestionSemantics) -> str:
-    return YES if eval_predicate(scene.codes, semantics, scene.target_index) else NO
-
-
 def answer(
     scene: Scene,
     question_tokens: list[str] | tuple[str, ...],
@@ -90,7 +86,7 @@ def answer(
     semantics = lang.parse_question(question_tokens)
     if semantics is None:
         return NO
-    truth = truthful_answer(scene, semantics)
+    truth = YES if eval_predicate(scene.codes, semantics, scene.target_index) else NO
     if cfg.noise_rate > 0.0 and rng.random() < cfg.noise_rate:
         return NO if truth == YES else YES
     return truth

@@ -6,10 +6,11 @@ with a random template for surface variety. It never repeats a question and
 stops as soon as a single candidate remains, so its dialogues look like the
 clean, variable-length games a careful human would play.
 
-A game reads its scene's attribute codes once: it keeps one bitmask of the
-objects each question is true of (`oracle.truth_mask`), and the candidates
-as a bitmask too, so counting the candidates a question is true of is one
-popcount.
+A game takes two steps. `_truth_masks` reads its scene's attribute codes
+once, into one bitmask per question of the objects it is true of; then, per
+turn, `_next_question` picks the question from those masks and the
+candidates, also a bitmask, so counting the candidates a question is true of
+is one popcount.
 """
 
 from __future__ import annotations
@@ -28,27 +29,9 @@ log = logging.getLogger(__name__)
 MAX_TURNS = 8
 
 
-def next_teacher_question(
-    scene: Scene,
-    candidates: list[int],
-    asked: set[lang.QuestionSemantics],
-    rng: np.random.Generator,
-) -> tuple[lang.QuestionSemantics, int] | None:
-    """Pick the most balanced split of the `candidates` (object indices) by
-    a question not in `asked`, as `play_teacher_game` does.
-
-    Balance is |#yes - #no| over candidates; ties are broken uniformly at
-    random. Questions whose answer is already determined (all candidates on
-    one side) carry no information and are skipped; None means no
-    informative unasked question remains.
-    """
-    if len(candidates) < 2:
-        raise ValueError("teacher needs at least two candidates to ask about")
-    return _next_question(_truth_masks(scene), sum(1 << i for i in candidates), asked, rng)
-
-
 def _truth_masks(scene: Scene) -> dict[lang.QuestionSemantics, int]:
-    return {sem: oracle.truth_mask(scene, sem) for sem in lang.all_semantics()}
+    """Each question's `oracle.truth_mask`, in `lang.ALL_SEMANTICS` order."""
+    return {sem: oracle.truth_mask(scene, sem) for sem in lang.ALL_SEMANTICS}
 
 
 def _next_question(
@@ -57,8 +40,14 @@ def _next_question(
     asked: set[lang.QuestionSemantics],
     rng: np.random.Generator,
 ) -> tuple[lang.QuestionSemantics, int] | None:
-    """`next_teacher_question` over the scene's `_truth_masks`, with the
-    candidates as a bitmask."""
+    """Pick the most balanced split of the `candidates` (bit i for object i)
+    by a question not in `asked`, given the scene's `_truth_masks`.
+
+    Balance is |#yes - #no| over candidates; ties are broken uniformly at
+    random from `rng`. Questions whose answer is already determined (all
+    candidates on one side) carry no information and are skipped; None means
+    no informative unasked question remains.
+    """
     n = candidates.bit_count()
     best_score = None
     best: list[lang.QuestionSemantics] = []

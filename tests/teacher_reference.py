@@ -49,7 +49,7 @@ def answer(target: SceneObject, question, cfg: oracle.OracleConfig, rng) -> str:
 def next_question(objs: list[SceneObject], asked, rng):
     best_score = None
     best = []
-    for sem in lang.all_semantics():
+    for sem in lang.ALL_SEMANTICS:
         if sem in asked:
             continue
         n_yes = sum(1 for o in objs if eval_predicate(o, sem))

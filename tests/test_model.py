@@ -77,7 +77,7 @@ class TestFeatures:
             for i in range(3)
         )
         sc = make_scene(0, objs, 0)
-        f = model.scene_features(sc)
+        f = model.object_feature_matrix(sc).mean(axis=0)
         # identical except x: mean equals shared one-hots, averaged coordinate
         per = model.object_feature_matrix(sc)
         assert np.allclose(f, np.mean(per, axis=0))
@@ -96,7 +96,7 @@ class TestFeatures:
             old = np.stack([one_object(o) for o in sc.objects])
             assert model.object_feature_matrix(sc).tobytes() == old.tobytes()
             old_mean = np.mean([one_object(o) for o in sc.objects], axis=0)
-            assert model.scene_features(sc).tobytes() == old_mean.tobytes()
+            assert model.object_feature_matrix(sc).mean(axis=0).tobytes() == old_mean.tobytes()
 
 
 class TestEncodeTurn:

@@ -15,6 +15,12 @@ def build_scene(specs, target=0, scene_id=0):
     return make_scene(scene_id, objects, target)
 
 
+def next_question(scene, candidates, asked, rng):
+    """The teacher's pick for the `candidates` (object indices) of `scene`."""
+    return teacher._next_question(teacher._truth_masks(scene), sum(1 << i for i in candidates),
+                                  asked, rng)
+
+
 class TestNextQuestion:
     def test_prefers_even_color_split(self):
         scene = build_scene([
@@ -25,14 +31,13 @@ class TestNextQuestion:
         ])
         candidates = [0, 1, 2, 3]
         for seed in range(20):
-            sem, _ = teacher.next_teacher_question(scene, candidates, set(),
-                                                   np.random.default_rng(seed))
+            sem, _ = next_question(scene, candidates, set(), np.random.default_rng(seed))
             n_yes = sum(
                 oracle.eval_predicate(scene.objects[i].codes(), sem) for i in candidates
             )
             assert abs(2 * n_yes - 4) == 0  # perfectly balanced
         assert any(
-            teacher.next_teacher_question(scene, candidates, set(), np.random.default_rng(s))[0]
+            next_question(scene, candidates, set(), np.random.default_rng(s))[0]
             in (lang.QuestionSemantics("color", "red"), lang.QuestionSemantics("color", "blue"))
             for s in range(20)
         )
@@ -45,8 +50,7 @@ class TestNextQuestion:
             ("cat", "red", "large", 0, 1),
         ])
         for seed in range(50):
-            sem, _ = teacher.next_teacher_question(scene, [0, 1, 2], set(),
-                                                   np.random.default_rng(seed))
+            sem, _ = next_question(scene, [0, 1, 2], set(), np.random.default_rng(seed))
             assert sem.kind != lang.KIND_CATEGORY
 
     def test_exhausted_when_candidates_indistinguishable(self):
@@ -56,16 +60,7 @@ class TestNextQuestion:
             ("cat", "red", "small", 1, 1),
             ("dog", "blue", "large", 4, 4),
         ])
-        assert teacher.next_teacher_question(scene, [0, 1], set(), np.random.default_rng(0)) is None
-
-    def test_needs_two_candidates(self):
-        scene = build_scene([
-            ("cat", "red", "small", 0, 0),
-            ("dog", "blue", "large", 4, 4),
-            ("cup", "green", "medium", 2, 2),
-        ])
-        with pytest.raises(ValueError):
-            teacher.next_teacher_question(scene, [1], set(), np.random.default_rng(0))
+        assert next_question(scene, [0, 1], set(), np.random.default_rng(0)) is None
 
     def test_binary_attributes_solved_in_log_turns(self):
         # 8 objects spanning 2 categories x 2 colors x 2 sizes
@@ -143,3 +138,25 @@ def test_bitmask_teacher_plays_the_per_object_dialogues(noise):
         assert (teacher.play_teacher_game(sc, cfg, np.random.default_rng([4, sc.scene_id]))
                 == teacher_reference.play_teacher_game(sc, cfg,
                                                        np.random.default_rng([4, sc.scene_id])))
+
+
+def test_selector_matches_the_per_object_selector_on_any_candidates():
+    # games reach only the candidate sets their answers leave; this draws others
+    rng = np.random.default_rng(35)
+    picks = []
+    for sc in scene.generate_scene_set(300, 17):
+        objects = sc.objects
+        for _ in range(3):
+            size = int(rng.integers(2, sc.n_objects + 1))
+            candidates = rng.choice(sc.n_objects, size=size, replace=False).tolist()
+            share = rng.random()  # of the questions already asked
+            asked = {sem for sem in lang.ALL_SEMANTICS if rng.random() < share}
+            seed = int(rng.integers(2**32))
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            pick = next_question(sc, candidates, asked, ours)
+            assert pick == teacher_reference.next_question([objects[i] for i in candidates],
+                                                           asked, ref)
+            assert ours.random() == ref.random()  # both drew the same numbers
+            picks.append(pick)
+    assert None in picks
+    assert any(p is not None for p in picks)
